@@ -1,0 +1,376 @@
+package partopt
+
+import (
+	"fmt"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+
+	"partopt/internal/exec"
+)
+
+// The semantics table of multi-stage aggregation. Orca may split a GroupBy
+// into Partial and Final stages around a Motion; the legacy planner always
+// aggregates once on the coordinator. Every case runs through both and
+// must equal a literal expected value, so a rule both planners got wrong
+// (they share the hashAggOp) would still fail.
+
+// aggEngine builds the fixture. facts is hashed on k and range-partitioned
+// on id, 12 rows:
+//
+//	id   1..12
+//	k    id % 3                      (the distribution key)
+//	g    10 for even ids, 20 for odd; NULL for ids 6 and 12
+//	s    'a','b','c' by id % 3
+//	d    2020-01-<id>
+//	v    id*10; NULL for ids 3 and 9
+//	f    id + 0.5
+//	nul  always NULL
+func aggEngine(t testing.TB) *Engine {
+	t.Helper()
+	eng, err := New(3)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	eng.MustCreateTable("facts",
+		Columns("id", TypeInt, "k", TypeInt, "g", TypeInt, "s", TypeString, "d", TypeDate, "v", TypeInt, "f", TypeFloat, "nul", TypeInt),
+		DistributedBy("k"), PartitionByRangeInt("id", 0, 16, 4))
+	for id := int64(1); id <= 12; id++ {
+		g, v := Int(20-10*((id+1)%2)), Int(id*10)
+		if id%6 == 0 {
+			g = Null
+		}
+		if id == 3 || id == 9 {
+			v = Null
+		}
+		if err := eng.Insert("facts", Int(id), Int(id%3), g, String(string(rune('a'+id%3))),
+			Date(2020, 1, int(id)), v, Float(float64(id)+0.5), Null); err != nil {
+			t.Fatalf("insert facts: %v", err)
+		}
+	}
+	eng.MustCreateTable("empty", Columns("id", TypeInt, "v", TypeInt, "s", TypeString),
+		DistributedBy("id"), PartitionByRangeInt("id", 0, 16, 4))
+	// x mixes integer and float datums in one float column: the lane
+	// degrades to the mixed representation and SUM must promote.
+	eng.MustCreateTable("mixed", Columns("id", TypeInt, "grp", TypeInt, "x", TypeFloat), DistributedBy("id"))
+	for i, x := range []Value{Int(1), Float(2.5), Int(3), Float(0.5)} {
+		if err := eng.Insert("mixed", Int(int64(i)), Int(int64(i%2)), x); err != nil {
+			t.Fatalf("insert mixed: %v", err)
+		}
+	}
+	eng.MustCreateTable("rep", Columns("id", TypeInt, "v", TypeInt), Replicated())
+	eng.MustCreateTable("dim", Columns("k", TypeInt, "name", TypeString), Replicated())
+	for i := int64(1); i <= 10; i++ {
+		if err := eng.Insert("rep", Int(i), Int(i)); err != nil {
+			t.Fatalf("insert rep: %v", err)
+		}
+	}
+	for k := int64(0); k < 4; k++ { // k = 3 matches no fact
+		if err := eng.Insert("dim", Int(k), String(fmt.Sprint("k", k))); err != nil {
+			t.Fatalf("insert dim: %v", err)
+		}
+	}
+	if err := eng.Analyze(); err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	return eng
+}
+
+// renderTyped renders a result as sorted rows of type-tagged values, so an
+// integer 66 and a float 66 differ.
+func renderTyped(rows *Rows) []string {
+	out := make([]string, len(rows.Data))
+	for i, r := range rows.Data {
+		cells := make([]string, len(r))
+		for j, v := range r {
+			if v.IsNull() {
+				cells[j] = "NULL"
+			} else {
+				cells[j] = v.Type().String() + ":" + v.String()
+			}
+		}
+		out[i] = strings.Join(cells, " ")
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestAggregationSplitSemantics(t *testing.T) {
+	eng := aggEngine(t)
+	// shape: "split" = Partial + Final stages, "single" = one HashAggregate
+	// on the segments, below the Gather.
+	cases := []struct {
+		name, q, shape string
+		want           []string
+	}{
+		{"empty scalar", "SELECT count(*), count(v), sum(v), min(v), max(s), avg(v) FROM empty", "split",
+			[]string{"int:0 int:0 NULL NULL NULL NULL"}},
+		{"empty grouped", "SELECT v, count(*) FROM empty GROUP BY v", "", nil},
+		{"all-NULL argument", "SELECT count(nul), sum(nul), min(nul), max(nul), avg(nul), count(*) FROM facts", "split",
+			[]string{"int:0 NULL NULL NULL NULL int:12"}},
+		{"NULLs skipped", "SELECT count(v), sum(v), min(v), max(v) FROM facts", "split",
+			[]string{"int:10 int:660 int:10 int:120"}},
+		{"avg over ints is float", "SELECT avg(v), avg(id) FROM facts", "split",
+			[]string{"float:66 float:6.5"}},
+		{"float sum", "SELECT sum(f), avg(f) FROM facts", "split",
+			[]string{"float:84 float:7"}},
+		{"sum mixing int and float", "SELECT sum(x), count(x) FROM mixed", "split",
+			[]string{"float:7 int:4"}},
+		{"sum stays int per group", "SELECT grp, sum(x) FROM mixed GROUP BY grp", "",
+			[]string{"int:0 int:4", "int:1 float:3"}},
+		{"min/max over strings and dates", "SELECT min(s), max(s), min(d), max(d) FROM facts", "split",
+			[]string{"string:'a' string:'c' date:2020-01-01 date:2020-01-12"}},
+		{"NULL group key", "SELECT g, count(*), sum(v), avg(v) FROM facts GROUP BY g", "split",
+			[]string{"NULL int:2 int:180 float:90", "int:10 int:4 int:240 float:60", "int:20 int:6 int:240 float:60"}},
+		{"group by the distribution key", "SELECT k, count(*), sum(v) FROM facts GROUP BY k", "single",
+			[]string{"int:0 int:4 int:180", "int:1 int:4 int:220", "int:2 int:4 int:260"}},
+		{"group by two columns incl. the distribution key", "SELECT k, g, count(*) FROM facts GROUP BY k, g", "single",
+			[]string{"int:0 NULL int:2", "int:0 int:20 int:2", "int:1 int:10 int:2", "int:1 int:20 int:2", "int:2 int:10 int:2", "int:2 int:20 int:2"}},
+		{"computed group key and argument", "SELECT id + k, sum(v + 1) FROM facts WHERE id < 3 GROUP BY id + k", "split",
+			[]string{"int:2 int:11", "int:4 int:21"}},
+		{"replicated scalar", "SELECT count(*), sum(v) FROM rep", "single",
+			[]string{"int:10 int:55"}},
+		{"replicated grouped", "SELECT v, count(*) FROM rep WHERE v < 3 GROUP BY v", "single",
+			[]string{"int:1 int:1", "int:2 int:1"}},
+		{"NULL-extended side, grouped", "SELECT d.k, count(f.v), sum(f.v), count(*) FROM dim d LEFT JOIN facts f ON d.k = f.k GROUP BY d.k", "",
+			[]string{"int:0 int:2 int:180 int:4", "int:1 int:4 int:220 int:4", "int:2 int:4 int:260 int:4", "int:3 int:0 NULL int:1"}},
+		{"NULL-extended side, scalar", "SELECT count(f.id), sum(f.v), min(f.s), count(*) FROM dim d LEFT JOIN facts f ON d.k = f.k WHERE d.k = 3", "",
+			[]string{"int:0 NULL NULL int:1"}},
+	}
+	// Each planner runs with column lanes on (the typed accumulate loop) and
+	// off (the row loop): the two loops share aggAcc and must not differ.
+	defer exec.SetColumnarExec(exec.SetColumnarExec(true))
+	for _, c := range cases {
+		for _, opt := range []OptimizerKind{Orca, LegacyPlanner} {
+			for _, columnar := range []bool{true, false} {
+				eng.SetOptimizer(opt)
+				exec.SetColumnarExec(columnar)
+				rows, err := eng.Query(c.q)
+				if err != nil {
+					t.Errorf("%s (%v, columnar=%v): %v", c.name, opt, columnar, err)
+					continue
+				}
+				if got := renderTyped(rows); fmt.Sprint(got) != fmt.Sprint(c.want) {
+					t.Errorf("%s (%v, columnar=%v):\n got %v\nwant %v\n%s", c.name, opt, columnar, got, c.want, rows.ExplainAnalyze)
+				}
+			}
+		}
+		eng.SetOptimizer(Orca)
+		plan, err := eng.Explain(c.q)
+		if err != nil {
+			t.Fatalf("%s: Explain: %v", c.name, err)
+		}
+		split := strings.Contains(plan, "Partial HashAggregate") && strings.Contains(plan, "Final HashAggregate")
+		switch {
+		case c.shape == "split" && !split:
+			t.Errorf("%s: expected a Partial/Final split:\n%s", c.name, plan)
+		case c.shape == "single" && (split || !strings.Contains(plan, "Gather Motion\n    -> HashAggregate") && !strings.Contains(plan, "Gather Motion (from seg 0)\n    -> HashAggregate")):
+			t.Errorf("%s: expected one HashAggregate directly below the Gather:\n%s", c.name, plan)
+		}
+	}
+}
+
+// A 4 KiB work_mem makes the Partial stage spill; the answer, and the
+// spilled stage's place in the plan, must not change.
+func TestAggregationSplitSpillsInPartialStage(t *testing.T) {
+	eng, err := New(3)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	eng.MustCreateTable("big", Columns("id", TypeInt, "grp", TypeInt, "v", TypeInt),
+		DistributedBy("id"), PartitionByRangeInt("id", 0, 3000, 6))
+	batch := make([][]Value, 3000)
+	for i := range batch {
+		batch[i] = []Value{Int(int64(i)), Int(int64(i % 600)), Int(int64(i))}
+	}
+	if err := eng.InsertRows("big", batch); err != nil {
+		t.Fatalf("InsertRows: %v", err)
+	}
+	if err := eng.Analyze(); err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	const q = "SELECT grp, count(*), sum(v), avg(v) FROM big GROUP BY grp"
+	golden := func() []string {
+		rows, err := eng.Query(q)
+		if err != nil {
+			t.Fatalf("Query: %v", err)
+		}
+		if rows.SpilledBytes != 0 {
+			t.Fatalf("ungoverned run spilled")
+		}
+		return renderTyped(rows)
+	}()
+	if len(golden) != 600 {
+		t.Fatalf("groups = %d, want 600", len(golden))
+	}
+	// Group 7 holds ids 7, 607, ..., 2407.
+	if want := "int:7 int:5 int:6035 float:1207"; golden[sort.SearchStrings(golden, want)] != want {
+		t.Fatalf("group 7 missing from %v...", golden[:3])
+	}
+
+	eng.SetSpillDir(t.TempDir())
+	eng.SetWorkMem(4 << 10)
+	rows, err := eng.Query(q)
+	if err != nil {
+		t.Fatalf("governed Query: %v", err)
+	}
+	if got := renderTyped(rows); fmt.Sprint(got) != fmt.Sprint(golden) {
+		t.Fatalf("spilling changed the answer")
+	}
+	var partialSpill int64
+	walkOpStats(rows.OpStats, func(o *OpStats) {
+		if strings.HasPrefix(o.Label, "Partial HashAggregate") {
+			partialSpill += o.SpilledBytes
+		}
+	})
+	if partialSpill == 0 {
+		t.Fatalf("the Partial stage did not spill:\n%s", rows.ExplainAnalyze)
+	}
+	eng.SetOptimizer(LegacyPlanner)
+	rows, err = eng.Query(q)
+	if err != nil {
+		t.Fatalf("legacy Query: %v", err)
+	}
+	if got := renderTyped(rows); fmt.Sprint(got) != fmt.Sprint(golden) {
+		t.Fatalf("legacy single-stage answer differs")
+	}
+}
+
+// Killing a segment mid-fleet: the split plan's retry lands on the mirror
+// and returns the same answer.
+func TestAggregationSplitSurvivesKilledSegment(t *testing.T) {
+	eng := aggEngine(t)
+	eng.EnableFaultTolerance(FTConfig{ProbeInterval: 0, DownAfter: 2})
+	defer eng.StopFTS()
+	const q = "SELECT g, count(*), sum(v), min(d), avg(f) FROM facts GROUP BY g"
+	rows, err := eng.Query(q)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	golden := renderTyped(rows)
+	if err := eng.KillSegment(1); err != nil {
+		t.Fatalf("KillSegment: %v", err)
+	}
+	rows, err = eng.Query(q)
+	if err != nil {
+		t.Fatalf("Query after kill: %v", err)
+	}
+	if got := renderTyped(rows); fmt.Sprint(got) != fmt.Sprint(golden) {
+		t.Fatalf("answer changed after failover:\n got %v\nwant %v", got, golden)
+	}
+	if got := eng.SegmentFailovers(); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
+	}
+}
+
+// EXPLAIN goldens for the shapes the benchmark's workloads run, at reduced
+// scale: where the aggregate lands is decided by row and distinct-value
+// estimates alone.
+func TestAggregationPlanGoldens(t *testing.T) {
+	eng, err := New(4)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	eng.MustCreateTable("lineitem",
+		Columns("l_orderkey", TypeInt, "l_quantity", TypeInt, "l_extendedprice", TypeFloat, "l_shipdate", TypeDate),
+		DistributedBy("l_orderkey"), PartitionByRangeDays("l_shipdate", 2007, 1, 1, 2555, 7))
+	li := make([][]Value, 20000)
+	for i := range li {
+		li[i] = []Value{Int(int64(i / 4)), Int(int64(1 + i%25)), Float(float64(i) * 1.5), DateOfEpochDays(13514 + int64(i%2555))}
+	}
+	eng.MustCreateTable("sales", Columns("sale_id", TypeInt, "date_id", TypeInt, "k1", TypeInt, "amount", TypeFloat),
+		DistributedBy("sale_id"), PartitionByRangeInt("date_id", 0, 240, 24))
+	sales := make([][]Value, 4800)
+	for i := range sales {
+		sales[i] = []Value{Int(int64(i)), Int(int64(i % 240)), Int(int64(i % 200)), Float(float64(i % 97))}
+	}
+	eng.MustCreateTable("date_dim", Columns("date_id", TypeInt, "month", TypeInt, "moy", TypeInt), Replicated())
+	dates := make([][]Value, 240)
+	for i := range dates {
+		dates[i] = []Value{Int(int64(i)), Int(int64(1 + i/10)), Int(int64(1 + (i/10)%12))}
+	}
+	for table, rows := range map[string][][]Value{"lineitem": li, "sales": sales, "date_dim": dates} {
+		if err := eng.InsertRows(table, rows); err != nil {
+			t.Fatalf("load %s: %v", table, err)
+		}
+	}
+	if err := eng.Analyze(); err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+
+	goldens := []struct{ name, q, want string }{
+		{"scalar", "SELECT count(*) FROM lineitem", `Project (count_1)
+  -> Final HashAggregate (count(*))  (rows=1 cost=40025)
+    -> Gather Motion
+      -> Partial HashAggregate (count(*))  (rows=4 cost=40001)
+        -> PartitionSelector(1, lineitem, φ)  (rows=20000 cost=20001)
+          -> DynamicScan(1, lineitem)  (rows=20000 cost=20000)
+`},
+		{"grouped, 25 groups", "SELECT l_quantity, count(*), sum(l_extendedprice) FROM lineitem GROUP BY l_quantity", `Project (l_quantity, count_2, sum_3)
+  -> Final HashAggregate (lineitem.l_quantity; count(*), sum(lineitem.l_extendedprice))  (rows=25 cost=40601)
+    -> Gather Motion
+      -> Partial HashAggregate (lineitem.l_quantity; count(*), sum(lineitem.l_extendedprice))  (rows=100 cost=40001)
+        -> PartitionSelector(1, lineitem, φ)  (rows=20000 cost=20001)
+          -> DynamicScan(1, lineitem)  (rows=20000 cost=20000)
+`},
+		{"grouped on the distribution key", "SELECT l_orderkey, count(*) FROM lineitem GROUP BY l_orderkey", `Project (l_orderkey, count_2)
+  -> Gather Motion
+    -> HashAggregate (lineitem.l_orderkey; count(*))  (rows=5000 cost=40001)
+      -> PartitionSelector(1, lineitem, φ)  (rows=20000 cost=20001)
+        -> DynamicScan(1, lineitem)  (rows=20000 cost=20000)
+`},
+		{"grouped, one group per row", "SELECT l_extendedprice, count(*) FROM lineitem GROUP BY l_extendedprice", `Project (l_extendedprice, count_2)
+  -> Gather Motion
+    -> HashAggregate (lineitem.l_extendedprice; count(*))  (rows=20000 cost=84001)
+      -> Redistribute Motion (t1.c2)  (rows=20000 cost=60001)
+        -> PartitionSelector(1, lineitem, φ)  (rows=20000 cost=20001)
+          -> DynamicScan(1, lineitem)  (rows=20000 cost=20000)
+`},
+		{"star_dpe one-month join", "SELECT count(*), sum(s.amount) FROM date_dim d, sales s WHERE d.date_id = s.date_id AND d.month = 3", `Project (count_1, sum_2)
+  -> Final HashAggregate (count(*), sum(s.amount))  (rows=1 cost=10142)
+    -> Gather Motion
+      -> Partial HashAggregate (count(*), sum(s.amount))  (rows=4 cost=10118)
+        -> HashJoin (d.date_id = s.date_id)  (rows=4800 cost=5318)
+          -> PartitionSelector(2, sales, d.date_id = s.date_id)  (rows=10 cost=266)
+            -> Filter (d.month = $1)  (rows=10 cost=264)
+              -> Scan date_dim  (rows=240 cost=240)
+          -> DynamicScan(2, sales)  (rows=4800 cost=4800)
+`},
+	}
+	for _, g := range goldens {
+		got, err := eng.Explain(g.q)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if got != g.want {
+			t.Errorf("%s: golden mismatch:\n--- got ---\n%s--- want ---\n%s", g.name, got, g.want)
+		}
+	}
+}
+
+// What crossed the Motion between the stages, and which loop folded the
+// input, are both visible without a debugger: the Gather's actual rows are
+// the group states it moved (one per segment for a scalar aggregate), and
+// the header counts typed against row batches per stage.
+func TestAggregationSplitObservability(t *testing.T) {
+	eng := paperEngine(t, 4)
+	rows, err := eng.Query("SELECT count(*), sum(amount) FROM orders")
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if rows.RowsMoved != 4 {
+		t.Errorf("RowsMoved = %d, want 4 (one state row per segment)", rows.RowsMoved)
+	}
+	if !strings.Contains(rows.ExplainAnalyze, "-> Gather Motion  (actual rows=4 loops=1") {
+		t.Errorf("Gather between the stages does not show the moved rows:\n%s", rows.ExplainAnalyze)
+	}
+	m := regexp.MustCompile(`aggregation: (\d+) typed / 4 row batches \(partial (\d+)/0, final 0/4\)`).FindStringSubmatch(rows.ExplainAnalyze)
+	if m == nil || m[1] != m[2] || m[1] == "0" {
+		t.Fatalf("aggregation header missing or the partial stage took the row loop:\n%s", rows.ExplainAnalyze)
+	}
+	typed := eng.Obs().Counter("partopt_agg_partial_typed_batches_total").Value()
+	if fmt.Sprint(typed) != m[1] || eng.Obs().Counter("partopt_agg_final_row_batches_total").Value() != 4 {
+		t.Errorf("registry counters disagree with the header %v: partial typed %d", m, typed)
+	}
+}

@@ -285,7 +285,7 @@ func rebuild(n plan.Node, newChildren []plan.Node) plan.Node {
 	case *plan.HashJoin:
 		return plan.NewHashJoin(x.Type, x.BuildKeys, x.ProbeKeys, x.Residual, newChildren[0], newChildren[1], x.Cond)
 	case *plan.HashAgg:
-		return plan.NewHashAgg(x.Groups, x.Aggs, newChildren[0])
+		return plan.NewStagedHashAgg(x.Stage, x.Groups, x.Aggs, newChildren[0])
 	case *plan.Sequence:
 		return plan.NewSequence(newChildren...)
 	case *plan.Append:

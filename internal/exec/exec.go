@@ -97,6 +97,7 @@ type Stats struct {
 	rowsMoved    int64
 	spilledBytes int64
 	spillParts   int64
+	aggBatches   AggBatches
 
 	// ops is the per-operator runtime record, keyed by plan node. Keying by
 	// node identity (not a numeric id) keeps the trees of a multi-plan
@@ -155,6 +156,37 @@ func (s *Stats) noteSpill(bytes, parts int64) {
 	s.spilledBytes += bytes
 	s.spillParts += parts
 	s.mu.Unlock()
+}
+
+// AggBatches counts the child batches hash aggregates folded, by the loop
+// that folded them and indexed by plan.AggStage. A batch the typed loop
+// could not take — no column lanes, a computed key or argument, a Final
+// stage's motion input, an operator that is spilling — is a row batch.
+type AggBatches struct {
+	Typed, Row [plan.NumAggStages]int64
+}
+
+// Total sums the counters over the stages.
+func (b AggBatches) Total() (typed, row int64) {
+	for s := range b.Typed {
+		typed += b.Typed[s]
+		row += b.Row[s]
+	}
+	return typed, row
+}
+
+func (s *Stats) noteAggBatches(stage plan.AggStage, typed, row int64) {
+	s.mu.Lock()
+	s.aggBatches.Typed[stage] += typed
+	s.aggBatches.Row[stage] += row
+	s.mu.Unlock()
+}
+
+// AggBatches returns the query's typed-vs-row aggregate batch counters.
+func (s *Stats) AggBatches() AggBatches {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.aggBatches
 }
 
 // SpilledBytes returns the total bytes operators wrote to spill files.

@@ -644,405 +644,3 @@ func (j *hashJoinOp) Close(ctx *Ctx) error {
 	j.cleanup(ctx)
 	return firstErr
 }
-
-// ---------------------------------------------------------------- hash agg
-
-type aggState struct {
-	groupVals types.Row
-	count     []int64   // per agg: row count (non-null arg count for COUNT(x))
-	sum       []float64 // per agg: running sum (SUM/AVG)
-	sumIsInt  []bool
-	isum      []int64
-	minmax    []types.Datum
-	seen      []bool
-}
-
-// hashAggOp groups its input and computes aggregate functions. With no
-// grouping columns it emits exactly one row.
-//
-// Each new group charges the budget for its aggregation state. When the
-// charge is denied the operator spills: input rows whose group is not
-// already resident are written — raw — to spillFanout disk partitions by
-// group hash, while resident groups keep pre-aggregating in memory. Rows of
-// one group all land in the same partition (and only groups absent from the
-// resident table ever spill), so after the resident groups are emitted each
-// partition is re-aggregated independently with hard reservations.
-type hashAggOp struct {
-	n      *plan.HashAgg
-	child  Operator
-	layout expr.Layout
-
-	groups   map[uint64][]*aggState
-	order    []*aggState // emission order (insertion order)
-	pos      int
-	reserved int64
-
-	spilled bool
-	parts   []*mem.SpillWriter
-	part    int // next partition to re-aggregate
-
-	childOpen bool
-
-	env    expr.Env  // reused per row
-	keyBuf types.Row // reused group-key probe buffer (cloned only on insert)
-	out    Batch     // reused output header for NextBatch
-	vh     *vecHasher // columnar group-key hashing (nil: row path)
-}
-
-// aggStateBytes estimates one group's aggregation-state footprint.
-func aggStateBytes(groupVals types.Row, naggs int) int64 {
-	return mem.RowBytes(groupVals) + 200 + 48*int64(naggs)
-}
-
-func (a *hashAggOp) Open(ctx *Ctx) (err error) {
-	a.layout = a.n.Child.Layout()
-	a.env = expr.Env{Layout: a.layout, Params: ctx.Params.Vals}
-	a.keyBuf = make(types.Row, len(a.n.Groups))
-	groupKeys := make([]expr.Expr, len(a.n.Groups))
-	for i, g := range a.n.Groups {
-		groupKeys[i] = g.E
-	}
-	// The row path mixes NULL group values into the hash, so mixNulls here.
-	a.vh = newVecHasher(groupKeys, a.layout, true)
-	a.groups = map[uint64][]*aggState{}
-	a.order = nil
-	a.pos = 0
-	a.reserved = 0
-	a.spilled = false
-	a.parts = nil
-	a.part = 0
-	defer func() {
-		if err != nil {
-			a.abort(ctx)
-		}
-	}()
-
-	if err := a.child.Open(ctx); err != nil {
-		return err
-	}
-	a.childOpen = true
-	childB := batchOf(a.child)
-	for {
-		b, err := childB.NextBatch(ctx)
-		if errors.Is(err, errEOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := ctx.pollAbortBatch(); err != nil {
-			return err
-		}
-		if gh, _, ok := a.vh.hashBatch(b); ok {
-			for k, row := range b.Rows {
-				if err := a.accumulateHashed(row, gh[k], ctx, false); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		for _, row := range b.Rows {
-			if err := a.accumulate(row, ctx, false); err != nil {
-				return err
-			}
-		}
-	}
-	if err := a.child.Close(ctx); err != nil {
-		a.childOpen = false
-		return err
-	}
-	a.childOpen = false
-	// Scalar aggregation over empty input still yields one row.
-	if len(a.n.Groups) == 0 && len(a.order) == 0 && !a.spilled {
-		a.order = append(a.order, a.newState(nil))
-	}
-	if a.spilled {
-		var bytes, parts int64
-		for _, w := range a.parts {
-			bytes += w.Bytes()
-			if w.Rows() > 0 {
-				parts++
-			}
-		}
-		ctx.noteSpill(bytes, parts)
-	}
-	return nil
-}
-
-func (a *hashAggOp) newState(groupVals types.Row) *aggState {
-	n := len(a.n.Aggs)
-	return &aggState{
-		groupVals: groupVals,
-		count:     make([]int64, n),
-		sum:       make([]float64, n),
-		sumIsInt:  make([]bool, n),
-		isum:      make([]int64, n),
-		minmax:    make([]types.Datum, n),
-		seen:      make([]bool, n),
-	}
-}
-
-// accumulate folds one input row into its group. hard marks the
-// partition-re-aggregation pass, where new groups are the irreducible
-// working set (hard reservation, no further spilling).
-func (a *hashAggOp) accumulate(row types.Row, ctx *Ctx, hard bool) error {
-	a.env.Row = row
-	h := types.HashSeed
-	for i, g := range a.n.Groups {
-		v, err := expr.Eval(g.E, &a.env)
-		if err != nil {
-			return err
-		}
-		a.keyBuf[i] = v
-		h = types.HashDatum(h, v)
-	}
-	return a.fold(row, h, ctx, hard)
-}
-
-// accumulateHashed is accumulate with the group hash already computed
-// column-wise for the whole batch; only the group values themselves still
-// need evaluating for the equality probe.
-func (a *hashAggOp) accumulateHashed(row types.Row, h uint64, ctx *Ctx, hard bool) error {
-	a.env.Row = row
-	for i, g := range a.n.Groups {
-		v, err := expr.Eval(g.E, &a.env)
-		if err != nil {
-			return err
-		}
-		a.keyBuf[i] = v
-	}
-	return a.fold(row, h, ctx, hard)
-}
-
-// fold folds one input row, with its group hash and a.keyBuf holding its
-// group values, into the resident table (or a spill partition).
-func (a *hashAggOp) fold(row types.Row, h uint64, ctx *Ctx, hard bool) error {
-	groupVals := a.keyBuf // probe with the reused buffer; clone only on insert
-	var st *aggState
-	for _, cand := range a.groups[h] {
-		same := true
-		for i := range groupVals {
-			if types.Compare(cand.groupVals[i], groupVals[i]) != 0 {
-				same = false
-				break
-			}
-		}
-		if same {
-			st = cand
-			break
-		}
-	}
-	if st == nil {
-		groupVals = append(types.Row(nil), a.keyBuf...)
-		sb := aggStateBytes(groupVals, len(a.n.Aggs))
-		if hard {
-			if err := ctx.reserveHard(sb); err != nil {
-				return err
-			}
-		} else {
-			if a.spilled {
-				// Non-resident group under pressure: route the raw row to
-				// its partition for the re-aggregation pass.
-				return a.parts[int(h%spillFanout)].Write(row)
-			}
-			if ctx.reserve(sb) != nil {
-				var err error
-				if a.parts, err = newSpillParts(ctx, "agg"); err != nil {
-					return err
-				}
-				a.spilled = true
-				return a.parts[int(h%spillFanout)].Write(row)
-			}
-		}
-		a.reserved += sb
-		st = a.newState(groupVals)
-		a.groups[h] = append(a.groups[h], st)
-		a.order = append(a.order, st)
-	}
-	for i, agg := range a.n.Aggs {
-		if agg.Arg == nil { // COUNT(*)
-			st.count[i]++
-			continue
-		}
-		v, err := expr.Eval(agg.Arg, &a.env)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			continue
-		}
-		st.count[i]++
-		switch agg.Kind {
-		case plan.AggSum, plan.AggAvg:
-			if v.Kind() == types.KindInt && (!st.seen[i] || st.sumIsInt[i]) {
-				st.sumIsInt[i] = true
-				st.isum[i] += v.Int()
-			} else {
-				if st.sumIsInt[i] {
-					st.sum[i] = float64(st.isum[i])
-					st.sumIsInt[i] = false
-				}
-				st.sum[i] += v.Float()
-			}
-		case plan.AggMin:
-			if !st.seen[i] || types.Compare(v, st.minmax[i]) < 0 {
-				st.minmax[i] = v
-			}
-		case plan.AggMax:
-			if !st.seen[i] || types.Compare(v, st.minmax[i]) > 0 {
-				st.minmax[i] = v
-			}
-		}
-		st.seen[i] = true
-	}
-	return nil
-}
-
-// loadNextPart re-aggregates spill partitions until one yields groups (or
-// all are drained). The previous batch's states are released first.
-func (a *hashAggOp) loadNextPart(ctx *Ctx) (bool, error) {
-	for a.part < len(a.parts) {
-		ctx.release(a.reserved)
-		a.reserved = 0
-		a.groups = map[uint64][]*aggState{}
-		a.order, a.pos = nil, 0
-		w := a.parts[a.part]
-		r, err := w.Reader()
-		if err != nil {
-			return false, err
-		}
-		for {
-			row, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				return false, err
-			}
-			if err := ctx.pollAbort(); err != nil {
-				r.Close()
-				return false, err
-			}
-			if err := a.accumulate(row, ctx, true); err != nil {
-				r.Close()
-				return false, err
-			}
-		}
-		r.Close()
-		w.Remove()
-		a.part++
-		if len(a.order) > 0 {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-func (a *hashAggOp) Next(ctx *Ctx) (types.Row, error) { return a.nextRow(ctx) }
-
-// NextBatch emits result groups batch-at-a-time. Emitted rows are freshly
-// allocated per group, so only the header is reused.
-func (a *hashAggOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if err := ctx.pollAbortBatch(); err != nil {
-		return nil, err
-	}
-	a.out.reset()
-	for len(a.out.Rows) < execBatchSize {
-		row, err := a.nextRow(ctx)
-		if errors.Is(err, errEOF) {
-			if len(a.out.Rows) == 0 {
-				return nil, errEOF
-			}
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		a.out.Rows = append(a.out.Rows, row)
-	}
-	return &a.out, nil
-}
-
-func (a *hashAggOp) nextRow(ctx *Ctx) (types.Row, error) {
-	for a.pos >= len(a.order) {
-		if !a.spilled {
-			return nil, errEOF
-		}
-		more, err := a.loadNextPart(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !more {
-			return nil, errEOF
-		}
-	}
-	st := a.order[a.pos]
-	a.pos++
-	out := make(types.Row, len(a.n.Groups)+len(a.n.Aggs))
-	copy(out, st.groupVals)
-	for i, agg := range a.n.Aggs {
-		out[len(a.n.Groups)+i] = a.finalize(agg, st, i)
-	}
-	return out, nil
-}
-
-func (a *hashAggOp) finalize(agg plan.AggSpec, st *aggState, i int) types.Datum {
-	switch agg.Kind {
-	case plan.AggCount:
-		return types.NewInt(st.count[i])
-	case plan.AggSum:
-		if st.count[i] == 0 {
-			return types.Null
-		}
-		if st.sumIsInt[i] {
-			return types.NewInt(st.isum[i])
-		}
-		return types.NewFloat(st.sum[i])
-	case plan.AggAvg:
-		if st.count[i] == 0 {
-			return types.Null
-		}
-		total := st.sum[i]
-		if st.sumIsInt[i] {
-			total = float64(st.isum[i])
-		}
-		return types.NewFloat(total / float64(st.count[i]))
-	case plan.AggMin, plan.AggMax:
-		if !st.seen[i] {
-			return types.Null
-		}
-		return st.minmax[i]
-	}
-	panic(fmt.Sprintf("exec: unknown aggregate kind %d", agg.Kind))
-}
-
-// cleanup releases states, reservations and spill files. Idempotent.
-func (a *hashAggOp) cleanup(ctx *Ctx) {
-	for _, w := range a.parts {
-		w.Remove()
-	}
-	a.parts = nil
-	ctx.release(a.reserved)
-	a.reserved = 0
-	a.groups, a.order = nil, nil
-}
-
-// abort is the failed-Open teardown.
-func (a *hashAggOp) abort(ctx *Ctx) {
-	if a.childOpen {
-		a.child.Close(ctx)
-		a.childOpen = false
-	}
-	a.cleanup(ctx)
-}
-
-func (a *hashAggOp) Close(ctx *Ctx) error {
-	var firstErr error
-	if a.childOpen {
-		firstErr = a.child.Close(ctx)
-		a.childOpen = false
-	}
-	a.cleanup(ctx)
-	return firstErr
-}

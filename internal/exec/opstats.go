@@ -271,6 +271,10 @@ func (s *Stats) absorb(o *Stats) {
 	s.rowsMoved += o.rowsMoved
 	s.spilledBytes += o.spilledBytes
 	s.spillParts += o.spillParts
+	for st := range o.aggBatches.Typed {
+		s.aggBatches.Typed[st] += o.aggBatches.Typed[st]
+		s.aggBatches.Row[st] += o.aggBatches.Row[st]
+	}
 	if len(o.ops) > 0 && s.ops == nil {
 		s.ops = map[plan.Node]*opAccum{}
 	}
@@ -413,6 +417,21 @@ func (c *Ctx) noteSpill(bytes, parts int64) {
 	}
 }
 
+// noteAggBatches records how many child batches one hash aggregate instance
+// folded through the typed loop and through the row loop.
+func (c *Ctx) noteAggBatches(stage plan.AggStage, typed, row int64) {
+	if typed == 0 && row == 0 {
+		return
+	}
+	if c.Stats != nil {
+		c.Stats.noteAggBatches(stage, typed, row)
+	}
+	if m := c.Rt.metrics(); m != nil {
+		m.aggTyped[stage].Add(typed)
+		m.aggRow[stage].Add(row)
+	}
+}
+
 // attributeReserve/attributeRelease keep the running operator's high-water
 // reservation mark. They are called from the Ctx reserve/release wrappers,
 // so every operator's peak memory is tracked even ungoverned (nil budget
@@ -451,6 +470,8 @@ type runtimeMetrics struct {
 	spillParts      *obs.Counter
 	motionRows      *obs.Counter
 	rowsScanned     *obs.Counter
+	aggTyped        [plan.NumAggStages]*obs.Counter // aggregate batches folded by the typed loop, by stage
+	aggRow          [plan.NumAggStages]*obs.Counter // ... and by the row loop
 	active          *obs.Gauge
 	latency         *obs.Histogram
 }
@@ -475,6 +496,11 @@ func (rt *Runtime) metrics() *runtimeMetrics {
 			rowsScanned:     r.Counter("partopt_rows_scanned_total"),
 			active:          r.Gauge("partopt_queries_active"),
 			latency:         r.Histogram("partopt_query_latency_seconds", obs.DefaultLatencyBuckets()),
+		}
+		for st := range rt.om.aggTyped {
+			name := "partopt_agg_" + plan.AggStage(st).String()
+			rt.om.aggTyped[st] = r.Counter(name + "_typed_batches_total")
+			rt.om.aggRow[st] = r.Counter(name + "_row_batches_total")
 		}
 	})
 	return rt.om

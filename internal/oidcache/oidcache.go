@@ -157,10 +157,13 @@ func (c *Cache) Get(key string) ([]part.OID, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
+	// Read the slice header under the lock: a concurrent Put of the same
+	// key overwrites it.oids in place.
+	oids := it.oids
 	c.mu.Unlock()
 	c.hits.Add(1)
 	c.met.Hits.Inc()
-	return it.oids, true
+	return oids, true
 }
 
 // Put stores an OID set, stamped with the epoch the caller observed before

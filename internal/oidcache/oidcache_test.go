@@ -205,3 +205,31 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("Len = %d exceeds capacity 8", c.Len())
 	}
 }
+
+// Regression test for a Get/Put data race: Get used to read the item's
+// slice after unlocking, racing a Put that overwrites the same key in place
+// (two segments of one query both miss, both compute, both Put, while a
+// third hits). Meaningful under -race; the plancache has the same test.
+func TestGetRacingPutOverwrite(t *testing.T) {
+	c := New(8)
+	const key = "hot"
+	c.Put(key, []part.OID{1}, c.Epoch())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if g%2 == 0 {
+					c.Put(key, []part.OID{part.OID(i), part.OID(i + 1)}, c.Epoch())
+					continue
+				}
+				if oids, ok := c.Get(key); ok && len(oids) == 0 {
+					t.Error("hit returned an empty OID set")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -24,6 +24,7 @@ const (
 	costBcastRow       = 2.0 // multiplied by segment count
 	costSelectorBase   = 1.0
 	costSelectorPerRow = 0.05
+	costSliceStart     = 1000.0 // per segment; see sliceStart (agg.go)
 )
 
 // tableRows returns the estimated base cardinality of a table.

@@ -31,6 +31,7 @@ const (
 	AnyDist        DistKind = iota // no requirement
 	HashedDist                     // co-located by hash of columns
 	ReplicatedDist                 // full copy on every segment
+	SingletonDist                  // every row in the coordinator process
 )
 
 func (k DistKind) String() string {
@@ -39,6 +40,8 @@ func (k DistKind) String() string {
 		return "hashed"
 	case ReplicatedDist:
 		return "replicated"
+	case SingletonDist:
+		return "singleton"
 	default:
 		return "any"
 	}
@@ -60,6 +63,11 @@ func HashedOn(cols ...expr.ColID) DistSpec {
 
 // Replicated returns the replicated distribution spec.
 func Replicated() DistSpec { return DistSpec{Kind: ReplicatedDist} }
+
+// Singleton returns the on-the-coordinator distribution: what the root of
+// every SELECT requires and what a Gather Motion (or the Final stage of an
+// aggregate above one) delivers.
+func Singleton() DistSpec { return DistSpec{Kind: SingletonDist} }
 
 // Satisfies reports whether a delivered distribution meets a required one.
 func (d DistSpec) Satisfies(req DistSpec) bool {

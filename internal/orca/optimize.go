@@ -75,18 +75,20 @@ func (o *Optimizer) newMemo() *memo {
 	return m
 }
 
-// noteSearch folds one memo's effort into the per-call stats (Optimize may
-// run more than one memo: distributed-agg preference, DML fallback).
+// noteSearch folds one memo's effort into the per-call stats.
 func (o *Optimizer) noteSearch(m *memo) {
 	o.Stats.Groups += len(m.groups)
 	o.Stats.Entries += int(m.entries.Load())
 	o.Stats.Tasks += m.tasks.Load()
 }
 
-// Optimize turns a logical tree into an executable physical plan rooted at
-// a Gather Motion. Project and GroupBy shells and DML Updates are planned
-// above the Memo-optimized core (aggregation and final projection run on
-// the coordinator).
+// Optimize turns a logical tree into an executable physical plan whose rows
+// arrive on the coordinator. A SELECT is one memo search: the tree below the
+// final projection — GroupBy included — is optimized for the Singleton
+// distribution, so where the aggregate runs (one stage on the segments,
+// split around a Motion, scalar or grouped) is a costed choice like any
+// other. Only the presentation Project, and DML Update/Delete, are planned
+// above the Memo-optimized core.
 func (o *Optimizer) Optimize(root logical.Node) (plan.Node, error) {
 	if o.Segments < 1 {
 		return nil, fmt.Errorf("orca: optimizer needs a positive segment count")
@@ -105,54 +107,26 @@ func (o *Optimizer) Optimize(root logical.Node) (plan.Node, error) {
 		})
 	}
 
-	var proj *logical.Project
-	var gb *logical.GroupBy
+	proj, _ := root.(*logical.Project)
 	n := root
-	if p, ok := n.(*logical.Project); ok {
-		proj = p
-		n = p.Child
+	if proj != nil {
+		n = proj.Child
 	}
-	if g, ok := n.(*logical.GroupBy); ok {
-		gb = g
-		n = g.Child
+	m := o.newMemo()
+	defer o.noteSearch(m)
+	g, err := m.insert(n)
+	if err != nil {
+		return nil, err
 	}
-
-	var node plan.Node
-	if gb != nil && len(gb.Groups) > 0 {
-		// Prefer distributed aggregation: the Memo requires the child to
-		// be hash-distributed on the grouping columns, so each segment
-		// aggregates its own groups and the coordinator only gathers.
-		if core, err := o.optimizeCore(gb); err == nil {
-			node = o.gather(core)
-			gb = nil
-		}
+	res := m.optimize(g, request{dist: Singleton(), specs: collectSpecs(n)})
+	if !res.valid {
+		return nil, fmt.Errorf("orca: no valid plan found")
 	}
-	if node == nil {
-		core, err := o.optimizeCore(n)
-		if err != nil {
-			return nil, err
-		}
-		node = o.gather(core)
-	}
-	// Remaining shell operators run in the coordinator slice (scalar
-	// aggregation, grouped-agg fallback, final projection).
-	if gb != nil {
-		node = plan.NewHashAgg(gb.Groups, gb.Aggs, node)
-	}
+	node := res.node
 	if proj != nil {
 		node = plan.NewProject(proj.Cols, node)
 	}
 	return node, nil
-}
-
-// gather wraps a core result with the final Gather Motion; replicated
-// deliveries gather from a single segment to avoid duplicate copies.
-func (o *Optimizer) gather(core *result) *plan.Motion {
-	g := plan.NewMotion(plan.GatherMotion, nil, core.node)
-	if core.delivered.Kind == ReplicatedDist {
-		g.FromSegment = 0
-	}
-	return g
 }
 
 // optimizeDML plans an update or delete: the target table's rows must stay
@@ -167,7 +141,6 @@ func (o *Optimizer) optimizeDML(child logical.Node, table *catalog.Table, rel in
 		return nil, err
 	}
 	specs := collectSpecs(child)
-	o.stripPredsIfDisabled(specs)
 
 	reqs := []request{}
 	if table.Dist.Kind == catalog.DistHashed {
@@ -221,28 +194,6 @@ func markRowID(n plan.Node, rel int) {
 	})
 }
 
-// optimizeCore runs the Memo over a Select/Join/Get core.
-func (o *Optimizer) optimizeCore(n logical.Node) (*result, error) {
-	m := o.newMemo()
-	defer o.noteSearch(m)
-	g, err := m.insert(n)
-	if err != nil {
-		return nil, err
-	}
-	specs := collectSpecs(n)
-	o.stripPredsIfDisabled(specs)
-	res := m.optimize(g, request{dist: AnySpec(), specs: specs})
-	if !res.valid {
-		return nil, fmt.Errorf("orca: no valid plan found")
-	}
-	return res, nil
-}
-
-func (o *Optimizer) stripPredsIfDisabled(specs []*SpecReq) {
-	// Initial specs carry no predicates; the flag matters during routing.
-	_ = specs
-}
-
 // compute enumerates a group's candidates for a request and picks the
 // winner. This is the heart of the paper's §3.1: direct implementations
 // compete with enforcer-rooted alternatives. Candidates come from
@@ -265,6 +216,12 @@ func (w *worker) compute(g *group, req request) *result {
 	if externalCount == 0 {
 		for _, le := range g.lexprs {
 			le := le
+			if _, isAgg := le.op.(*logical.GroupBy); req.dist.Kind == SingletonDist && !isAgg {
+				// Only an aggregate's Final stage roots a coordinator slice
+				// itself; everything else reaches the coordinator through
+				// the Gather enforcer below, which keeps the Gather on top.
+				continue
+			}
 			sources = append(sources, func(w *worker) []*result {
 				return w.implement(g, le, req)
 			})
@@ -341,6 +298,8 @@ func (w *worker) enforceMotion(g *group, req request) []*result {
 		return nil
 	}
 	switch req.dist.Kind {
+	case SingletonDist:
+		return []*result{w.o.gather(sub)}
 	case HashedDist:
 		keys := make([]expr.Expr, len(req.dist.Cols))
 		for i, c := range req.dist.Cols {
@@ -553,31 +512,15 @@ func (w *worker) implementProject(le *lexpr, op *logical.Project, req request) [
 	return []*result{{valid: true, cost: cost, rows: sub.rows, delivered: sub.delivered, node: node}}
 }
 
-func (w *worker) implementGroupBy(le *lexpr, op *logical.GroupBy, req request) []*result {
-	if len(op.Groups) == 0 {
-		return nil // scalar aggregation is planned on the coordinator
+// gather delivers a segment-side result to the coordinator; replicated
+// deliveries gather from a single segment to avoid duplicate copies. The
+// Gather itself carries no estimates (EXPLAIN shows them on the operator
+// below it); its rows are charged like any other moved row.
+func (o *Optimizer) gather(sub *result) *result {
+	node := plan.NewMotion(plan.GatherMotion, nil, sub.node)
+	if sub.delivered.Kind == ReplicatedDist {
+		node.FromSegment = 0
 	}
-	cols := make([]expr.ColID, 0, len(op.Groups))
-	for _, gc := range op.Groups {
-		c, ok := gc.E.(*expr.Col)
-		if !ok {
-			return nil
-		}
-		cols = append(cols, c.ID)
-	}
-	sub := w.optimize(le.children[0], request{dist: HashedOn(cols...), specs: req.specs})
-	if !sub.valid {
-		return nil
-	}
-	if !sub.delivered.Satisfies(req.dist) {
-		return nil
-	}
-	node := plan.NewHashAgg(op.Groups, op.Aggs, sub.node)
-	rows := sub.rows / 3
-	if rows < 1 {
-		rows = 1
-	}
-	cost := sub.cost + sub.rows*costAggRow
-	plan.SetEstimates(node, rows, cost)
-	return []*result{{valid: true, cost: cost, rows: rows, delivered: sub.delivered, node: node}}
+	cost := sub.cost + sub.rows*costRedistRow
+	return &result{valid: true, cost: cost, rows: sub.rows, delivered: Singleton(), node: node}
 }

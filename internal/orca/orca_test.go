@@ -450,9 +450,10 @@ func TestCrossJoinFallsBackToBroadcast(t *testing.T) {
 	}
 }
 
-// Distributed grouped aggregation: with grouping columns the Memo plans
-// the HashAgg on the segments (input redistributed on the group columns),
-// so only aggregated groups travel to the coordinator.
+// Distributed grouped aggregation: 7 groups over 1000 rows hashed on another
+// column. The Memo splits the aggregate around the Gather — every segment
+// folds its own rows, only group states travel, the coordinator combines
+// them — instead of redistributing all 1000 rows on the group column.
 func TestGroupedAggregationRunsDistributed(t *testing.T) {
 	cat, _, rt := paperSchema(t, 4)
 	r := cat.MustTable("R")
@@ -469,28 +470,25 @@ func TestGroupedAggregationRunsDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	// The aggregate must sit BELOW the root gather (segment side).
-	gather, ok := p.(*plan.Motion)
-	if !ok || gather.Kind != plan.GatherMotion {
+	// Final stage on the coordinator, Gather, Partial stage on the segments.
+	final, ok := p.(*plan.HashAgg)
+	if !ok || final.Stage != plan.AggFinal {
 		t.Fatalf("root = %T:\n%s", p, plan.Explain(p))
 	}
-	found := false
-	plan.Walk(gather.Child, func(n plan.Node) bool {
-		if _, ok := n.(*plan.HashAgg); ok {
-			found = true
-		}
-		return true
-	})
-	if !found {
-		t.Fatalf("HashAgg not distributed below the gather:\n%s", plan.Explain(p))
+	gather, ok := final.Child.(*plan.Motion)
+	if !ok || gather.Kind != plan.GatherMotion {
+		t.Fatalf("final stage child = %T:\n%s", final.Child, plan.Explain(p))
 	}
-	// R is hashed on pk, not v: a redistribute on v must appear.
+	if partial, ok := gather.Child.(*plan.HashAgg); !ok || partial.Stage != plan.AggPartial {
+		t.Fatalf("no partial stage below the gather:\n%s", plan.Explain(p))
+	}
+	// R is hashed on pk, not v, yet no row is redistributed.
 	redist := plan.FindAll(p, func(n plan.Node) bool {
 		m, ok := n.(*plan.Motion)
 		return ok && m.Kind == plan.RedistributeMotion
 	})
-	if len(redist) != 1 {
-		t.Fatalf("want exactly one redistribute on the group column:\n%s", plan.Explain(p))
+	if len(redist) != 0 {
+		t.Fatalf("7 groups should not redistribute 1000 rows:\n%s", plan.Explain(p))
 	}
 	// Results must match the scalar definition: 7 groups over 1000 rows.
 	res, err := exec.Run(rt, p, nil)

@@ -206,7 +206,7 @@ func (m *memo) search(g *group, req request) *result {
 	return m.newWorker().optimize(g, req)
 }
 
-// optimize keeps the serial signature used by optimizeCore, optimizeDML and
+// optimize keeps the serial signature used by Optimize, optimizeDML and
 // the unit tests: a full search rooted at (g, req).
 func (m *memo) optimize(g *group, req request) *result {
 	return m.search(g, req)

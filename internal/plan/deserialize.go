@@ -285,6 +285,13 @@ func (r *planReader) node() (Node, error) {
 		}
 		return NewHashJoin(JoinType(jt), buildKeys, probeKeys, residual, build, probe, nil), nil
 	case tagHashAgg:
+		stage, err := r.u8()
+		if err != nil {
+			return nil, err
+		}
+		if stage >= NumAggStages {
+			return nil, fmt.Errorf("plan: unknown aggregation stage %d", stage)
+		}
 		ng, err := r.i32()
 		if err != nil {
 			return nil, err
@@ -333,7 +340,7 @@ func (r *planReader) node() (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewHashAgg(groups, aggs, child), nil
+		return NewStagedHashAgg(AggStage(stage), groups, aggs, child), nil
 	case tagMotion:
 		kind, err := r.u8()
 		if err != nil {

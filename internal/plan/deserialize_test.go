@@ -131,7 +131,21 @@ func TestRoundTripRandomPlans(t *testing.T) {
 			}
 			return NewDynamicScan(r, 1, 1)
 		}
-		switch rnd.Intn(6) {
+		switch rnd.Intn(7) {
+		case 6:
+			// Every aggregation stage and aggregate kind (COUNT(*) included).
+			aggs := make([]AggSpec, 1+rnd.Intn(3))
+			for i := range aggs {
+				aggs[i] = AggSpec{Kind: AggKind(rnd.Intn(5)), Name: "a", Out: expr.ColID{Rel: 8, Ord: 1 + i}}
+				if aggs[i].Kind != AggCount || rnd.Intn(2) == 0 {
+					aggs[i].Arg = genExpr(1)
+				}
+			}
+			var groups []GroupCol
+			if rnd.Intn(2) == 0 {
+				groups = []GroupCol{{E: genExpr(1), Name: "g", Out: expr.ColID{Rel: 8, Ord: 0}}}
+			}
+			return NewStagedHashAgg(AggStage(rnd.Intn(3)), groups, aggs, genNode(depth-1))
 		case 0:
 			return NewFilter(genExpr(2), genNode(depth-1))
 		case 1:
@@ -179,6 +193,17 @@ func TestDeserializeErrors(t *testing.T) {
 	bad[1] = 0x7F // clobber OID byte
 	if _, err := Deserialize(bad, cat); err == nil {
 		t.Errorf("unknown table OID accepted")
+	}
+	// Unknown aggregation stage (the byte after the HashAgg tag); the stage
+	// itself must survive the trip.
+	agg := Serialize(NewStagedHashAgg(AggFinal, nil, []AggSpec{{Kind: AggCount, Out: expr.ColID{Rel: 9, Ord: 0}}}, NewDynamicScan(r, 1, 1)))
+	back, err := Deserialize(agg, cat)
+	if err != nil || back.(*HashAgg).Stage != AggFinal {
+		t.Fatalf("Final stage did not round-trip: %v", err)
+	}
+	agg[1] = 3
+	if _, err := Deserialize(agg, cat); err == nil {
+		t.Errorf("unknown aggregation stage accepted")
 	}
 }
 

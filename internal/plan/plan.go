@@ -524,33 +524,88 @@ type GroupCol struct {
 	Out  expr.ColID
 }
 
+// AggStage says which part of an aggregation a HashAgg computes. The
+// optimizer may split one logical GroupBy in two around a Motion so that
+// only group rows, not input rows, cross it.
+type AggStage uint8
+
+// Aggregation stages.
+const (
+	AggSingle  AggStage = iota // the whole aggregate in one operator
+	AggPartial                 // folds input rows into per-group states and emits the states
+	AggFinal                   // combines Partial states into the finished values
+
+	NumAggStages = 3
+)
+
+func (s AggStage) String() string {
+	return [...]string{"single", "partial", "final"}[s]
+}
+
+// StateWidth is the number of columns a Partial stage emits for one
+// aggregate of this kind: AVG carries its sum and its count separately
+// (they are only divided by the Final stage), everything else is its own
+// partial state.
+func (k AggKind) StateWidth() int {
+	if k == AggAvg {
+		return 2
+	}
+	return 1
+}
+
 // HashAgg groups its input and computes aggregates. With no group columns
 // it produces exactly one row (scalar aggregation).
+//
+// A Partial stage emits one row per group it saw: the group values, then
+// StateWidth columns per aggregate — COUNT its count, SUM/MIN/MAX their
+// value so far (NULL over no non-NULL input), AVG its sum and count. A
+// Final stage's child delivers exactly that row shape; it reads it by
+// position, so its Groups and Aggs keep the original expressions (they
+// name the output columns and label the node) without evaluating them.
 type HashAgg struct {
 	base
+	Stage  AggStage
 	Groups []GroupCol
 	Aggs   []AggSpec
 	Child  Node
 }
 
-// NewHashAgg builds an aggregation node.
+// NewHashAgg builds a single-stage aggregation node.
 func NewHashAgg(groups []GroupCol, aggs []AggSpec, child Node) *HashAgg {
 	return &HashAgg{Groups: groups, Aggs: aggs, Child: child}
 }
 
+// NewStagedHashAgg builds one stage of a split aggregation. A Final
+// stage's child must deliver the row shape of a Partial stage over the
+// same groups and aggregates (normally through a Motion).
+func NewStagedHashAgg(stage AggStage, groups []GroupCol, aggs []AggSpec, child Node) *HashAgg {
+	return &HashAgg{Stage: stage, Groups: groups, Aggs: aggs, Child: child}
+}
+
 func (a *HashAgg) Children() []Node { return []Node{a.Child} }
+
+// Layout maps each group and aggregate output column to its position. In a
+// Partial stage an aggregate's column is the first of its state columns
+// (AVG's count column is reachable by position only).
 func (a *HashAgg) Layout() expr.Layout {
 	l := expr.Layout{}
 	for i, g := range a.Groups {
 		l[g.Out] = i
 	}
-	for i, ag := range a.Aggs {
-		l[ag.Out] = len(a.Groups) + i
+	pos := len(a.Groups)
+	for _, ag := range a.Aggs {
+		l[ag.Out] = pos
+		if a.Stage == AggPartial {
+			pos += ag.Kind.StateWidth()
+		} else {
+			pos++
+		}
 	}
 	return l
 }
+
 func (a *HashAgg) Label() string {
-	s := "HashAggregate ("
+	s := [...]string{"", "Partial ", "Final "}[a.Stage] + "HashAggregate ("
 	for i, g := range a.Groups {
 		if i > 0 {
 			s += ", "

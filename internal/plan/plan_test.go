@@ -322,3 +322,38 @@ func TestProjectLayoutAndLabel(t *testing.T) {
 
 // Mul2 exists to avoid an unused-import dance in the test above.
 func Mul2() expr.ArithOp { return expr.Mul }
+
+// Validate accepts the shapes the optimizer emits and names what is wrong
+// with the ones it must never emit.
+func TestValidate(t *testing.T) {
+	_, r, s := fixture(t)
+	aggs := []AggSpec{{Kind: AggAvg, Arg: col(1, 1, "b"), Out: expr.ColID{Rel: 9, Ord: 0}}}
+	scan := func() Node { return NewPartitionSelector(r, 1, nil, NewDynamicScan(r, 1, 1)) }
+	final := func(child Node) Node { return NewStagedHashAgg(AggFinal, nil, aggs, child) }
+	partial := NewStagedHashAgg(AggPartial, nil, aggs, scan())
+
+	good := []Node{
+		NewMotion(GatherMotion, nil, NewHashAgg(nil, aggs, scan())),
+		final(NewMotion(GatherMotion, nil, partial)),
+		// Producer-side selector above a Motion, consumer scan beside it.
+		NewMotion(GatherMotion, nil, NewHashJoin(InnerJoin, []expr.Expr{col(2, 0, "a")}, []expr.Expr{col(1, 1, "b")}, nil,
+			NewPartitionSelector(r, 1, nil, NewMotion(BroadcastMotion, nil, NewScan(s, 2))), NewDynamicScan(r, 1, 1), nil)),
+	}
+	for _, p := range good {
+		if err := Validate(p); err != nil {
+			t.Errorf("valid plan rejected: %v\n%s", err, Explain(p))
+		}
+	}
+	bad := map[string]Node{
+		"separates":                 NewPartitionSelector(r, 1, nil, NewMotion(GatherMotion, nil, NewDynamicScan(r, 1, 1))),
+		"no Final stage":            NewMotion(GatherMotion, nil, partial),
+		"no Motion between":         final(partial),
+		"1 Final aggregation stage": final(NewMotion(GatherMotion, nil, scan())),
+		"more than one Final":       final(NewMotion(GatherMotion, nil, final(NewMotion(GatherMotion, nil, partial)))),
+	}
+	for want, p := range bad {
+		if err := Validate(p); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("want error containing %q, got %v\n%s", want, err, Explain(p))
+		}
+	}
+}

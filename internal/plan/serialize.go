@@ -132,6 +132,7 @@ func (w *planWriter) node(n Node) {
 		w.node(x.Probe)
 	case *HashAgg:
 		w.u8(tagHashAgg)
+		w.u8(uint8(x.Stage))
 		w.i32(int32(len(x.Groups)))
 		for _, g := range x.Groups {
 			w.expr(g.E)

@@ -94,6 +94,21 @@ func (v *View) Datum(i int) types.Datum {
 	}
 }
 
+// EqualDatum reports whether window row i equals d under types.Compare —
+// the grouping rule, where NULL equals NULL. Same-kind integer, date and
+// string values compare on the lane without boxing.
+func (v *View) EqualDatum(i int, d types.Datum) bool {
+	if !v.Mixed && d.Kind() == v.Kind && !v.Null(i) {
+		switch v.Kind {
+		case types.KindInt, types.KindDate:
+			return v.Ints[v.Base+i] == d.Int()
+		case types.KindString:
+			return v.Strs[v.Base+i] == d.Str()
+		}
+	}
+	return types.Compare(v.Datum(i), d) == 0
+}
+
 // HashInto folds this column's values into the running hashes h[k] for
 // k in [0, len(h)). sel maps output slot k to window row sel[k]; nil means
 // the identity mapping. The mixing functions are the typed types.Hash*

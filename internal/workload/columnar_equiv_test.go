@@ -78,17 +78,17 @@ func TestColumnarRowFuzzEquivalence(t *testing.T) {
 			}
 			return q
 		case 2: // inner join + agg
-			return fmt.Sprintf("SELECT count(*), sum(f.amount) FROM date_dim d, %s f WHERE d.date_id = f.date_id AND d.moy = %d",
-				fact, 1+rnd.Intn(12))
+			return fmt.Sprintf("SELECT %s FROM date_dim d, %s f WHERE d.date_id = f.date_id AND d.moy = %d",
+				randAgg2(rnd), fact, 1+rnd.Intn(12))
 		case 3: // grouped agg
-			return fmt.Sprintf("SELECT quantity, count(*), sum(amount) FROM %s WHERE date_id < %d GROUP BY quantity",
-				fact, 1+rnd.Intn(days))
+			return fmt.Sprintf("SELECT quantity, %s FROM %s WHERE date_id < %d GROUP BY quantity",
+				randAggs(rnd, ""), fact, 1+rnd.Intn(days))
 		case 4: // outer join, dimension preserved
-			return fmt.Sprintf("SELECT count(*), sum(f.amount) FROM date_dim d LEFT JOIN %s f ON d.date_id = f.date_id WHERE d.dow = %d",
-				fact, rnd.Intn(7))
+			return fmt.Sprintf("SELECT %s FROM date_dim d LEFT JOIN %s f ON d.date_id = f.date_id WHERE d.dow = %d",
+				randAgg2(rnd), fact, rnd.Intn(7))
 		default: // outer join, fact preserved, extra ON predicate
-			return fmt.Sprintf("SELECT count(*), max(f.amount) FROM %s f LEFT JOIN date_dim d ON d.date_id = f.date_id AND d.moy = %d",
-				fact, 1+rnd.Intn(12))
+			return fmt.Sprintf("SELECT %s FROM %s f LEFT JOIN date_dim d ON d.date_id = f.date_id AND d.moy = %d",
+				randAgg2(rnd), fact, 1+rnd.Intn(12))
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"partopt"
@@ -55,9 +56,7 @@ func TestFuzzOptimizersAgree(t *testing.T) {
 			return fmt.Sprintf("d.dom < %d", 1+rnd.Intn(cfg.DaysPerMonth))
 		}
 	}
-	randAgg := func() string {
-		return []string{"count(*)", "sum(amount)", "min(amount)", "max(amount)", "avg(quantity)", "sum(quantity)"}[rnd.Intn(6)]
-	}
+	randAgg := func() string { return randAggs(rnd, "") }
 
 	genQuery := func() string {
 		fact := facts[rnd.Intn(len(facts))]
@@ -113,8 +112,8 @@ func TestFuzzOptimizersAgree(t *testing.T) {
 			return fmt.Sprintf("SELECT %s FROM %s WHERE date_id IN (SELECT date_id FROM date_dim d WHERE %s)",
 				randAgg(), fact, randDimPred())
 		default: // grouped
-			return fmt.Sprintf("SELECT quantity, count(*) FROM %s WHERE %s GROUP BY quantity",
-				fact, randDatePred("date_id"))
+			return fmt.Sprintf("SELECT quantity, %s FROM %s WHERE %s GROUP BY quantity",
+				randAgg(), fact, randDatePred("date_id"))
 		}
 	}
 
@@ -154,10 +153,24 @@ func TestFuzzOptimizersAgree(t *testing.T) {
 	}
 }
 
-// randAgg2 picks an aggregate valid in a two-table context (qualified).
-func randAgg2(rnd *rand.Rand) string {
-	return []string{"count(*)", "sum(f.amount)", "max(f.amount)", "avg(f.quantity)"}[rnd.Intn(4)]
+// randAggs draws a select list of one to three aggregates over the fact
+// columns (an int and a float one), covering all five kinds plus COUNT(*)
+// and COUNT(col). prefix qualifies the columns ("" or "f.").
+func randAggs(rnd *rand.Rand, prefix string) string {
+	pool := []string{"count(*)", "count(%squantity)", "sum(%samount)", "sum(%squantity)",
+		"avg(%samount)", "avg(%squantity)", "min(%samount)", "min(%squantity)", "max(%samount)", "max(%squantity)"}
+	list := ""
+	for i, n := 0, 1+rnd.Intn(3); i < n; i++ {
+		if i > 0 {
+			list += ", "
+		}
+		list += strings.Replace(pool[rnd.Intn(len(pool))], "%s", prefix, 1)
+	}
+	return list
 }
+
+// randAgg2 draws aggregates valid in a two-table context (qualified).
+func randAgg2(rnd *rand.Rand) string { return randAggs(rnd, "f.") }
 
 func resultsEqual(a, b [][]partopt.Value) bool {
 	if len(a) != len(b) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"partopt/internal/exec"
 	"partopt/internal/plan"
 	"partopt/internal/plancache"
 )
@@ -68,17 +69,31 @@ func buildOpStats(n plan.Node, src plan.ActualSource) *OpStats {
 }
 
 // renderAnalyze produces the EXPLAIN ANALYZE text for an executed plan. An
-// Orca-compiled entry leads with the memo-search header; the legacy
-// planner's prep plans (which fill the main plan's OID parameters) are
-// rendered before the main tree, mirroring how they execute. Cache hits
-// replay the header of the compilation that produced the entry, so hit and
-// miss render byte-identically.
-func renderAnalyze(ent *plancache.Entry, src plan.ActualSource) string {
+// Orca-compiled entry leads with the memo-search header; a query that
+// aggregated adds how many input batches its hash aggregates folded off
+// typed column lanes and how many row by row (the slow road), in total and
+// per stage; the legacy planner's prep plans (which fill the main plan's
+// OID parameters) are rendered before the main tree, mirroring how they
+// execute. Cache hits replay the header of the compilation that produced
+// the entry, so hit and miss render byte-identically.
+func renderAnalyze(ent *plancache.Entry, src *exec.Stats) string {
 	node, pl := ent.Plan, ent.Legacy
 	var b strings.Builder
 	if ent.OptWorkers > 0 {
 		fmt.Fprintf(&b, "optimization: %d workers, %d groups, %.3f ms\n",
 			ent.OptWorkers, ent.OptGroups, float64(ent.OptNanos)/1e6)
+	}
+	agg := src.AggBatches()
+	if typed, row := agg.Total(); typed+row > 0 {
+		fmt.Fprintf(&b, "aggregation: %d typed / %d row batches (", typed, row)
+		sep := ""
+		for st := range agg.Typed {
+			if agg.Typed[st]+agg.Row[st] > 0 {
+				fmt.Fprintf(&b, "%s%v %d/%d", sep, plan.AggStage(st), agg.Typed[st], agg.Row[st])
+				sep = ", "
+			}
+		}
+		b.WriteString(")\n")
 	}
 	if pl != nil {
 		for _, prep := range pl.Preps {

@@ -199,22 +199,25 @@ func TestExplainAnalyzeGoldenOuterJoinDPE(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExplainAnalyze: %v", err)
 	}
-	const want = `optimization: 1 workers, 4 groups, T ms
+	const want = `optimization: 1 workers, 5 groups, T ms
+aggregation: 0 typed / 4 row batches (partial 0/2, final 0/2)
 Project (count_1)  (actual rows=1 loops=1 time=T)
-  -> HashAggregate (count(*))  (actual rows=1 loops=1 time=T)
+  -> Final HashAggregate (count(*))  (rows=1 cost=532)  (actual rows=1 loops=1 time=T)
        Peak memory: N per instance
-    -> Gather Motion  (actual rows=30 loops=1 time=T)
-      -> HashLeftOuterJoin (d.date_id = o.date_id)  (rows=240 cost=284)  (actual rows=30 loops=2 time=T)
+    -> Gather Motion  (actual rows=2 loops=1 time=T)
+      -> Partial HashAggregate (count(*))  (rows=2 cost=524)  (actual rows=2 loops=2 time=T)
            Peak memory: N per instance
-        -> PartitionSelector(2, orders_colo, d.date_id = o.date_id)  (rows=1 cost=31)  (actual rows=3 loops=2 time=T)
-             Partitions selected: 3 (out of 24)
-          -> Redistribute Motion (t1.c0)  (rows=1 cost=30)  (actual rows=3 loops=2 time=T)
-            -> Filter (d.year = $1 AND d.month >= $2 AND d.month <= $3)  (rows=1 cost=28)  (actual rows=3 loops=1 time=T)
-              -> Scan date_dim  (rows=25 cost=25)  (actual rows=25 loops=1 time=T)
-                   Rows read from storage: 25
-        -> DynamicScan(2, orders_colo)  (rows=240 cost=240)  (actual rows=30 loops=2 time=T)
-             Partitions selected: 3 (out of 24)
-             Rows read from storage: 30
+        -> HashLeftOuterJoin (d.date_id = o.date_id)  (rows=240 cost=284)  (actual rows=30 loops=2 time=T)
+             Peak memory: N per instance
+          -> PartitionSelector(2, orders_colo, d.date_id = o.date_id)  (rows=1 cost=31)  (actual rows=3 loops=2 time=T)
+               Partitions selected: 3 (out of 24)
+            -> Redistribute Motion (t1.c0)  (rows=1 cost=30)  (actual rows=3 loops=2 time=T)
+              -> Filter (d.year = $1 AND d.month >= $2 AND d.month <= $3)  (rows=1 cost=28)  (actual rows=3 loops=1 time=T)
+                -> Scan date_dim  (rows=25 cost=25)  (actual rows=25 loops=1 time=T)
+                     Rows read from storage: 25
+          -> DynamicScan(2, orders_colo)  (rows=240 cost=240)  (actual rows=30 loops=2 time=T)
+               Partitions selected: 3 (out of 24)
+               Rows read from storage: 30
 `
 	if got := normalizeAnalyze(out); got != want {
 		t.Errorf("golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

@@ -491,6 +491,10 @@ func (e *Engine) plan(bound *sql.Bound) (plan.Node, *legacy.Planned, orca.OptSta
 		if err != nil {
 			return nil, nil, stats, err
 		}
+		// Cost decides which plan wins, never whether it is well-formed.
+		if err := plan.Validate(n); err != nil {
+			return nil, nil, stats, fmt.Errorf("partopt: optimizer produced an invalid plan: %w", err)
+		}
 		node = n
 		stats = o.Stats
 		e.met.optGroups.Add(int64(stats.Groups))
