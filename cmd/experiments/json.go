@@ -153,25 +153,6 @@ func colscanRecords(rows []bench.ColScanRow) []benchRecord {
 	return out
 }
 
-// paroptRecords flattens the parallel-optimization grid: best memo-search
-// latency per (tables × workers) cell plus memo size, the headline speedup
-// at 8 workers, and the CPU count the run had — the speedup is only
-// meaningful relative to it (a single-core host cannot beat 1.0x).
-func paroptRecords(r *bench.ParoptResult) []benchRecord {
-	out := []benchRecord{
-		{"paropt", "num_cpu", float64(r.NumCPU), "cpus"},
-		{"paropt", fmt.Sprintf("speedup_w8@%dtables", r.SpeedupRef), r.SpeedupAt8, "x"},
-	}
-	for _, c := range r.Cells {
-		key := fmt.Sprintf("@%dtables_w%d", c.Tables, c.Workers)
-		out = append(out, benchRecord{"paropt", "optimize_ns" + key, float64(c.Best.Nanoseconds()), "ns"})
-		if c.Workers == 1 {
-			out = append(out, benchRecord{"paropt", fmt.Sprintf("groups@%dtables", c.Tables), float64(c.Groups), "groups"})
-		}
-	}
-	return out
-}
-
 // fig18Records flattens one plan-size curve (a, b or c).
 func fig18Records(name string, rows []bench.SizeRow) []benchRecord {
 	var out []benchRecord

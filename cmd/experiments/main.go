@@ -8,7 +8,7 @@
 //	Figure 18a-c — plan-size scaling: static, dynamic, and DML plans
 //	plancache    — point-query latency with the plan cache off vs on
 //	colscan      — vectorized scan/filter/agg kernel throughput
-//	paropt       — memo-search latency per star width and optimizer pool size
+//	outerdpe     — partitions scanned by an outer-join star, Orca vs Planner
 //
 // With -json, each experiment additionally writes its headline metrics to
 // BENCH_<name>.json in -json-dir (default: current directory) using the
@@ -17,28 +17,51 @@
 //
 // Usage:
 //
-//	experiments [-segments N] [-rows N] [-sales N] [-iters N] [-only table2|table3|fig16|fig17|fig18|plancache] [-json] [-json-dir DIR]
+//	experiments [-segments N] [-rows N] [-sales N] [-iters N] [-only table2|table3|fig16|fig17|fig18|plancache|outerdpe|colscan] [-json] [-json-dir DIR]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"partopt/internal/bench"
 	"partopt/internal/workload"
 )
 
-func main() {
-	segments := flag.Int("segments", 4, "number of cluster segments")
-	rows := flag.Int("rows", 60000, "lineitem rows for Table 2")
-	sales := flag.Int("sales", 40, "star-schema sales rows per day")
-	iters := flag.Int("iters", 5, "timing iterations (fastest run wins)")
-	only := flag.String("only", "", "run a single experiment (table2|table3|fig16|fig17|fig18|plancache|outerdpe|colscan|paropt)")
-	jsonOut := flag.Bool("json", false, "write BENCH_<name>.json files with the headline metrics")
-	jsonDir := flag.String("json-dir", ".", "directory for -json output files")
-	flag.Parse()
+// experiments names every value -only accepts; the flag help and the
+// unknown-name error are rendered from it.
+var experiments = []string{"table2", "table3", "fig16", "fig17", "fig18", "plancache", "outerdpe", "colscan"}
+
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is main with its inputs as parameters: it returns the exit code, 2 for
+// a command line it rejects before any experiment starts.
+func run(args []string, stderr io.Writer) int {
+	names := strings.Join(experiments, "|")
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	segments := fs.Int("segments", 4, "number of cluster segments")
+	rows := fs.Int("rows", 60000, "lineitem rows for Table 2")
+	sales := fs.Int("sales", 40, "star-schema sales rows per day")
+	iters := fs.Int("iters", 5, "timing iterations (fastest run wins)")
+	only := fs.String("only", "", "run a single experiment ("+names+")")
+	jsonOut := fs.Bool("json", false, "write BENCH_<name>.json files with the headline metrics")
+	jsonDir := fs.String("json-dir", ".", "directory for -json output files")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *only != "" && !slices.Contains(experiments, *only) {
+		fmt.Fprintf(stderr, "unknown experiment %q (want %s)\n", *only, names)
+		return 2
+	}
 
 	want := func(name string) bool { return *only == "" || *only == name }
 	starCfg := workload.DefaultStarConfig()
@@ -142,25 +165,7 @@ func main() {
 		emit("outerdpe", outerdpeRecords(od))
 	}
 
-	if want("paropt") {
-		fmt.Println("== Parallel optimization ================================================")
-		poCfg := bench.DefaultParoptConfig()
-		poCfg.Segments = *segments
-		poCfg.Iters = *iters
-		po, err := bench.RunParopt(poCfg)
-		fatalIf(err)
-		fmt.Println(bench.FormatParopt(po))
-		emit("paropt", paroptRecords(po))
-	}
-
-	if *only != "" && !isKnown(*only) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want table2|table3|fig16|fig17|fig18|plancache|outerdpe|colscan|paropt)\n", *only)
-		os.Exit(2)
-	}
-}
-
-func isKnown(name string) bool {
-	return strings.Contains("table2 table3 fig16 fig17 fig18 plancache outerdpe colscan paropt", name)
+	return 0
 }
 
 func fatalIf(err error) {

@@ -28,11 +28,6 @@
 // are served from the plan cache, whose size --plan-cache controls
 // (0 disables caching).
 //
-// --opt-workers N turns on the parallel memo search under Orca: N workers
-// explore the memo concurrently and the chosen plan is byte-identical to
-// the serial one (EXPLAIN ANALYZE's "optimization:" header reports the
-// pool size the plan was compiled with).
-//
 // EXPLAIN ANALYZE <select> executes the query and prints its plan annotated
 // with per-operator actuals, including the paper's "Partitions selected:
 // N (out of M)" line. The --explain-analyze flag appends the same tree to
@@ -110,7 +105,6 @@ func main() {
 	planCache := flag.Int("plan-cache", partopt.DefaultPlanCacheCapacity, "plan cache capacity in entries (0 disables caching)")
 	oidCache := flag.Int("oid-cache", partopt.DefaultOIDCacheCapacity, "partition-OID cache capacity in entries (0 disables caching)")
 	ftsOn := flag.Bool("fts", false, "enable segment fault tolerance (mirrored segments, health probing, failover); adds \\segments and \\kill/\\revive")
-	optWorkers := flag.Int("opt-workers", 1, "optimizer search workers under Orca (1 = serial search)")
 	flag.Parse()
 
 	eng, err := partopt.New(*segments)
@@ -133,9 +127,6 @@ func main() {
 	}
 	if *maxConcurrent > 0 {
 		eng.SetMaxConcurrent(*maxConcurrent)
-	}
-	if *optWorkers > 1 {
-		eng.SetOptimizerWorkers(*optWorkers)
 	}
 	cfg := workload.DefaultStarConfig()
 	cfg.SalesPerDay = *sales

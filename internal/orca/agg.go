@@ -27,7 +27,7 @@ import (
 // A scalar aggregate has no group columns to hash on, so it always splits
 // around the Gather — unless its child is replicated, when one segment
 // aggregates its full copy alone.
-func (w *worker) implementGroupBy(le *lexpr, op *logical.GroupBy, req request) []*result {
+func (m *memo) implementGroupBy(le *lexpr, op *logical.GroupBy, req request) []*result {
 	child := le.children[0]
 	cols, plainKeys := groupCols(op)
 	toCoord := req.dist.Kind == SingletonDist
@@ -39,18 +39,18 @@ func (w *worker) implementGroupBy(le *lexpr, op *logical.GroupBy, req request) [
 		}
 		node := plan.NewHashAgg(op.Groups, op.Aggs, sub.node)
 		cost := sub.cost + sub.rows*costAggRow
-		if m, ok := sub.node.(*plan.Motion); ok && m.Kind == plan.RedistributeMotion {
-			cost += w.sliceStart() // the Redistribute exists for this aggregate alone
+		if mot, ok := sub.node.(*plan.Motion); ok && mot.Kind == plan.RedistributeMotion {
+			cost += m.sliceStart() // the Redistribute exists for this aggregate alone
 		}
-		rows := w.groupCount(op, sub.rows)
+		rows := m.groupCount(op, sub.rows)
 		plan.SetEstimates(node, rows, cost)
 		out = append(out, &result{valid: true, cost: cost, rows: rows, delivered: sub.delivered, node: node})
 	}
 
 	if !toCoord && plainKeys && len(cols) > 0 {
-		single(w.optimize(child, request{dist: HashedOn(cols...), specs: req.specs}))
+		single(m.optimize(child, request{dist: HashedOn(cols...), specs: req.specs}))
 	}
-	sub := w.optimize(child, request{dist: AnySpec(), specs: req.specs})
+	sub := m.optimize(child, request{dist: AnySpec(), specs: req.specs})
 	if !sub.valid {
 		return out
 	}
@@ -63,8 +63,8 @@ func (w *worker) implementGroupBy(le *lexpr, op *logical.GroupBy, req request) [
 		return out
 	}
 
-	groups := w.groupCount(op, sub.rows)
-	segs := float64(w.o.Segments)
+	groups := m.groupCount(op, sub.rows)
+	segs := float64(m.o.Segments)
 	partRows := groups * segs // every segment may meet every group
 	if partRows > sub.rows {
 		partRows = sub.rows
@@ -75,7 +75,7 @@ func (w *worker) implementGroupBy(le *lexpr, op *logical.GroupBy, req request) [
 	if toCoord {
 		// The coordinator is one process: what it folds is not spread over
 		// the segments, so a row costs it Segments times a segment's row.
-		moved := w.o.gather(&result{cost: cost, rows: partRows, delivered: sub.delivered, node: part})
+		moved := m.o.gather(&result{cost: cost, rows: partRows, delivered: sub.delivered, node: part})
 		node := plan.NewStagedHashAgg(plan.AggFinal, op.Groups, op.Aggs, moved.node)
 		cost = moved.cost + partRows*costAggRow*segs
 		plan.SetEstimates(node, groups, cost)
@@ -92,7 +92,7 @@ func (w *worker) implementGroupBy(le *lexpr, op *logical.GroupBy, req request) [
 	}
 	if delivered := HashedOn(outs...); delivered.Satisfies(req.dist) {
 		motion := plan.NewMotion(plan.RedistributeMotion, keys, part)
-		cost += partRows*costRedistRow + w.sliceStart()
+		cost += partRows*costRedistRow + m.sliceStart()
 		plan.SetEstimates(motion, partRows, cost)
 		node := plan.NewStagedHashAgg(plan.AggFinal, op.Groups, op.Aggs, motion)
 		cost += partRows * costAggRow

@@ -17,7 +17,6 @@ package orca
 import (
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"partopt/internal/catalog"
 	"partopt/internal/expr"
@@ -122,9 +121,8 @@ type SpecReq struct {
 
 	// ckey memoizes key(). Preds are only mutated between clone() and the
 	// spec's first appearance in a request, so the rendered key is stable by
-	// the time anyone asks for it; the atomic makes the lazy fill race-free
-	// when concurrent workers share a spec (both store the same string).
-	ckey atomic.Pointer[string]
+	// the time anyone asks for it.
+	ckey string
 }
 
 func (s *SpecReq) clone() *SpecReq {
@@ -134,8 +132,8 @@ func (s *SpecReq) clone() *SpecReq {
 }
 
 func (s *SpecReq) key() string {
-	if k := s.ckey.Load(); k != nil {
-		return *k
+	if s.ckey != "" {
+		return s.ckey
 	}
 	var b strings.Builder
 	b.WriteByte('<')
@@ -147,9 +145,8 @@ func (s *SpecReq) key() string {
 		}
 	}
 	b.WriteByte('>')
-	k := b.String()
-	s.ckey.Store(&k)
-	return k
+	s.ckey = b.String()
+	return s.ckey
 }
 
 // request is one optimization request: required distribution plus the

@@ -32,8 +32,8 @@ import (
 // written), and — for the greedy path only — hyper-conjuncts spanning
 // three or more leaves.
 //
-// All enumeration happens at insert time on one goroutine, before the
-// parallel search starts; the memo is immutable during search.
+// All enumeration happens at insert time, before the search starts; groups
+// and their expressions are immutable during search.
 
 // innerCore is one flattened maximal inner-join region.
 type innerCore struct {

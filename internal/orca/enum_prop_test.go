@@ -1,7 +1,6 @@
 package orca
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,9 +15,8 @@ import (
 
 // Property fuzz for the join-order enumerator: on random connected join
 // graphs (random topology, random partitioning and distribution layouts),
-// the optimizer must (a) never emit a cross join — a connecting predicate
-// always exists, so the enumerator may not lose it — and (b) return the
-// byte-identical plan at every worker count.
+// the optimizer must never emit a cross join — a connecting predicate
+// always exists, so the enumerator may not lose it.
 func TestFuzzJoinGraphsNoCrossJoin(t *testing.T) {
 	rnd := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 40; iter++ {
@@ -57,23 +55,11 @@ func TestFuzzJoinGraphsNoCrossJoin(t *testing.T) {
 			q = &logical.Join{Type: plan.InnerJoin, Pred: pred, Left: q, Right: leaves[i]}
 		}
 
-		serial := &Optimizer{Segments: 3, Workers: 1}
-		want, err := serial.Optimize(q)
+		p, err := (&Optimizer{Segments: 3}).Optimize(q)
 		if err != nil {
-			t.Fatalf("iter %d serial Optimize: %v", iter, err)
+			t.Fatalf("iter %d Optimize: %v", iter, err)
 		}
-		noCrossJoins(t, want)
-		for _, workers := range []int{4} {
-			o := &Optimizer{Segments: 3, Workers: workers}
-			got, err := o.Optimize(q)
-			if err != nil {
-				t.Fatalf("iter %d workers=%d Optimize: %v", iter, workers, err)
-			}
-			if !bytes.Equal(plan.Serialize(got), plan.Serialize(want)) {
-				t.Fatalf("iter %d: workers=%d plan differs from serial\n--- serial ---\n%s--- parallel ---\n%s",
-					iter, workers, plan.Explain(want), plan.Explain(got))
-			}
-		}
+		noCrossJoins(t, p)
 	}
 }
 
@@ -84,7 +70,7 @@ func TestFuzzJoinGraphsNoCrossJoin(t *testing.T) {
 func TestOptimizerStatsResetPerRun(t *testing.T) {
 	const dims = 4
 	cat := starCatalog(t, dims)
-	o := &Optimizer{Segments: 4, Workers: 2}
+	o := &Optimizer{Segments: 4}
 	if _, err := o.Optimize(starQuery(cat, dims)); err != nil {
 		t.Fatalf("first Optimize: %v", err)
 	}

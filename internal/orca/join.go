@@ -21,7 +21,7 @@ import (
 // Distribution alternatives follow the paper's §3.1 example: redistribute
 // both children on the join keys, replicate the build side, or replicate
 // the probe side.
-func (w *worker) implementJoin(le *lexpr, op *logical.Join, req request) []*result {
+func (m *memo) implementJoin(le *lexpr, op *logical.Join, req request) []*result {
 	build, probe := le.children[0], le.children[1]
 	// The predicate split depends only on the expression, not the request;
 	// it was precomputed at insert time (newJoinLexpr).
@@ -45,7 +45,7 @@ func (w *worker) implementJoin(le *lexpr, op *logical.Join, req request) []*resu
 			buildSpecs = append(buildSpecs, spec)
 			continue
 		}
-		if w.o.DisableSelection || op.Type.ProbePreserved() {
+		if m.o.DisableSelection || op.Type.ProbePreserved() {
 			probeSpecs = append(probeSpecs, spec)
 			continue
 		}
@@ -72,11 +72,11 @@ func (w *worker) implementJoin(le *lexpr, op *logical.Join, req request) []*resu
 
 	var out []*result
 	add := func(buildReq, probeReq request, delivered func(b, p *result) DistSpec) {
-		b := w.optimize(build, buildReq)
+		b := m.optimize(build, buildReq)
 		if !b.valid {
 			return
 		}
-		p := w.optimize(probe, probeReq)
+		p := m.optimize(probe, probeReq)
 		if !p.valid {
 			return
 		}
@@ -94,7 +94,7 @@ func (w *worker) implementJoin(le *lexpr, op *logical.Join, req request) []*resu
 		probeCost := p.cost
 		if len(dynRels) > 0 {
 			// Credit the run-time pruning the dynamic selectors achieve.
-			probeCost *= w.o.dynFraction()
+			probeCost *= m.o.dynFraction()
 		}
 		outRows := joinOutRows(op.Type, b.rows, p.rows)
 		cost := b.cost + probeCost + b.rows*costBuildRow + p.rows*costProbeRow + outRows*costJoinOutRow
@@ -159,7 +159,7 @@ func (w *worker) implementJoin(le *lexpr, op *logical.Join, req request) []*resu
 	// both sides are base tables co-partitioned AND co-distributed on the
 	// join key, so the join decomposes into per-partition-pair joins with
 	// no data movement at all.
-	if pw := w.implementPartitionWise(build, probe, op, buildKeys, probeKeys, residual, req); pw != nil {
+	if pw := m.implementPartitionWise(build, probe, op, buildKeys, probeKeys, residual, req); pw != nil {
 		out = append(out, pw)
 	}
 	return out

@@ -2,7 +2,6 @@ package orca
 
 import (
 	"fmt"
-	"sync"
 
 	"partopt/internal/catalog"
 	"partopt/internal/expr"
@@ -42,14 +41,13 @@ func newJoinLexpr(op *logical.Join, build, probe *group) *lexpr {
 }
 
 // group is one equivalence class. Groups are created during insert (before
-// the search starts) and immutable afterwards except for tab, the
-// single-flight result table guarded by mu (see parallel.go).
+// the search starts) and immutable afterwards except for best, the memoized
+// result per request.
 type group struct {
 	id     int
 	lexprs []*lexpr
 	rels   map[int]bool
-	mu     sync.Mutex
-	tab    map[string]*entry // request key → single-flight result cell
+	best   map[string]*result // request key → winner; nil while being computed
 }
 
 // result is the best plan found for one (group, request) pair.
@@ -63,14 +61,33 @@ type result struct {
 
 var invalidResult = &result{}
 
-// memo holds the search state of one optimization run. The zero value (with
-// o set) is a valid serial memo; parallel runs get sem from newMemo.
+// memo holds the search state of one optimization run, owned by the one
+// goroutine that runs it. The zero value (with o set) is ready to use.
 type memo struct {
-	o      *Optimizer
-	groups []*group
-	tables map[int]*catalog.Table // relation instance → base table (for stats)
-	sem    chan struct{}          // nil = serial; else one token per running goroutine
-	searchCounters
+	o       *Optimizer
+	groups  []*group
+	tables  map[int]*catalog.Table // relation instance → base table (for stats)
+	entries int                    // (group, request) results computed
+}
+
+// optimize resolves one (group, request) pair, memoized per group. A key is
+// marked in progress (a nil result) while its candidates are computed, and
+// re-entry returns invalidResult: a cyclic alternative proposed the group it
+// is computing as its own subplan. Termination: every nested call strictly
+// decreases (group height in the memo DAG, spec count, dist != Any).
+func (m *memo) optimize(g *group, req request) *result {
+	key := req.key()
+	if r, ok := g.best[key]; ok {
+		if r == nil {
+			return invalidResult
+		}
+		return r
+	}
+	g.best[key] = nil
+	res := m.compute(g, req)
+	g.best[key] = res
+	m.entries++
+	return res
 }
 
 func (m *memo) noteTable(rel int, t *catalog.Table) {
@@ -90,7 +107,7 @@ func (m *memo) colStats(id expr.ColID) *catalog.ColumnStats {
 }
 
 func (m *memo) newGroup(rels map[int]bool) *group {
-	g := &group{id: len(m.groups), rels: rels, tab: map[string]*entry{}}
+	g := &group{id: len(m.groups), rels: rels, best: map[string]*result{}}
 	m.groups = append(m.groups, g)
 	return g
 }

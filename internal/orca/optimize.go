@@ -14,9 +14,18 @@ import (
 // cores with more leaves fall back to the greedy enumerator (enum.go).
 const DefaultMaxDPLeaves = 10
 
+// OptStats reports one Optimize call's search effort. The engine surfaces
+// it in EXPLAIN ANALYZE ("optimization: M groups, T ms") and the obs
+// registry.
+type OptStats struct {
+	Groups  int   // memo groups created, enumeration included
+	Entries int   // (group, request) results computed
+	Nanos   int64 // wall time of the whole Optimize call
+}
+
 // Optimizer is the public entry point. One Optimizer value drives one
-// Optimize call at a time (Stats is written per call); the engine creates a
-// fresh value per compilation.
+// Optimize call at a time, on the calling goroutine (Stats is written per
+// call); the engine creates a fresh value per compilation.
 type Optimizer struct {
 	Segments int // cluster width, for motion costing
 
@@ -32,9 +41,10 @@ type Optimizer struct {
 	// ablations).
 	DynFraction float64
 
-	// Workers is the memo-search goroutine pool size; values <= 1 run the
-	// search serially on the calling goroutine. The chosen plan is
-	// independent of Workers (see parallel.go).
+	// Workers is ignored and read by no code: the memo search is serial
+	// (DESIGN.md §16). The field remains only because the frozen
+	// benchmark/trace.go still sets it; the next benchmark-typed PR drops
+	// it there and here.
 	Workers int
 
 	// MaxDPLeaves overrides DefaultMaxDPLeaves when positive.
@@ -51,13 +61,6 @@ func (o *Optimizer) dynFraction() float64 {
 	return 0.15
 }
 
-func (o *Optimizer) workers() int {
-	if o.Workers > 1 {
-		return o.Workers
-	}
-	return 1
-}
-
 func (o *Optimizer) maxDPLeaves() int {
 	if o.MaxDPLeaves > 0 {
 		return o.MaxDPLeaves
@@ -65,21 +68,10 @@ func (o *Optimizer) maxDPLeaves() int {
 	return DefaultMaxDPLeaves
 }
 
-// newMemo builds the search state for one logical core; parallel runs get
-// the worker-pool semaphore.
-func (o *Optimizer) newMemo() *memo {
-	m := &memo{o: o}
-	if w := o.workers(); w > 1 {
-		m.sem = make(chan struct{}, w)
-	}
-	return m
-}
-
 // noteSearch folds one memo's effort into the per-call stats.
 func (o *Optimizer) noteSearch(m *memo) {
 	o.Stats.Groups += len(m.groups)
-	o.Stats.Entries += int(m.entries.Load())
-	o.Stats.Tasks += m.tasks.Load()
+	o.Stats.Entries += m.entries
 }
 
 // Optimize turns a logical tree into an executable physical plan whose rows
@@ -94,7 +86,7 @@ func (o *Optimizer) Optimize(root logical.Node) (plan.Node, error) {
 		return nil, fmt.Errorf("orca: optimizer needs a positive segment count")
 	}
 	start := time.Now()
-	o.Stats = OptStats{Workers: o.workers()}
+	o.Stats = OptStats{}
 	defer func() { o.Stats.Nanos = time.Since(start).Nanoseconds() }()
 	if upd, ok := root.(*logical.Update); ok {
 		return o.optimizeDML(upd.Child, upd.Table, upd.Rel, func(child plan.Node) plan.Node {
@@ -112,7 +104,7 @@ func (o *Optimizer) Optimize(root logical.Node) (plan.Node, error) {
 	if proj != nil {
 		n = proj.Child
 	}
-	m := o.newMemo()
+	m := &memo{o: o}
 	defer o.noteSearch(m)
 	g, err := m.insert(n)
 	if err != nil {
@@ -134,7 +126,7 @@ func (o *Optimizer) Optimize(root logical.Node) (plan.Node, error) {
 // optimized for the target's native distribution first, falling back to
 // Any. wrap builds the DML node over the optimized row source.
 func (o *Optimizer) optimizeDML(child logical.Node, table *catalog.Table, rel int, wrap func(plan.Node) plan.Node) (plan.Node, error) {
-	m := o.newMemo()
+	m := &memo{o: o}
 	defer o.noteSearch(m)
 	g, err := m.insert(child)
 	if err != nil {
@@ -196,10 +188,10 @@ func markRowID(n plan.Node, rel int) {
 
 // compute enumerates a group's candidates for a request and picks the
 // winner. This is the heart of the paper's §3.1: direct implementations
-// compete with enforcer-rooted alternatives. Candidates come from
-// independent sources in a fixed order; parallel mode runs sources as pool
-// tasks (parallel.go) and the slot order keeps the winner deterministic.
-func (w *worker) compute(g *group, req request) *result {
+// compete with enforcer-rooted alternatives. Candidates are walked in a fixed
+// order and the first strict cost-minimum wins, so the chosen plan is a pure
+// function of the memo.
+func (m *memo) compute(g *group, req request) *result {
 	externalCount := 0
 	for _, s := range req.specs {
 		if !g.rels[s.ScanRel] {
@@ -207,7 +199,14 @@ func (w *worker) compute(g *group, req request) *result {
 		}
 	}
 
-	var sources []candidateSource
+	best := invalidResult
+	consider := func(rs []*result) {
+		for _, r := range rs {
+			if r != nil && r.valid && (!best.valid || r.cost < best.cost) {
+				best = r
+			}
+		}
+	}
 
 	// 1. Direct operator implementations. External specs must be consumed
 	// by a PartitionSelector enforcer before an operator can root the plan
@@ -215,16 +214,13 @@ func (w *worker) compute(g *group, req request) *result {
 	// whose rows drive it.
 	if externalCount == 0 {
 		for _, le := range g.lexprs {
-			le := le
 			if _, isAgg := le.op.(*logical.GroupBy); req.dist.Kind == SingletonDist && !isAgg {
 				// Only an aggregate's Final stage roots a coordinator slice
 				// itself; everything else reaches the coordinator through
 				// the Gather enforcer below, which keeps the Gather on top.
 				continue
 			}
-			sources = append(sources, func(w *worker) []*result {
-				return w.implement(g, le, req)
-			})
+			consider(m.implement(g, le, req))
 		}
 	}
 
@@ -237,28 +233,23 @@ func (w *worker) compute(g *group, req request) *result {
 		if !isExternal && !isOwnScan {
 			continue
 		}
-		i, spec, isOwnScan := i, spec, isOwnScan
-		sources = append(sources, func(w *worker) []*result {
-			return w.enforceSelector(g, req, i, spec, isOwnScan)
-		})
+		consider(m.enforceSelector(g, req, i, spec, isOwnScan))
 	}
 
 	// 3. Motion enforcer (the distribution property enforcer). Prohibited
 	// while the request carries external specs: the Motion would separate
 	// the pending PartitionSelector from its DynamicScan.
 	if externalCount == 0 && req.dist.Kind != AnyDist {
-		sources = append(sources, func(w *worker) []*result {
-			return w.enforceMotion(g, req)
-		})
+		consider(m.enforceMotion(g, req))
 	}
 
-	return pickBest(w.runSources(sources))
+	return best
 }
 
 // enforceSelector is candidate source 2: resolve spec i here with a
 // PartitionSelector over the remaining request.
-func (w *worker) enforceSelector(g *group, req request, i int, spec *SpecReq, isOwnScan bool) []*result {
-	sub := w.optimize(g, req.without(i))
+func (m *memo) enforceSelector(g *group, req request, i int, spec *SpecReq, isOwnScan bool) []*result {
+	sub := m.optimize(g, req.without(i))
 	if !sub.valid {
 		return nil
 	}
@@ -271,7 +262,7 @@ func (w *worker) enforceSelector(g *group, req request, i int, spec *SpecReq, is
 			return nil
 		}
 		preds := staticOnlyPreds(spec)
-		fraction := w.o.staticFraction(spec, preds)
+		fraction := m.o.staticFraction(spec, preds)
 		node := plan.NewPartitionSelector(spec.Table, spec.ScanRel, preds, sub.node)
 		node.Hub = hubSpec(spec)
 		rows := sub.rows * fraction
@@ -292,14 +283,14 @@ func (w *worker) enforceSelector(g *group, req request, i int, spec *SpecReq, is
 
 // enforceMotion is candidate source 3: satisfy the distribution requirement
 // with a Motion over the Any-distribution result.
-func (w *worker) enforceMotion(g *group, req request) []*result {
-	sub := w.optimize(g, req.withDist(AnySpec()))
+func (m *memo) enforceMotion(g *group, req request) []*result {
+	sub := m.optimize(g, req.withDist(AnySpec()))
 	if !sub.valid {
 		return nil
 	}
 	switch req.dist.Kind {
 	case SingletonDist:
-		return []*result{w.o.gather(sub)}
+		return []*result{m.o.gather(sub)}
 	case HashedDist:
 		keys := make([]expr.Expr, len(req.dist.Cols))
 		for i, c := range req.dist.Cols {
@@ -318,8 +309,8 @@ func (w *worker) enforceMotion(g *group, req request) []*result {
 	case ReplicatedDist:
 		if sub.delivered.Kind != ReplicatedDist {
 			node := plan.NewMotion(plan.BroadcastMotion, nil, sub.node)
-			cost := sub.cost + sub.rows*costBcastRow*float64(w.o.Segments)
-			plan.SetEstimates(node, sub.rows*float64(w.o.Segments), cost)
+			cost := sub.cost + sub.rows*costBcastRow*float64(m.o.Segments)
+			plan.SetEstimates(node, sub.rows*float64(m.o.Segments), cost)
 			return []*result{{valid: true, cost: cost, rows: sub.rows, delivered: req.dist, node: node}}
 		}
 	}
@@ -327,21 +318,19 @@ func (w *worker) enforceMotion(g *group, req request) []*result {
 }
 
 // implement produces the candidate plans of one logical expression for a
-// request. All specs in req are internal to g here. Receivers that recurse
-// into optimize live on *worker (they extend the recursion path); leaf
-// implementations stay on *memo.
-func (w *worker) implement(g *group, le *lexpr, req request) []*result {
+// request. All specs in req are internal to g here.
+func (m *memo) implement(g *group, le *lexpr, req request) []*result {
 	switch op := le.op.(type) {
 	case *logical.Get:
-		return w.implementGet(op, req)
+		return m.implementGet(op, req)
 	case *logical.Select:
-		return w.implementSelect(le, op, req)
+		return m.implementSelect(le, op, req)
 	case *logical.Project:
-		return w.implementProject(le, op, req)
+		return m.implementProject(le, op, req)
 	case *logical.GroupBy:
-		return w.implementGroupBy(le, op, req)
+		return m.implementGroupBy(le, op, req)
 	case *logical.Join:
-		return w.implementJoin(le, op, req)
+		return m.implementJoin(le, op, req)
 	}
 	return nil
 }
@@ -367,12 +356,12 @@ func (m *memo) implementGet(op *logical.Get, req request) []*result {
 	return []*result{{valid: true, cost: cost, rows: rows, delivered: delivered, node: node}}
 }
 
-func (w *worker) implementSelect(le *lexpr, op *logical.Select, req request) []*result {
+func (m *memo) implementSelect(le *lexpr, op *logical.Select, req request) []*result {
 	// Algorithm 3 in Memo form: augment travelling specs with the
 	// partition-filtering conjuncts of this predicate.
 	childSpecs := make([]*SpecReq, 0, len(req.specs))
 	for _, spec := range req.specs {
-		if w.o.DisableSelection {
+		if m.o.DisableSelection {
 			childSpecs = append(childSpecs, spec)
 			continue
 		}
@@ -390,10 +379,10 @@ func (w *worker) implementSelect(le *lexpr, op *logical.Select, req request) []*
 		childSpecs = append(childSpecs, ns)
 	}
 	var out []*result
-	sub := w.optimize(le.children[0], request{dist: req.dist, specs: childSpecs})
+	sub := m.optimize(le.children[0], request{dist: req.dist, specs: childSpecs})
 	if sub.valid {
 		node := plan.NewFilter(op.Pred, sub.node)
-		rows := sub.rows * w.selectivity(op.Pred)
+		rows := sub.rows * m.selectivity(op.Pred)
 		if rows < 1 {
 			rows = 1
 		}
@@ -401,7 +390,7 @@ func (w *worker) implementSelect(le *lexpr, op *logical.Select, req request) []*
 		plan.SetEstimates(node, rows, cost)
 		out = append(out, &result{valid: true, cost: cost, rows: rows, delivered: sub.delivered, node: node})
 	}
-	if idx := w.implementIndexSelect(le, op, childSpecs, req); idx != nil {
+	if idx := m.implementIndexSelect(le, op, childSpecs, req); idx != nil {
 		out = append(out, idx)
 	}
 	return out
@@ -501,8 +490,8 @@ func staticConjunctsOnly(pred expr.Expr, key expr.ColID) expr.Expr {
 	return expr.Conj(keep...)
 }
 
-func (w *worker) implementProject(le *lexpr, op *logical.Project, req request) []*result {
-	sub := w.optimize(le.children[0], request{dist: req.dist, specs: req.specs})
+func (m *memo) implementProject(le *lexpr, op *logical.Project, req request) []*result {
+	sub := m.optimize(le.children[0], request{dist: req.dist, specs: req.specs})
 	if !sub.valid {
 		return nil
 	}

@@ -388,7 +388,7 @@ func TestMemoAlternativesExist(t *testing.T) {
 	// across groups (the enforcer-generated child requests).
 	total := 0
 	for _, grp := range m.groups {
-		total += len(grp.tab)
+		total += len(grp.best)
 	}
 	if total < 5 {
 		t.Errorf("memo explored only %d requests", total)

@@ -46,13 +46,12 @@ type Entry struct {
 	PlanSize int
 	// TotalSize adds the legacy prep plans (Engine.PlanSize).
 	TotalSize int
-	// OptWorkers, OptGroups and OptNanos describe the optimizer search
-	// that produced Plan (EXPLAIN ANALYZE's "optimization:" header).
-	// OptWorkers is 0 for legacy-planned entries; cache hits replay the
-	// figures of the compilation that created the entry.
-	OptWorkers int
-	OptGroups  int
-	OptNanos   int64
+	// OptGroups and OptNanos describe the memo search that produced Plan
+	// (EXPLAIN ANALYZE's "optimization:" header). OptGroups is 0 for
+	// legacy-planned entries; cache hits replay the figures of the
+	// compilation that created the entry.
+	OptGroups int
+	OptNanos  int64
 
 	epoch uint64
 }

@@ -11,9 +11,9 @@ import (
 
 // Join-order fuzzer: random chain, star and clique join graphs over tables
 // with random physical layouts (partitioned or not, hashed or replicated).
-// The enumerating optimizer — serial and parallel — must agree with the
-// legacy planner's row multisets on every graph: reordering may change the
-// plan, never the answer.
+// The enumerating optimizer must agree with the legacy planner's row
+// multisets on every graph: reordering may change the plan, never the
+// answer.
 func TestFuzzJoinOrderAgainstLegacy(t *testing.T) {
 	rnd := rand.New(rand.NewSource(13))
 	const domain = 30 // all int values live in [0, domain)
@@ -91,25 +91,11 @@ func TestFuzzJoinOrderAgainstLegacy(t *testing.T) {
 		q := fmt.Sprintf("SELECT count(*), sum(x0.a) FROM %s WHERE %s",
 			strings.Join(from, ", "), strings.Join(preds, " AND "))
 
-		run := func(setup func()) [][]partopt.Value {
-			setup()
-			rows, err := eng.Query(q)
-			if err != nil {
-				t.Fatalf("iter %d (%s): %v\n%s", iter, shape, err, q)
-			}
-			rows.SortData()
-			return rows.Data
-		}
-		serial := run(func() { eng.SetOptimizer(partopt.Orca); eng.SetOptimizerWorkers(1) })
-		parallel := run(func() { eng.SetOptimizerWorkers(4) })
-		legacy := run(func() { eng.SetOptimizer(partopt.LegacyPlanner) })
-		if !resultsEqual(serial, parallel) {
-			t.Fatalf("iter %d (%s): parallel orca disagrees with serial\nquery: %s\nserial: %v\nparallel: %v",
-				iter, shape, q, sample(serial), sample(parallel))
-		}
-		if !resultsEqual(serial, legacy) {
+		orca := sortedRowsUnder(t, eng, partopt.Orca, q)
+		legacy := sortedRowsUnder(t, eng, partopt.LegacyPlanner, q)
+		if !resultsEqual(orca, legacy) {
 			t.Fatalf("iter %d (%s): orca disagrees with legacy\nquery: %s\norca: %v\nlegacy: %v",
-				iter, shape, q, sample(serial), sample(legacy))
+				iter, shape, q, sample(orca), sample(legacy))
 		}
 	}
 }

@@ -69,7 +69,8 @@ func buildOpStats(n plan.Node, src plan.ActualSource) *OpStats {
 }
 
 // renderAnalyze produces the EXPLAIN ANALYZE text for an executed plan. An
-// Orca-compiled entry leads with the memo-search header; a query that
+// Orca-compiled entry (one whose search built memo groups) leads with the
+// memo-search header "optimization: M groups, T ms"; a query that
 // aggregated adds how many input batches its hash aggregates folded off
 // typed column lanes and how many row by row (the slow road), in total and
 // per stage; the legacy planner's prep plans (which fill the main plan's
@@ -79,9 +80,9 @@ func buildOpStats(n plan.Node, src plan.ActualSource) *OpStats {
 func renderAnalyze(ent *plancache.Entry, src *exec.Stats) string {
 	node, pl := ent.Plan, ent.Legacy
 	var b strings.Builder
-	if ent.OptWorkers > 0 {
-		fmt.Fprintf(&b, "optimization: %d workers, %d groups, %.3f ms\n",
-			ent.OptWorkers, ent.OptGroups, float64(ent.OptNanos)/1e6)
+	if ent.OptGroups > 0 {
+		fmt.Fprintf(&b, "optimization: %d groups, %.3f ms\n",
+			ent.OptGroups, float64(ent.OptNanos)/1e6)
 	}
 	agg := src.AggBatches()
 	if typed, row := agg.Total(); typed+row > 0 {

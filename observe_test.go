@@ -15,7 +15,7 @@ var (
 	timeRe  = regexp.MustCompile(`time=[0-9.]+(µs|ms|s)`)
 	peakRe  = regexp.MustCompile(`Peak memory: \S+ per instance`)
 	spillRe = regexp.MustCompile(`Spilled: \S+ in \d+ part\(s\)`)
-	optRe   = regexp.MustCompile(`(optimization: \d+ workers, \d+ groups,) [0-9.]+ ms`)
+	optRe   = regexp.MustCompile(`(optimization: \d+ groups,) [0-9.]+ ms`)
 	aggRe   = regexp.MustCompile(`aggregation: \d+ typed / \d+ row batches \(.*\)`)
 )
 
@@ -55,7 +55,7 @@ func TestExplainAnalyzeGoldenStatic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExplainAnalyze: %v", err)
 	}
-	const want = `optimization: 1 workers, 3 groups, T ms
+	const want = `optimization: 3 groups, T ms
 aggregation: 7 typed / 4 row batches (partial 7/0, final 0/4)
 Project (avg_1)  (actual rows=1 loops=1 time=T)
   -> Final HashAggregate (avg(orders.amount))  (rows=1 cost=55)  (actual rows=1 loops=1 time=T)
@@ -152,7 +152,7 @@ func TestExplainAnalyzeGoldenSpill(t *testing.T) {
 	// stage typed before its first denied reservation depends on how the
 	// four segments interleave on the shared budget, so the counters are
 	// normalized like the spill volume.
-	const want = `optimization: 1 workers, 2 groups, T ms
+	const want = `optimization: 2 groups, T ms
 aggregation: A typed / B row batches
 Project (date_id, n, total)  (actual rows=24 loops=1 time=T)
   -> Final HashAggregate (orders.date_id; count(*), sum(orders.amount))  (rows=24 cost=1057)  (actual rows=24 loops=1 time=T)

@@ -199,7 +199,7 @@ func TestExplainAnalyzeGoldenOuterJoinDPE(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExplainAnalyze: %v", err)
 	}
-	const want = `optimization: 1 workers, 5 groups, T ms
+	const want = `optimization: 5 groups, T ms
 aggregation: 0 typed / 4 row batches (partial 0/2, final 0/2)
 Project (count_1)  (actual rows=1 loops=1 time=T)
   -> Final HashAggregate (count(*))  (rows=1 cost=532)  (actual rows=1 loops=1 time=T)

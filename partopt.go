@@ -83,7 +83,6 @@ type Engine struct {
 
 	optimizer        OptimizerKind
 	disableSelection bool
-	optWorkers       int
 	segments         int
 	govCfg           mem.Config
 
@@ -101,11 +100,9 @@ type engineMetrics struct {
 	// hitLatency observes end-to-end latency of queries served from the
 	// plan cache.
 	hitLatency *obs.Histogram
-	// optGroups and optTasks accumulate memo-search effort across
-	// optimizer invocations: groups explored and parallel tasks spawned
-	// (zero tasks when the search runs serially).
+	// optGroups accumulates memo-search effort across optimizer
+	// invocations: groups explored.
 	optGroups *obs.Counter
-	optTasks  *obs.Counter
 }
 
 // New creates an engine with the given number of segments.
@@ -125,7 +122,6 @@ func New(segments int) (*Engine, error) {
 	e.met.optimizations = reg.Counter("partopt_optimizations_total")
 	e.met.hitLatency = reg.Histogram("partopt_plan_cache_hit_latency_seconds", obs.DefaultLatencyBuckets())
 	e.met.optGroups = reg.Counter("partopt_optimizer_memo_groups_total")
-	e.met.optTasks = reg.Counter("partopt_optimizer_parallel_tasks_total")
 	e.wireCacheMetrics()
 	return e, nil
 }
@@ -162,35 +158,6 @@ func (e *Engine) SetPartitionSelection(enabled bool) {
 		e.plans.Bump()
 	}
 	e.disableSelection = !enabled
-}
-
-// SetOptimizerWorkers sets the Orca memo-search goroutine pool size; values
-// of 1 or less run the search serially. The chosen plan is identical for
-// every worker count (parallel search is deterministic — see DESIGN.md
-// §16); only optimization latency and the EXPLAIN ANALYZE "optimization:"
-// header change. The switch still bumps the plan-cache epoch: settings
-// changes are invalidating surfaces, and cached entries replay the search
-// figures of the compilation that created them.
-func (e *Engine) SetOptimizerWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.optWorkers != n {
-		e.plans.Bump()
-	}
-	e.optWorkers = n
-}
-
-// OptimizerWorkers reports the configured memo-search pool size.
-func (e *Engine) OptimizerWorkers() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.optWorkers < 1 {
-		return 1
-	}
-	return e.optWorkers
 }
 
 // SetMemBudget caps the executor's total memory across all concurrent
@@ -485,7 +452,6 @@ func (e *Engine) plan(bound *sql.Bound) (plan.Node, *legacy.Planned, orca.OptSta
 		o := &orca.Optimizer{
 			Segments:         e.segments,
 			DisableSelection: e.disableSelection,
-			Workers:          e.optWorkers,
 		}
 		n, err := o.Optimize(bound.Root)
 		if err != nil {
@@ -498,7 +464,6 @@ func (e *Engine) plan(bound *sql.Bound) (plan.Node, *legacy.Planned, orca.OptSta
 		node = n
 		stats = o.Stats
 		e.met.optGroups.Add(int64(stats.Groups))
-		e.met.optTasks.Add(stats.Tasks)
 	}
 	if len(bound.OrderBy) > 0 {
 		node = plan.NewSort(bound.OrderBy, node)

@@ -29,12 +29,39 @@ func waitGoroutinesSettle(t *testing.T, before int) {
 	}
 }
 
-// Soak: concurrent Prepare/Query/Exec traffic racing DDL, ANALYZE and
-// optimizer switches against one engine. Run under -race. Afterward the
-// cache must still be coherent: a post-soak DDL bump forces a fresh plan
-// (no stale plan survives), and no goroutine leaks.
+// addJoinFixture adds a monthly-partitioned fact and a replicated dimension
+// to the soak's engine, so its join statements go through the join
+// enumerator and dynamic elimination on every compilation.
+func addJoinFixture(t *testing.T, eng *Engine) {
+	t.Helper()
+	eng.MustCreateTable("jsales",
+		Columns("date_id", TypeInt, "cust", TypeInt, "amount", TypeFloat),
+		DistributedBy("cust"),
+		PartitionByRangeInt("date_id", 0, 120, 12))
+	eng.MustCreateTable("jdim",
+		Columns("date_id", TypeInt, "month", TypeInt),
+		Replicated())
+	for d := int64(0); d < 120; d++ {
+		if err := eng.Insert("jsales", Int(d), Int(d%17), Float(float64(d))); err != nil {
+			t.Fatalf("insert jsales: %v", err)
+		}
+		if err := eng.Insert("jdim", Int(d), Int(d/10+1)); err != nil {
+			t.Fatalf("insert jdim: %v", err)
+		}
+	}
+	if err := eng.Analyze(); err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+}
+
+// Soak: concurrent Prepare/Query/Exec traffic — single-table statements and
+// joins — racing DDL, ANALYZE, DML and settings switches against one engine.
+// Run under -race. Afterward the cache must still be coherent: a post-soak
+// DDL bump forces a fresh plan (no stale plan survives), and no goroutine
+// leaks.
 func TestPlanCacheSoak(t *testing.T) {
 	eng := cacheFixture(t)
+	addJoinFixture(t, eng)
 	before := runtime.NumGoroutine()
 
 	const (
@@ -43,11 +70,46 @@ func TestPlanCacheSoak(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 
-	// Query workers: ad-hoc literal queries plus a shared prepared
-	// statement, mixed shapes so fingerprints collide and diverge.
+	// Query workers: ad-hoc literal queries plus shared prepared
+	// statements, mixed shapes so fingerprints collide and diverge.
 	shared, err := eng.Prepare("SELECT sum(amount) FROM orders WHERE date BETWEEN $1 AND $2")
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
+	}
+	sharedJoin, err := eng.Prepare("SELECT sum(s.amount) FROM jdim d, jsales s WHERE d.date_id = s.date_id AND d.month = $1")
+	if err != nil {
+		t.Fatalf("Prepare join: %v", err)
+	}
+	// One statement of traffic per draw: three single-table shapes, then
+	// the same three over the join fixture.
+	traffic := []func(rnd *rand.Rand) error{
+		func(rnd *rand.Rand) error {
+			_, err := eng.Query(fmt.Sprintf("SELECT amount FROM orders WHERE id = %d", 1+rnd.Intn(60)))
+			return err
+		},
+		func(rnd *rand.Rand) error {
+			m := 1 + rnd.Intn(12)
+			_, err := shared.Query(Date(2013, m, 1), Date(2013, m, 28))
+			return err
+		},
+		func(*rand.Rand) error {
+			_, err := eng.Explain("SELECT count(*) FROM orders WHERE id < 30")
+			return err
+		},
+		func(rnd *rand.Rand) error {
+			_, err := eng.Query(fmt.Sprintf(`SELECT count(*) FROM jdim d, jsales s
+				WHERE d.date_id = s.date_id AND d.month = %d`, 1+rnd.Intn(12)))
+			return err
+		},
+		func(rnd *rand.Rand) error {
+			_, err := sharedJoin.Query(Int(int64(1 + rnd.Intn(12))))
+			return err
+		},
+		func(*rand.Rand) error {
+			_, err := eng.Explain(`SELECT count(*) FROM jsales s, jdim d
+				WHERE s.date_id = d.date_id AND d.month < 3`)
+			return err
+		},
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -55,24 +117,10 @@ func TestPlanCacheSoak(t *testing.T) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < iters; i++ {
-				switch rnd.Intn(3) {
-				case 0:
-					q := fmt.Sprintf("SELECT amount FROM orders WHERE id = %d", 1+rnd.Intn(60))
-					if _, err := eng.Query(q); err != nil {
-						t.Errorf("worker %d: %v", w, err)
-						return
-					}
-				case 1:
-					m := 1 + rnd.Intn(12)
-					if _, err := shared.Query(Date(2013, m, 1), Date(2013, m, 28)); err != nil {
-						t.Errorf("worker %d prepared: %v", w, err)
-						return
-					}
-				default:
-					if _, err := eng.Explain("SELECT count(*) FROM orders WHERE id < 30"); err != nil {
-						t.Errorf("worker %d explain: %v", w, err)
-						return
-					}
+				kind := rnd.Intn(len(traffic))
+				if err := traffic[kind](rnd); err != nil {
+					t.Errorf("worker %d, traffic %d: %v", w, kind, err)
+					return
 				}
 			}
 		}(w)

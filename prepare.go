@@ -126,15 +126,14 @@ func (e *Engine) compileBound(bound *sql.Bound) (*plancache.Entry, error) {
 		}
 	}
 	return &plancache.Entry{
-		Plan:       node,
-		Legacy:     pl,
-		Columns:    bound.Columns,
-		NumParams:  bound.NumParams,
-		PlanSize:   size,
-		TotalSize:  total,
-		OptWorkers: opt.Workers,
-		OptGroups:  opt.Groups,
-		OptNanos:   opt.Nanos,
+		Plan:      node,
+		Legacy:    pl,
+		Columns:   bound.Columns,
+		NumParams: bound.NumParams,
+		PlanSize:  size,
+		TotalSize: total,
+		OptGroups: opt.Groups,
+		OptNanos:  opt.Nanos,
 	}, nil
 }
 
