@@ -375,6 +375,9 @@ func (s *selectorOp) Open(ctx *Ctx) error {
 // OID cache when eligible. On a hit desc.Select is skipped entirely; on a
 // miss the computed set is stored under the epoch observed before the
 // traversal, so a concurrent DDL bump stamps it stale rather than current.
+// The result may be shared with concurrent selectors and is only read
+// (recordSelection, pushOIDs); desc.Select returns a fresh slice, so a
+// computed set is cached without a copy.
 func (s *selectorOp) staticSelect(ctx *Ctx, desc *part.Desc) []part.OID {
 	c := s.cacheFor(ctx)
 	if c == nil {

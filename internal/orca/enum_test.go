@@ -86,13 +86,11 @@ func noCrossJoins(t *testing.T, p plan.Node) {
 	})
 }
 
-// TestParallelPlanIdenticalToSerial is the orca-level determinism check
-// (the name predates the removal of the worker pool it once compared against,
-// and is kept so the test keeps its identity in the suite): star and chain
-// shapes compiled five times each must give byte-identical EXPLAIN text, the
-// same root cost and the same search statistics. Map iteration is the one
-// source of run-to-run variance a single-goroutine search has.
-func TestParallelPlanIdenticalToSerial(t *testing.T) {
+// TestPlanDeterminism is the orca-level run-to-run determinism check: star
+// and chain shapes compiled five times each must give byte-identical EXPLAIN
+// text, the same root cost and the same search statistics. Map iteration is
+// the one source of run-to-run variance a single-goroutine search has.
+func TestPlanDeterminism(t *testing.T) {
 	const dims = 8
 	cat := starCatalog(t, dims)
 	for name, q := range map[string]logical.Node{

@@ -80,19 +80,19 @@ func TestCacheHitRatio(t *testing.T) {
 	th := fastThresholds()
 
 	cold := statz() // 10 lookups: below the sample floor, not judged
-	cold.PlanCache = partopt.PlanCacheStats{Hits: 0, Misses: 10}
+	cold.PlanCache = partopt.PlanCacheStats{CacheStats: partopt.CacheStats{Hits: 0, Misses: 10}}
 	if r := runOne(t, "cache-hit-ratio", &fakeSource{snaps: []*server.Statz{cold}}, th); !r.OK {
 		t.Fatalf("under-sampled cache judged unhealthy: %+v", r)
 	}
 
 	bad := statz()
-	bad.PlanCache = partopt.PlanCacheStats{Hits: 10, Misses: 90}
+	bad.PlanCache = partopt.PlanCacheStats{CacheStats: partopt.CacheStats{Hits: 10, Misses: 90}}
 	if r := runOne(t, "cache-hit-ratio", &fakeSource{snaps: []*server.Statz{bad}}, th); r.OK {
 		t.Fatalf("10%% hit ratio passed: %+v", r)
 	}
 
 	good := statz()
-	good.PlanCache = partopt.PlanCacheStats{Hits: 90, Misses: 10}
+	good.PlanCache = partopt.PlanCacheStats{CacheStats: partopt.CacheStats{Hits: 90, Misses: 10}}
 	if r := runOne(t, "cache-hit-ratio", &fakeSource{snaps: []*server.Statz{good}}, th); !r.OK {
 		t.Fatalf("90%% hit ratio failed: %+v", r)
 	}
@@ -183,7 +183,7 @@ func TestPartitionSkew(t *testing.T) {
 	balanced := statz()
 	balanced.Tables = []partopt.PartitionRows{
 		{Table: "even", Leaves: []int64{50, 50, 50, 50}, Total: 200},
-		{Table: "tiny", Leaves: []int64{99, 0}, Total: 99},   // under the row floor
+		{Table: "tiny", Leaves: []int64{99, 0}, Total: 99},    // under the row floor
 		{Table: "single", Leaves: []int64{5000}, Total: 5000}, // one leaf: skew undefined
 	}
 	if r := runOne(t, "partition-skew", &fakeSource{snaps: []*server.Statz{balanced}}, th); !r.OK {

@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -251,5 +254,33 @@ func TestStatzSnapshot(t *testing.T) {
 	}
 	if st.Counters["server_statements_total"] < 1 {
 		t.Fatalf("counters not merged: %v", st.Counters)
+	}
+}
+
+// The plan_cache block of the /statz JSON has exactly these keys: the
+// shared cache counters are embedded in PlanCacheStats, and embedding must
+// keep them flat beside Optimizations.
+func TestStatzPlanCacheKeys(t *testing.T) {
+	eng := testEngine(t)
+	srv := startServer(t, eng, Config{HTTPAddr: "127.0.0.1:0"})
+	resp, err := http.Get("http://" + srv.HTTPAddr() + "/statz")
+	if err != nil {
+		t.Fatalf("GET /statz: %v", err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		PlanCache map[string]json.RawMessage `json:"plan_cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decode /statz: %v", err)
+	}
+	var keys []string
+	for k := range body.PlanCache {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"Capacity", "Entries", "Epoch", "Evictions", "Hits", "Invalidations", "Misses", "Optimizations"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("plan_cache keys = %v, want %v", keys, want)
 	}
 }

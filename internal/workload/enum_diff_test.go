@@ -19,15 +19,13 @@ func sortedRowsUnder(t *testing.T, eng *partopt.Engine, kind partopt.OptimizerKi
 	return rows.Data
 }
 
-// TestParallelDifferentialGeneratedJoins is the join-enumerator differential
+// TestGeneratedJoinsAgreeWithLegacy is the join-enumerator differential
 // harness: on the generated 5/10/15/20-table star and snowflake schemas the
 // enumerating optimizer must return the row multiset of the legacy planner,
 // which joins in the order written and shares none of the enumerator's code.
 // The sizes straddle the DP cutoff (DefaultMaxDPLeaves = 10), so both the
-// exhaustive and the greedy enumerator are exercised. (The name predates the
-// removal of the optimizer worker pool, whose plans this suite used to
-// compare; it is kept so the sixteen cases keep their identity in the suite.)
-func TestParallelDifferentialGeneratedJoins(t *testing.T) {
+// exhaustive and the greedy enumerator are exercised.
+func TestGeneratedJoinsAgreeWithLegacy(t *testing.T) {
 	for _, tables := range []int{5, 10, 15, 20} {
 		for _, shape := range []JoinShape{JoinStar, JoinSnowflake} {
 			for _, seed := range []int64{11, 23} {

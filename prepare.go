@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"partopt/internal/oidcache"
+	"partopt/internal/epochlru"
+	"partopt/internal/obs"
 	"partopt/internal/plan"
 	"partopt/internal/plancache"
 	"partopt/internal/sql"
@@ -190,7 +191,7 @@ func (e *Engine) execPrepared(ctx context.Context, p *prepared, args []Value) (i
 				return 0, err
 			}
 		}
-		e.bumpEpoch()
+		e.plans.Bump()
 		return int64(len(rows)), nil
 	}
 	e.mu.RLock()
@@ -210,21 +211,12 @@ func (e *Engine) execPrepared(ctx context.Context, p *prepared, args []Value) (i
 	if err != nil {
 		return 0, err
 	}
-	e.bumpEpoch()
+	e.plans.Bump()
 	var n int64
 	for _, row := range res.Data {
 		n += row[0].Int()
 	}
 	return n, nil
-}
-
-// bumpEpoch invalidates every cached plan. Callers that already hold the
-// engine lock bump e.plans directly.
-func (e *Engine) bumpEpoch() {
-	e.mu.RLock()
-	c := e.plans
-	e.mu.RUnlock()
-	c.Bump()
 }
 
 // Stmt is a prepared statement: parsed and fingerprinted once, planned at
@@ -299,8 +291,8 @@ func (s *Stmt) ExplainAnalyze(args ...Value) (string, error) {
 	return rows.ExplainAnalyze, nil
 }
 
-// PlanCacheStats is a point-in-time view of the engine's plan cache.
-type PlanCacheStats struct {
+// CacheStats is a point-in-time view of one of the engine's caches.
+type CacheStats struct {
 	Hits          int64
 	Misses        int64
 	Evictions     int64
@@ -308,6 +300,11 @@ type PlanCacheStats struct {
 	Entries       int
 	Capacity      int
 	Epoch         uint64
+}
+
+// PlanCacheStats is a point-in-time view of the engine's plan cache.
+type PlanCacheStats struct {
+	CacheStats
 	// Optimizations counts every optimizer invocation since the engine was
 	// created — the "cache hits skip the optimizer" assertion reads this.
 	Optimizations int64
@@ -315,87 +312,44 @@ type PlanCacheStats struct {
 
 // PlanCacheStats reports the plan cache's counters.
 func (e *Engine) PlanCacheStats() PlanCacheStats {
-	e.mu.RLock()
-	c := e.plans
-	e.mu.RUnlock()
-	s := c.Snapshot()
 	return PlanCacheStats{
-		Hits:          s.Hits,
-		Misses:        s.Misses,
-		Evictions:     s.Evictions,
-		Invalidations: s.Invalidations,
-		Entries:       s.Entries,
-		Capacity:      c.Capacity(),
-		Epoch:         s.Epoch,
+		CacheStats:    CacheStats(e.plans.Snapshot()),
 		Optimizations: e.met.optimizations.Value(),
 	}
 }
 
-// SetPlanCacheCapacity replaces the plan cache with one holding up to n
-// entries; n <= 0 disables caching. Existing entries and cache counters
-// are discarded (the registry's cumulative metrics persist).
-func (e *Engine) SetPlanCacheCapacity(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.plans = plancache.New(n)
-	e.wireCacheMetrics()
-}
+// SetPlanCacheCapacity resizes the plan cache to hold up to n entries;
+// n <= 0 disables caching. Existing entries are discarded; the epoch and
+// the cache counters carry over.
+func (e *Engine) SetPlanCacheCapacity(n int) { e.plans.SetCapacity(n) }
 
-// wireCacheMetrics mirrors the cache counters into the engine registry.
-// Callers hold the engine write lock (or are still constructing the
-// engine).
-func (e *Engine) wireCacheMetrics() {
-	r := e.rt.Obs
-	e.plans.SetMetrics(plancache.Metrics{
-		Hits:          r.Counter("partopt_plan_cache_hits_total"),
-		Misses:        r.Counter("partopt_plan_cache_misses_total"),
-		Evictions:     r.Counter("partopt_plan_cache_evictions_total"),
-		Invalidations: r.Counter("partopt_plan_cache_invalidations_total"),
-	})
-	e.rt.OIDCache.SetMetrics(oidcache.Metrics{
-		Hits:          r.Counter("partopt_oid_cache_hits_total"),
-		Misses:        r.Counter("partopt_oid_cache_misses_total"),
-		Evictions:     r.Counter("partopt_oid_cache_evictions_total"),
-		Invalidations: r.Counter("partopt_oid_cache_invalidations_total"),
-	})
-}
+// OIDCacheStats is a point-in-time view of the partition-OID cache.
+type OIDCacheStats = CacheStats
+
+// OIDCacheStats reports the partition-OID cache's counters. Every miss is
+// one desc.Select traversal; a sweep whose misses stop growing is serving
+// selections entirely from the cache.
+func (e *Engine) OIDCacheStats() OIDCacheStats { return CacheStats(e.rt.OIDCache.Snapshot()) }
 
 // SetOIDCacheCapacity resizes the partition-OID cache (0 disables it:
 // every static PartitionSelector recomputes its leaf set from the
 // partition descriptor at Open). Resizing purges cached entries so the
 // capacity bound holds exactly from here on.
-func (e *Engine) SetOIDCacheCapacity(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rt.OIDCache.SetCapacity(n)
+func (e *Engine) SetOIDCacheCapacity(n int) { e.rt.OIDCache.SetCapacity(n) }
+
+// wireCacheMetrics mirrors both caches' counters into the engine registry.
+// It runs once, while the engine is constructed.
+func (e *Engine) wireCacheMetrics() {
+	e.plans.SetMetrics(cacheMetrics(e.rt.Obs, "partopt_plan_cache_"))
+	e.rt.OIDCache.SetMetrics(cacheMetrics(e.rt.Obs, "partopt_oid_cache_"))
 }
 
-// OIDCacheStats is a point-in-time view of the partition-OID cache.
-type OIDCacheStats struct {
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	Invalidations int64
-	Entries       int
-	Capacity      int
-	Epoch         uint64
-}
-
-// OIDCacheStats reports the partition-OID cache's counters. Every miss is
-// one desc.Select traversal; a sweep whose misses stop growing is serving
-// selections entirely from the cache.
-func (e *Engine) OIDCacheStats() OIDCacheStats {
-	e.mu.RLock()
-	c := e.rt.OIDCache
-	e.mu.RUnlock()
-	s := c.Snapshot()
-	return OIDCacheStats{
-		Hits:          s.Hits,
-		Misses:        s.Misses,
-		Evictions:     s.Evictions,
-		Invalidations: s.Invalidations,
-		Entries:       s.Entries,
-		Capacity:      c.Capacity(),
-		Epoch:         s.Epoch,
+// cacheMetrics registers one cache's counter series under prefix.
+func cacheMetrics(r *obs.Registry, prefix string) epochlru.Metrics {
+	return epochlru.Metrics{
+		Hits:          r.Counter(prefix + "hits_total"),
+		Misses:        r.Counter(prefix + "misses_total"),
+		Evictions:     r.Counter(prefix + "evictions_total"),
+		Invalidations: r.Counter(prefix + "invalidations_total"),
 	}
 }
