@@ -9,10 +9,10 @@ import (
 
 // Batch-at-a-time execution protocol.
 //
-// Row-at-a-time Volcano iteration pays an abort poll, a fault-point check,
-// stats accounting and an interface dispatch per tuple. BatchOperator
-// amortizes all of that to once per batch: operators hand whole []types.Row
-// slices up the tree and per-row work shrinks to the actual data movement.
+// Row-at-a-time iteration pays an abort poll, a fault-point check, stats
+// accounting and an interface dispatch per tuple. Operator amortizes all of
+// that to once per batch: operators hand whole []types.Row slices up the
+// tree and per-row work shrinks to the actual data movement.
 //
 // Ownership contract:
 //
@@ -25,14 +25,9 @@ import (
 //     operator. Consumers that need the slice beyond that must copy the
 //     headers out. Truncating b.Rows in place (limitOp) is permitted — the
 //     producer resets the header on its next call.
-//   - A returned batch holds at least one row; end of stream is (nil, errEOF)
-//     like the row protocol. Operators that filter (filterOp) keep pulling
-//     child batches until they can return a non-empty batch.
-//   - An operator instance is driven through exactly one of the two
-//     interfaces between Open and Close; mixing Next and NextBatch on the
-//     same instance is undefined. (Materializing operators may consume their
-//     children in batch mode regardless of how they are driven themselves —
-//     each parent→child edge independently commits to one mode.)
+//   - A returned batch holds at least one row; end of stream is (nil,
+//     errEOF). Operators that filter (filterOp) keep pulling child batches
+//     until they can return a non-empty batch.
 
 // DefaultBatchSize is the standard batch capacity. 1024 rows keeps a batch
 // of small rows comfortably inside the L2 cache while amortizing per-batch
@@ -68,10 +63,11 @@ func BatchSize() int { return execBatchSize }
 //
 //	Rows[k] == column values at window row (Sel == nil ? k : Sel[k])
 //
-// for every k < len(Rows). Rows is ALWAYS populated — row-only operators
-// and the stats layer never look at Cols — so the columnar payload is a
-// strictly optional acceleration: any operator may ignore it, and any
-// operator that builds fresh rows simply emits batches with Cols == nil.
+// for every k < len(Rows). Rows is ALWAYS populated — operators that read
+// only Rows and the stats layer never look at Cols — so the columnar
+// payload is a strictly optional acceleration: any operator may ignore it,
+// and any operator that builds fresh rows simply emits batches with
+// Cols == nil.
 // Operators that forward a child's *Batch unchanged (selector, sequence,
 // append, stats, limit's in-place prefix truncation) preserve the invariant
 // for free. Cols and Sel are transient exactly like the Rows header; the
@@ -94,70 +90,38 @@ func (b *Batch) Len() int {
 // dropping any columnar payload.
 func (b *Batch) reset() { b.Rows, b.Cols, b.Sel = b.Rows[:0], nil, nil }
 
-// BatchOperator is the vectorized side of the executor. Open and Close are
-// shared with Operator; NextBatch replaces Next.
-type BatchOperator interface {
-	Open(ctx *Ctx) error
-	NextBatch(ctx *Ctx) (*Batch, error)
-	Close(ctx *Ctx) error
-}
-
-// batchOf adapts any operator to the batch protocol: batch-native operators
-// are returned as-is, row-only operators get a pulling adapter.
-func batchOf(op Operator) BatchOperator {
-	if b, ok := op.(BatchOperator); ok {
-		return b
-	}
-	return &rowSourceBatcher{src: op}
-}
-
-// rowsOf is the inverse adapter: batch-native sources appear as row
-// iterators, so row-at-a-time consumers compose with them freely.
-func rowsOf(bop BatchOperator) Operator {
-	if op, ok := bop.(Operator); ok {
-		return op
-	}
-	return &batchRowSource{src: bop}
-}
-
-// rowSourceBatcher drives a row-at-a-time operator and accumulates its rows
-// into reused batch headers.
-type rowSourceBatcher struct {
-	src Operator
-	buf Batch
-}
-
-func (a *rowSourceBatcher) Open(ctx *Ctx) error { return a.src.Open(ctx) }
-
-func (a *rowSourceBatcher) NextBatch(ctx *Ctx) (*Batch, error) {
-	a.buf.reset()
-	for len(a.buf.Rows) < execBatchSize {
-		row, err := a.src.Next(ctx)
+// fillBatch refills out with rows pulled from next until it holds
+// execBatchSize rows or next reports errEOF, and returns it. It returns
+// errEOF only when the stream ends with out still empty, so every batch it
+// hands back is non-empty. The rows next yields must already be stable (see
+// the ownership contract); only out's header is reused.
+func fillBatch(out *Batch, next func() (types.Row, error)) (*Batch, error) {
+	out.reset()
+	for len(out.Rows) < execBatchSize {
+		row, err := next()
 		if errors.Is(err, errEOF) {
-			if len(a.buf.Rows) == 0 {
+			if len(out.Rows) == 0 {
 				return nil, errEOF
 			}
-			return &a.buf, nil
+			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		a.buf.Rows = append(a.buf.Rows, row)
+		out.Rows = append(out.Rows, row)
 	}
-	return &a.buf, nil
+	return out, nil
 }
 
-func (a *rowSourceBatcher) Close(ctx *Ctx) error { return a.src.Close(ctx) }
-
-// batchCursor iterates the rows of successive batches from a batch source.
-// Operators that stream rows out of a batched child (hash-join probe, the
-// row-protocol adapter) share it.
+// batchCursor iterates the rows of successive batches from a child
+// operator, for operators that stream rows out of it one at a time (the
+// hash-join probe).
 type batchCursor struct {
 	cur *Batch
 	pos int
 }
 
-func (c *batchCursor) next(ctx *Ctx, src BatchOperator) (types.Row, error) {
+func (c *batchCursor) next(ctx *Ctx, src Operator) (types.Row, error) {
 	for c.cur == nil || c.pos >= len(c.cur.Rows) {
 		b, err := src.NextBatch(ctx)
 		if err != nil {
@@ -169,22 +133,3 @@ func (c *batchCursor) next(ctx *Ctx, src BatchOperator) (types.Row, error) {
 	c.pos++
 	return row, nil
 }
-
-func (c *batchCursor) reset() { c.cur, c.pos = nil, 0 }
-
-// batchRowSource presents a batch-native operator as a row iterator.
-type batchRowSource struct {
-	src BatchOperator
-	cur batchCursor
-}
-
-func (r *batchRowSource) Open(ctx *Ctx) error {
-	r.cur.reset()
-	return r.src.Open(ctx)
-}
-
-func (r *batchRowSource) Next(ctx *Ctx) (types.Row, error) {
-	return r.cur.next(ctx, r.src)
-}
-
-func (r *batchRowSource) Close(ctx *Ctx) error { return r.src.Close(ctx) }

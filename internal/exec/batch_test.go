@@ -8,26 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"partopt/internal/catalog"
 	"partopt/internal/fault"
+	"partopt/internal/mem"
 	"partopt/internal/plan"
 	"partopt/internal/types"
 )
-
-// rowOnly hides an operator's NextBatch so batchOf must fall back to the
-// pulling adapter.
-type rowOnly struct{ op Operator }
-
-func (r *rowOnly) Open(ctx *Ctx) error              { return r.op.Open(ctx) }
-func (r *rowOnly) Next(ctx *Ctx) (types.Row, error) { return r.op.Next(ctx) }
-func (r *rowOnly) Close(ctx *Ctx) error             { return r.op.Close(ctx) }
-
-// batchOnly hides an operator's Next so rowsOf must fall back to the cursor
-// adapter.
-type batchOnly struct{ op BatchOperator }
-
-func (b *batchOnly) Open(ctx *Ctx) error                { return b.op.Open(ctx) }
-func (b *batchOnly) NextBatch(ctx *Ctx) (*Batch, error) { return b.op.NextBatch(ctx) }
-func (b *batchOnly) Close(ctx *Ctx) error               { return b.op.Close(ctx) }
 
 func rowKeys(rows []types.Row) []string {
 	keys := make([]string, len(rows))
@@ -38,105 +24,68 @@ func rowKeys(rows []types.Row) []string {
 	return keys
 }
 
-// The two adapters are exact inverses: a row-only source batched through
-// rowSourceBatcher, then unbatched through batchRowSource, yields the same
-// row sequence as driving the operator directly — across batch sizes that
-// divide the input, don't, and degenerate to one row per batch.
-func TestBatchAdapterRoundTrip(t *testing.T) {
-	for _, bs := range []int{1, 7, DefaultBatchSize} {
-		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
-			defer SetBatchSize(SetBatchSize(bs))
-			rt, tab := failFixture(t)
-			budget := rt.Gov.NewBudget()
-			defer budget.Close()
-			ctx := newCtx(rt, 0, nil, NewStats(), context.Background(), budget, nil)
-
-			direct := &scanOp{n: plan.NewScan(tab, 1)}
-			if err := direct.Open(ctx); err != nil {
-				t.Fatalf("open: %v", err)
+// The operators that fill a reused header row by row through fillBatch —
+// hash join, hash aggregation and the spilling sort's run merge — never
+// return an empty batch or one above capacity, and emit the same number of
+// rows at batch size 7 as at the default size.
+func TestBatchSizeRespected(t *testing.T) {
+	cases := []struct {
+		name string
+		mk   func(*catalog.Table) plan.Node
+	}{
+		{"hash-join", spillJoinPlan},
+		{"hash-agg", func(tab *catalog.Table) plan.Node { return spillAggPlan(tab, true) }},
+		{"spilling-sort-merge", spillSortPlan},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := 0
+			for _, n := range batchLens(t, tc.mk, DefaultBatchSize) {
+				want += n
 			}
-			var want []types.Row
-			for {
-				row, err := direct.Next(ctx)
-				if errors.Is(err, errEOF) {
-					break
+			if want == 0 {
+				t.Fatalf("default-size run produced no rows")
+			}
+			total := 0
+			for i, n := range batchLens(t, tc.mk, 7) {
+				if n > 7 {
+					t.Fatalf("batch %d holds %d rows, want at most 7", i, n)
 				}
-				if err != nil {
-					t.Fatalf("next: %v", err)
-				}
-				want = append(want, row)
+				total += n
 			}
-			direct.Close(ctx)
-			if len(want) == 0 {
-				t.Fatalf("fixture scan is empty")
-			}
-
-			// Round trip: row-only → batched → row-only again.
-			src := rowsOf(&batchOnly{op: batchOf(&rowOnly{op: &scanOp{n: plan.NewScan(tab, 1)}})})
-			if _, ok := src.(*batchRowSource); !ok {
-				t.Fatalf("rowsOf(batch-only) = %T, want *batchRowSource", src)
-			}
-			if err := src.Open(ctx); err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			var got []types.Row
-			for {
-				row, err := src.Next(ctx)
-				if errors.Is(err, errEOF) {
-					break
-				}
-				if err != nil {
-					t.Fatalf("next: %v", err)
-				}
-				got = append(got, row)
-			}
-			src.Close(ctx)
-
-			if len(got) != len(want) {
-				t.Fatalf("round trip produced %d rows, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-					t.Fatalf("row %d = %v, want %v (order must be preserved)", i, got[i], want[i])
-				}
+			if total != want {
+				t.Fatalf("saw %d rows at batch size 7, want %d", total, want)
 			}
 		})
 	}
 }
 
-// Batches returned by the pulling adapter respect the configured capacity
-// and are never empty.
-func TestBatchSizeRespected(t *testing.T) {
-	defer SetBatchSize(SetBatchSize(7))
-	rt, tab := failFixture(t)
+// batchLens drives the plan's root operator under a 2KiB work_mem at the
+// given batch size and returns the length of every batch it produced,
+// failing on an empty one. The small budget forces the sort onto its
+// run-merge path.
+func batchLens(t *testing.T, mk func(*catalog.Table) plan.Node, size int) []int {
+	t.Helper()
+	defer SetBatchSize(SetBatchSize(size))
+	rt, tab := spillFixture(t)
+	rt.Gov = mem.NewGovernor(mem.Config{WorkMem: 2 << 10, BaseDir: t.TempDir()})
 	budget := rt.Gov.NewBudget()
 	defer budget.Close()
-	ctx := newCtx(rt, 0, nil, NewStats(), context.Background(), budget, nil)
-
-	// The segment's true row count, from a plain row-mode scan.
-	direct := &scanOp{n: plan.NewScan(tab, 1)}
-	if err := direct.Open(ctx); err != nil {
+	stats := NewStats()
+	ctx := newCtx(rt, 0, nil, stats, context.Background(), budget, nil)
+	op, err := buildOp(mk(tab), nil)
+	if err != nil {
+		t.Fatalf("buildOp: %v", err)
+	}
+	if err := op.Open(ctx); err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	want := 0
-	for {
-		if _, err := direct.Next(ctx); errors.Is(err, errEOF) {
-			break
-		} else if err != nil {
-			t.Fatalf("next: %v", err)
-		}
-		want++
+	if stats.SpilledBytes() == 0 {
+		t.Fatalf("2KiB work_mem did not force a spill")
 	}
-	direct.Close(ctx)
-
-	bop := batchOf(&rowOnly{op: &scanOp{n: plan.NewScan(tab, 1)}})
-	if err := bop.Open(ctx); err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer bop.Close(ctx)
-	total := 0
+	var lens []int
 	for {
-		b, err := bop.NextBatch(ctx)
+		b, err := op.NextBatch(ctx)
 		if errors.Is(err, errEOF) {
 			break
 		}
@@ -144,16 +93,14 @@ func TestBatchSizeRespected(t *testing.T) {
 			t.Fatalf("next batch: %v", err)
 		}
 		if b.Len() == 0 {
-			t.Fatalf("adapter returned an empty batch")
+			t.Fatalf("batch %d is empty", len(lens))
 		}
-		if b.Len() > 7 {
-			t.Fatalf("batch of %d rows exceeds capacity 7", b.Len())
-		}
-		total += b.Len()
+		lens = append(lens, b.Len())
 	}
-	if total != want || want == 0 {
-		t.Fatalf("saw %d rows, want %d", total, want)
+	if err := op.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
 	}
+	return lens
 }
 
 // A full distributed query — scans, broadcast, hash join, gather — produces

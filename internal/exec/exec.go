@@ -1,8 +1,9 @@
-// Package exec is the MPP execution engine: a Volcano-style interpreter
-// that runs physical plans on a simulated shared-nothing cluster. Plans are
-// cut into slices at Motion boundaries; every (slice × segment) pair runs
-// as its own goroutine — the analogue of GPDB's per-slice segment
-// processes — and Motions move rows between them over channels.
+// Package exec is the MPP execution engine: a pull-based, batch-at-a-time
+// interpreter that runs physical plans on a simulated shared-nothing
+// cluster. Plans are cut into slices at Motion boundaries; every (slice ×
+// segment) pair runs as its own goroutine — the analogue of GPDB's
+// per-slice segment processes — and Motions move rows between them over
+// channels.
 //
 // PartitionSelector and DynamicScan communicate through a per-process OID
 // mailbox (the paper's shared-memory channel, §2.2/§3). Because mailboxes
@@ -364,8 +365,8 @@ func (c *Ctx) releaseChunkBytes(n int64) {
 	}
 }
 
-// pollAbort samples the query context for cancellation. Leaf operators call
-// it per produced row; it only touches the context once every
+// pollAbort samples the query context for cancellation. Row loops that read
+// spill files call it per row; it only touches the context once every
 // abortPollInterval calls, keeping the hot path at an increment and a mask.
 const abortPollInterval = 64
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -377,49 +378,54 @@ func TestScalarAggOverEmptyInput(t *testing.T) {
 }
 
 func TestUpdateThroughJoin(t *testing.T) {
-	rt, cat := fixture(t, 2)
-	tt, dt := cat.MustTable("T"), cat.MustTable("D")
-	// UPDATE T SET v = D.m FROM D WHERE T.pk = D.id + 20.
-	src := &expr.Arith{Op: expr.Add, L: tcol(2, 0, "D.id"), R: intc(20)}
-	build := plan.NewScan(dt, 2) // D replicated: present on every segment
-	sel := plan.NewPartitionSelector(tt, 1, []expr.Expr{expr.NewCmp(expr.EQ, tcol(1, 0, "T.pk"), src)}, build)
-	probe := plan.NewDynamicScan(tt, 1, 1)
-	probe.WithRowID = true
-	join := plan.NewHashJoin(plan.InnerJoin,
-		[]expr.Expr{src}, []expr.Expr{tcol(1, 0, "T.pk")},
-		nil, sel, probe, nil)
-	upd := plan.NewUpdate(tt, 1, []plan.SetClause{{Ord: 1, Value: tcol(2, 1, "D.m")}}, join)
-	root := plan.NewMotion(plan.GatherMotion, nil, upd)
+	for _, bs := range []int{1, 3, DefaultBatchSize} {
+		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
+			defer SetBatchSize(SetBatchSize(bs))
+			rt, cat := fixture(t, 2)
+			tt, dt := cat.MustTable("T"), cat.MustTable("D")
+			// UPDATE T SET v = D.m FROM D WHERE T.pk = D.id + 20.
+			src := &expr.Arith{Op: expr.Add, L: tcol(2, 0, "D.id"), R: intc(20)}
+			build := plan.NewScan(dt, 2) // D replicated: present on every segment
+			sel := plan.NewPartitionSelector(tt, 1, []expr.Expr{expr.NewCmp(expr.EQ, tcol(1, 0, "T.pk"), src)}, build)
+			probe := plan.NewDynamicScan(tt, 1, 1)
+			probe.WithRowID = true
+			join := plan.NewHashJoin(plan.InnerJoin,
+				[]expr.Expr{src}, []expr.Expr{tcol(1, 0, "T.pk")},
+				nil, sel, probe, nil)
+			upd := plan.NewUpdate(tt, 1, []plan.SetClause{{Ord: 1, Value: tcol(2, 1, "D.m")}}, join)
+			root := plan.NewMotion(plan.GatherMotion, nil, upd)
 
-	res, err := Run(rt, root, nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var total int64
-	for _, r := range res.Rows {
-		total += r[0].Int()
-	}
-	if total != 5 {
-		t.Errorf("updated rows = %d, want 5", total)
-	}
-	// Verify: T.pk=22 should now have v = D.m where id=2 → 200.
-	sel2 := plan.NewPartitionSelector(tt, 1, nil, nil)
-	all := plan.NewSequence(sel2, plan.NewDynamicScan(tt, 1, 1))
-	res2, err := Run(rt, plan.NewMotion(plan.GatherMotion, nil, all), nil)
-	if err != nil {
-		t.Fatalf("verify scan: %v", err)
-	}
-	found := false
-	for _, r := range res2.Rows {
-		if r[0].Int() == 22 {
-			found = true
-			if r[1].Int() != 200 {
-				t.Errorf("T.pk=22 v = %d, want 200", r[1].Int())
+			res, err := Run(rt, root, nil)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
 			}
-		}
-	}
-	if !found {
-		t.Errorf("pk=22 missing after update")
+			var total int64
+			for _, r := range res.Rows {
+				total += r[0].Int()
+			}
+			if total != 5 {
+				t.Errorf("updated rows = %d, want 5", total)
+			}
+			// Verify: T.pk=22 should now have v = D.m where id=2 → 200.
+			sel2 := plan.NewPartitionSelector(tt, 1, nil, nil)
+			all := plan.NewSequence(sel2, plan.NewDynamicScan(tt, 1, 1))
+			res2, err := Run(rt, plan.NewMotion(plan.GatherMotion, nil, all), nil)
+			if err != nil {
+				t.Fatalf("verify scan: %v", err)
+			}
+			found := false
+			for _, r := range res2.Rows {
+				if r[0].Int() == 22 {
+					found = true
+					if r[1].Int() != 200 {
+						t.Errorf("T.pk=22 v = %d, want 200", r[1].Int())
+					}
+				}
+			}
+			if !found {
+				t.Errorf("pk=22 missing after update")
+			}
+		})
 	}
 }
 

@@ -271,9 +271,8 @@ func (a *hashAggOp) Open(ctx *Ctx) (err error) {
 		return err
 	}
 	a.childOpen = true
-	childB := batchOf(a.child)
 	for {
-		b, err := childB.NextBatch(ctx)
+		b, err := a.child.NextBatch(ctx)
 		if errors.Is(err, errEOF) {
 			break
 		}
@@ -467,29 +466,13 @@ func (a *hashAggOp) loadNextPart(ctx *Ctx) (bool, error) {
 	return false, nil
 }
 
-func (a *hashAggOp) Next(ctx *Ctx) (types.Row, error) { return a.nextRow(ctx) }
-
 // NextBatch emits result groups batch-at-a-time. Emitted rows are freshly
 // allocated per group, so only the header is reused.
 func (a *hashAggOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if err := ctx.pollAbortBatch(); err != nil {
 		return nil, err
 	}
-	a.out.reset()
-	for len(a.out.Rows) < execBatchSize {
-		row, err := a.nextRow(ctx)
-		if errors.Is(err, errEOF) {
-			if len(a.out.Rows) == 0 {
-				return nil, errEOF
-			}
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		a.out.Rows = append(a.out.Rows, row)
-	}
-	return &a.out, nil
+	return fillBatch(&a.out, func() (types.Row, error) { return a.nextRow(ctx) })
 }
 
 func (a *hashAggOp) nextRow(ctx *Ctx) (types.Row, error) {

@@ -85,10 +85,9 @@ type hashJoinOp struct {
 	nullBuild      types.Row
 	nullProbe      types.Row
 
-	// Batch-mode state: the probe side is always consumed in batches; the
-	// envs are instance-owned so key hashing and residual evaluation do not
-	// allocate per row.
-	probeB   BatchOperator
+	// Probe-side cursor over the probe child's batches; the envs are
+	// instance-owned so key hashing and residual evaluation do not allocate
+	// per row.
 	probeCur batchCursor
 	benv     expr.Env // build-layout env (hashing, key equality)
 	penv     expr.Env // probe-layout env
@@ -116,7 +115,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 	j.buildParts, j.probeParts = nil, nil
 	j.part, j.partReader = 0, nil
 	j.curProbe, j.matches, j.mi = nil, nil, 0
-	j.probeB, j.probeCur = nil, batchCursor{}
+	j.probeCur = batchCursor{}
 	j.matched, j.matchIdx = nil, nil
 	j.curHash, j.curEmitted = 0, false
 	j.outerPending, j.outerCollected = nil, false
@@ -138,9 +137,8 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 		return err
 	}
 	j.buildOpen = true
-	buildB := batchOf(j.build)
 	for {
-		b, err := buildB.NextBatch(ctx)
+		b, err := j.build.NextBatch(ctx)
 		if errors.Is(err, errEOF) {
 			break
 		}
@@ -197,14 +195,13 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 		return err
 	}
 	j.probeOpen = true
-	j.probeB = batchOf(j.probe)
 	if !j.spilled {
-		return nil // stream the probe side directly in Next
+		return nil // stream the probe side directly in NextBatch
 	}
 	// Spilled: partition the probe side the same way, then join
-	// partition-at-a-time in Next.
+	// partition-at-a-time in NextBatch.
 	for {
-		b, err := j.probeB.NextBatch(ctx)
+		b, err := j.probe.NextBatch(ctx)
 		if errors.Is(err, errEOF) {
 			break
 		}
@@ -367,7 +364,7 @@ func (j *hashJoinOp) finishPartition(ctx *Ctx, p int) {
 // advancing (and reclaiming) partitions as they drain — when spilled.
 func (j *hashJoinOp) nextProbe(ctx *Ctx) (types.Row, error) {
 	if !j.spilled {
-		row, err := j.probeCur.next(ctx, j.probeB)
+		row, err := j.probeCur.next(ctx, j.probe)
 		if errors.Is(err, errEOF) && !j.outerCollected {
 			j.outerCollected = true
 			j.collectUnmatched()
@@ -476,8 +473,6 @@ func (j *hashJoinOp) outer() expr.Layout {
 	return expr.Concat(j.buildLayout, j.probeLayout)
 }
 
-func (j *hashJoinOp) Next(ctx *Ctx) (types.Row, error) { return j.nextRow(ctx) }
-
 // NextBatch accumulates joined rows into a reused output batch. Joined rows
 // are freshly allocated (inner) or probe-row references (semi), so they are
 // stable; only the header is reused.
@@ -485,21 +480,7 @@ func (j *hashJoinOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if err := ctx.pollAbortBatch(); err != nil {
 		return nil, err
 	}
-	j.out.reset()
-	for len(j.out.Rows) < execBatchSize {
-		row, err := j.nextRow(ctx)
-		if errors.Is(err, errEOF) {
-			if len(j.out.Rows) == 0 {
-				return nil, errEOF
-			}
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		j.out.Rows = append(j.out.Rows, row)
-	}
-	return &j.out, nil
+	return fillBatch(&j.out, func() (types.Row, error) { return j.nextRow(ctx) })
 }
 
 func (j *hashJoinOp) nextRow(ctx *Ctx) (types.Row, error) {

@@ -45,24 +45,6 @@ func (s *indexScanOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (s *indexScanOp) Next(ctx *Ctx) (types.Row, error) {
-	if err := ctx.pollAbort(); err != nil {
-		return nil, err
-	}
-	if s.pos >= len(s.rows) {
-		return nil, errEOF
-	}
-	row := s.rows[s.pos]
-	if s.n.WithRowID {
-		withID := make(types.Row, len(row)+1)
-		copy(withID, row)
-		withID[len(row)] = EncodeRowID(s.ids[s.pos])
-		row = withID
-	}
-	s.pos++
-	return row, nil
-}
-
 func (s *indexScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if err := ctx.pollAbortBatch(); err != nil {
 		return nil, err
@@ -119,34 +101,6 @@ func (s *dynIndexScanOp) Open(ctx *Ctx) error {
 		f.partsTotal = s.n.Table.Part.NumLeaves()
 	}
 	return nil
-}
-
-func (s *dynIndexScanOp) Next(ctx *Ctx) (types.Row, error) {
-	if err := ctx.pollAbort(); err != nil {
-		return nil, err
-	}
-	for s.pos >= len(s.rows) {
-		if s.li >= len(s.leaves) {
-			return nil, errEOF
-		}
-		leaf := s.leaves[s.li]
-		s.li++
-		rows, ids, err := ctx.indexLookup(s.n.Table, s.n.Index.Name, leaf, s.set)
-		if err != nil {
-			return nil, err
-		}
-		ctx.noteRowsScanned(int64(len(rows)))
-		s.rows, s.ids, s.pos = rows, ids, 0
-	}
-	row := s.rows[s.pos]
-	if s.n.WithRowID {
-		withID := make(types.Row, len(row)+1)
-		copy(withID, row)
-		withID[len(row)] = EncodeRowID(s.ids[s.pos])
-		row = withID
-	}
-	s.pos++
-	return row, nil
 }
 
 func (s *dynIndexScanOp) NextBatch(ctx *Ctx) (*Batch, error) {

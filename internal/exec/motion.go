@@ -162,10 +162,9 @@ func (s *motionSender) stage(ctx *Ctx, i int, row types.Row) error {
 }
 
 // stageRows stages a run of rows for receiver i in bulk, producing exactly
-// the chunk boundaries the row-at-a-time path would: fill to
-// motionChunkRows, flush, repeat. Gather and broadcast route every row of a
-// batch to the same receiver, so the per-row staging call is pure overhead
-// for them.
+// the chunk boundaries per-row stage calls would: fill to motionChunkRows,
+// flush, repeat. Gather and broadcast route every row of a batch to the
+// same receiver, so the per-row staging call is pure overhead for them.
 func (s *motionSender) stageRows(ctx *Ctx, i int, rows []types.Row) error {
 	for len(rows) > 0 {
 		if s.staging[i] == nil {
@@ -228,18 +227,14 @@ func (s *motionSender) flushAll(ctx *Ctx) error {
 // motionRecvOp is the receiving half of a Motion: a leaf operator in the
 // parent slice that drains this instance's fan-in channel chunk by chunk.
 type motionRecvOp struct {
-	ex *exchange
-
-	batch Batch       // reused header for NextBatch
-	cur   []types.Row // current chunk for the row-at-a-time path
-	pos   int
+	ex    *exchange
+	batch Batch // reused header for NextBatch
 }
 
 func (r *motionRecvOp) Open(ctx *Ctx) error {
 	if _, ok := r.ex.chans[ctx.Seg]; !ok {
 		return fmt.Errorf("exec: motion has no channel for segment %d", ctx.Seg)
 	}
-	r.cur, r.pos = nil, 0
 	return nil
 }
 
@@ -257,19 +252,6 @@ func (r *motionRecvOp) recvChunk(ctx *Ctx) ([]types.Row, error) {
 	case <-ctx.done:
 		return nil, errQueryAborted
 	}
-}
-
-func (r *motionRecvOp) Next(ctx *Ctx) (types.Row, error) {
-	for r.pos >= len(r.cur) {
-		chunk, err := r.recvChunk(ctx)
-		if err != nil {
-			return nil, err
-		}
-		r.cur, r.pos = chunk, 0
-	}
-	row := r.cur[r.pos]
-	r.pos++
-	return row, nil
 }
 
 func (r *motionRecvOp) NextBatch(ctx *Ctx) (*Batch, error) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -76,71 +77,81 @@ func TestSortAndLimitOps(t *testing.T) {
 }
 
 func TestDeleteOpDirect(t *testing.T) {
-	rt, cat := newOpsFixture(t)
-	a := cat.MustTable("a")
-	pred := expr.NewCmp(expr.LT, expr.NewCol(expr.ColID{Rel: 1, Ord: 0}, "k"), expr.NewConst(types.NewInt(20)))
-	sel := plan.NewPartitionSelector(a, 1, []expr.Expr{pred}, nil)
-	scan := plan.NewDynamicScan(a, 1, 1)
-	scan.WithRowID = true
-	del := plan.NewDelete(a, 1, plan.NewSequence(sel, plan.NewFilter(pred, scan)))
-	res, err := RunLocal(rt, del, 0, nil)
-	if err != nil {
-		t.Fatalf("RunLocal: %v", err)
-	}
-	if res.Rows[0][0].Int() != 10 {
-		t.Errorf("deleted = %v, want 10 (k=0,2,...,18)", res.Rows[0])
-	}
-	rest, err := RunLocal(rt, seqScanAll(a, 1), 0, nil)
-	if err != nil || len(rest.Rows) != 40 {
-		t.Errorf("remaining = %d (%v), want 40", len(rest.Rows), err)
-	}
-	// Delete without RowID column errors.
-	badDel := plan.NewDelete(a, 1, seqScanAll(a, 1))
-	if _, err := RunLocal(rt, badDel, 0, nil); err == nil || !strings.Contains(err.Error(), "RowID") {
-		t.Errorf("delete without rowid: %v", err)
+	for _, bs := range []int{1, 3, DefaultBatchSize} {
+		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
+			defer SetBatchSize(SetBatchSize(bs))
+			rt, cat := newOpsFixture(t)
+			a := cat.MustTable("a")
+			pred := expr.NewCmp(expr.LT, expr.NewCol(expr.ColID{Rel: 1, Ord: 0}, "k"), expr.NewConst(types.NewInt(20)))
+			sel := plan.NewPartitionSelector(a, 1, []expr.Expr{pred}, nil)
+			scan := plan.NewDynamicScan(a, 1, 1)
+			scan.WithRowID = true
+			del := plan.NewDelete(a, 1, plan.NewSequence(sel, plan.NewFilter(pred, scan)))
+			res, err := RunLocal(rt, del, 0, nil)
+			if err != nil {
+				t.Fatalf("RunLocal: %v", err)
+			}
+			if res.Rows[0][0].Int() != 10 {
+				t.Errorf("deleted = %v, want 10 (k=0,2,...,18)", res.Rows[0])
+			}
+			rest, err := RunLocal(rt, seqScanAll(a, 1), 0, nil)
+			if err != nil || len(rest.Rows) != 40 {
+				t.Errorf("remaining = %d (%v), want 40", len(rest.Rows), err)
+			}
+			// Delete without RowID column errors.
+			badDel := plan.NewDelete(a, 1, seqScanAll(a, 1))
+			if _, err := RunLocal(rt, badDel, 0, nil); err == nil || !strings.Contains(err.Error(), "RowID") {
+				t.Errorf("delete without rowid: %v", err)
+			}
+		})
 	}
 }
 
 func TestPartitionWiseJoinOpDirect(t *testing.T) {
-	rt, cat := newOpsFixture(t)
-	a, b := cat.MustTable("a"), cat.MustTable("b")
-	ak := expr.NewCol(expr.ColID{Rel: 1, Ord: 0}, "a.k")
-	bk := expr.NewCol(expr.ColID{Rel: 2, Ord: 0}, "b.k")
-	pwj := plan.NewPartitionWiseJoin(plan.InnerJoin,
-		[]expr.Expr{ak}, []expr.Expr{bk}, nil,
-		plan.NewDynamicScan(a, 1, 1), plan.NewDynamicScan(b, 2, 2),
-		expr.NewCmp(expr.EQ, ak, bk))
-	// Selectors for both sides: prune a to k < 40, b unconstrained.
-	predA := expr.NewCmp(expr.LT, ak, expr.NewConst(types.NewInt(40)))
-	node := plan.NewPartitionSelector(a, 1, []expr.Expr{predA},
-		plan.NewPartitionSelector(b, 2, nil, pwj))
-	res, err := RunLocal(rt, node, 0, nil)
-	if err != nil {
-		t.Fatalf("RunLocal: %v", err)
-	}
-	// Both tables hold the same even keys; with a pruned to k<40, matches
-	// are k = 0..38 even → 20 rows.
-	if len(res.Rows) != 20 {
-		t.Errorf("rows = %d, want 20", len(res.Rows))
-	}
-	// Only a's 2 pruned leaves and b's matching pair partners are read.
-	if got := res.Stats.PartsScanned("a"); got != 2 {
-		t.Errorf("a parts = %d, want 2", got)
-	}
-	if got := res.Stats.PartsScanned("b"); got != 2 {
-		t.Errorf("b parts = %d, want 2 (pair-pruned)", got)
-	}
-	// Semi variant emits probe rows once.
-	semi := plan.NewPartitionWiseJoin(plan.SemiJoin,
-		[]expr.Expr{ak}, []expr.Expr{bk}, nil,
-		plan.NewDynamicScan(a, 1, 1), plan.NewDynamicScan(b, 2, 2), nil)
-	node = plan.NewPartitionSelector(a, 1, nil, plan.NewPartitionSelector(b, 2, nil, semi))
-	res, err = RunLocal(rt, node, 0, nil)
-	if err != nil {
-		t.Fatalf("semi RunLocal: %v", err)
-	}
-	if len(res.Rows) != 50 || len(res.Rows[0]) != 2 {
-		t.Errorf("semi rows = %d width %d, want 50×2", len(res.Rows), len(res.Rows[0]))
+	for _, bs := range []int{1, 3, DefaultBatchSize} {
+		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
+			defer SetBatchSize(SetBatchSize(bs))
+			rt, cat := newOpsFixture(t)
+			a, b := cat.MustTable("a"), cat.MustTable("b")
+			ak := expr.NewCol(expr.ColID{Rel: 1, Ord: 0}, "a.k")
+			bk := expr.NewCol(expr.ColID{Rel: 2, Ord: 0}, "b.k")
+			pwj := plan.NewPartitionWiseJoin(plan.InnerJoin,
+				[]expr.Expr{ak}, []expr.Expr{bk}, nil,
+				plan.NewDynamicScan(a, 1, 1), plan.NewDynamicScan(b, 2, 2),
+				expr.NewCmp(expr.EQ, ak, bk))
+			// Selectors for both sides: prune a to k < 40, b unconstrained.
+			predA := expr.NewCmp(expr.LT, ak, expr.NewConst(types.NewInt(40)))
+			node := plan.NewPartitionSelector(a, 1, []expr.Expr{predA},
+				plan.NewPartitionSelector(b, 2, nil, pwj))
+			res, err := RunLocal(rt, node, 0, nil)
+			if err != nil {
+				t.Fatalf("RunLocal: %v", err)
+			}
+			// Both tables hold the same even keys; with a pruned to k<40, matches
+			// are k = 0..38 even → 20 rows.
+			if len(res.Rows) != 20 {
+				t.Errorf("rows = %d, want 20", len(res.Rows))
+			}
+			// Only a's 2 pruned leaves and b's matching pair partners are read.
+			if got := res.Stats.PartsScanned("a"); got != 2 {
+				t.Errorf("a parts = %d, want 2", got)
+			}
+			if got := res.Stats.PartsScanned("b"); got != 2 {
+				t.Errorf("b parts = %d, want 2 (pair-pruned)", got)
+			}
+			// Semi variant emits probe rows once.
+			semi := plan.NewPartitionWiseJoin(plan.SemiJoin,
+				[]expr.Expr{ak}, []expr.Expr{bk}, nil,
+				plan.NewDynamicScan(a, 1, 1), plan.NewDynamicScan(b, 2, 2), nil)
+			node = plan.NewPartitionSelector(a, 1, nil, plan.NewPartitionSelector(b, 2, nil, semi))
+			res, err = RunLocal(rt, node, 0, nil)
+			if err != nil {
+				t.Fatalf("semi RunLocal: %v", err)
+			}
+			if len(res.Rows) != 50 || len(res.Rows[0]) != 2 {
+				t.Errorf("semi rows = %d width %d, want 50×2", len(res.Rows), len(res.Rows[0]))
+			}
+		})
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 	"partopt/internal/vec"
 )
 
-// Operator is the Volcano iterator interface. Next returns io.EOF after the
-// last row.
+// Operator is the executor's one iteration protocol: Open, then NextBatch
+// until it returns io.EOF (after the last non-empty batch), then Close. See
+// batch.go for the batch ownership contract.
 type Operator interface {
 	Open(ctx *Ctx) error
-	Next(ctx *Ctx) (types.Row, error)
+	NextBatch(ctx *Ctx) (*Batch, error)
 	Close(ctx *Ctx) error
 }
 
@@ -103,27 +104,6 @@ func (s *scanOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (s *scanOp) Next(ctx *Ctx) (types.Row, error) {
-	if err := ctx.pollAbort(); err != nil {
-		return nil, err
-	}
-	if err := ctx.hitFault(fault.OpNext); err != nil {
-		return nil, err
-	}
-	if s.pos >= len(s.rows) {
-		return nil, errEOF
-	}
-	row := s.rows[s.pos]
-	if s.n.WithRowID {
-		withID := make(types.Row, len(row)+1)
-		copy(withID, row)
-		withID[len(row)] = EncodeRowID(storage.RowID{Seg: ctx.Seg, Leaf: s.n.Leaf, Idx: s.pos})
-		row = withID
-	}
-	s.pos++
-	return row, nil
-}
-
 // NextBatch emits up to execBatchSize rows as a zero-copy view of the heap
 // slice (rows are immutable, so the view satisfies the ownership contract).
 // Abort polling and the OpNext fault point run once per batch.
@@ -197,37 +177,6 @@ func (s *dynScanOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (s *dynScanOp) Next(ctx *Ctx) (types.Row, error) {
-	if err := ctx.pollAbort(); err != nil {
-		return nil, err
-	}
-	if err := ctx.hitFault(fault.OpNext); err != nil {
-		return nil, err
-	}
-	for s.pos >= len(s.rows) {
-		if s.li >= len(s.leaves) {
-			return nil, errEOF
-		}
-		s.curLeaf = s.leaves[s.li]
-		s.li++
-		rows, err := ctx.scanLeaf(s.n.Table.OID, s.curLeaf)
-		if err != nil {
-			return nil, err
-		}
-		ctx.noteRowsScanned(int64(len(rows)))
-		s.rows, s.pos = rows, 0
-	}
-	row := s.rows[s.pos]
-	if s.n.WithRowID {
-		withID := make(types.Row, len(row)+1)
-		copy(withID, row)
-		withID[len(row)] = EncodeRowID(storage.RowID{Seg: ctx.Seg, Leaf: s.curLeaf, Idx: s.pos})
-		row = withID
-	}
-	s.pos++
-	return row, nil
-}
-
 // NextBatch emits batches that never straddle a leaf boundary: a whole leaf
 // (or execBatchSize, whichever is smaller) per call, so row-ID annotation
 // stays a single (leaf, base) arena fill.
@@ -296,7 +245,6 @@ type selectorOp struct {
 	handle      int
 	sealed      bool
 
-	bchild  BatchOperator       // batch view of child (set at Open)
 	env     expr.Env            // reused per row for dynamic derivation
 	setsBuf []types.IntervalSet // reused per-row working copy of staticSets
 }
@@ -359,7 +307,6 @@ func (s *selectorOp) Open(ctx *Ctx) error {
 		s.sealed = true
 	}
 	if s.child != nil {
-		s.bchild = batchOf(s.child)
 		s.env = expr.Env{Layout: s.childLayout, Params: ctx.Params.Vals}
 		s.setsBuf = make([]types.IntervalSet, nl)
 		if err := s.child.Open(ctx); err != nil {
@@ -418,25 +365,6 @@ func (s *selectorOp) predIsStatic(pred expr.Expr, lvl int) bool {
 	return true
 }
 
-func (s *selectorOp) Next(ctx *Ctx) (types.Row, error) {
-	if s.child == nil {
-		s.seal(ctx)
-		return nil, errEOF
-	}
-	row, err := s.child.Next(ctx)
-	if errors.Is(err, errEOF) {
-		s.seal(ctx)
-		return nil, errEOF
-	}
-	if err != nil {
-		return nil, err
-	}
-	if s.anyDynamic {
-		s.deriveRow(ctx, row)
-	}
-	return row, nil
-}
-
 // NextBatch passes the child's batch through untouched; dynamic levels
 // derive and push their per-row selections over the whole batch first.
 func (s *selectorOp) NextBatch(ctx *Ctx) (*Batch, error) {
@@ -444,7 +372,7 @@ func (s *selectorOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		s.seal(ctx)
 		return nil, errEOF
 	}
-	b, err := s.bchild.NextBatch(ctx)
+	b, err := s.child.NextBatch(ctx)
 	if errors.Is(err, errEOF) {
 		s.seal(ctx)
 		return nil, errEOF
@@ -511,9 +439,8 @@ func (s *selectorOp) Close(ctx *Ctx) error {
 // sequenceOp runs children 0..n-2 to completion (discarding rows), then
 // streams the last child.
 type sequenceOp struct {
-	kids  []Operator
-	last  Operator
-	blast BatchOperator
+	kids []Operator
+	last Operator
 }
 
 func (s *sequenceOp) Open(ctx *Ctx) error {
@@ -522,9 +449,8 @@ func (s *sequenceOp) Open(ctx *Ctx) error {
 		if err := k.Open(ctx); err != nil {
 			return err
 		}
-		kb := batchOf(k)
 		for {
-			_, err := kb.NextBatch(ctx)
+			_, err := k.NextBatch(ctx)
 			if errors.Is(err, errEOF) {
 				break
 			}
@@ -540,13 +466,10 @@ func (s *sequenceOp) Open(ctx *Ctx) error {
 		}
 	}
 	s.last = s.kids[len(s.kids)-1]
-	s.blast = batchOf(s.last)
 	return s.last.Open(ctx)
 }
 
-func (s *sequenceOp) Next(ctx *Ctx) (types.Row, error) { return s.last.Next(ctx) }
-
-func (s *sequenceOp) NextBatch(ctx *Ctx) (*Batch, error) { return s.blast.NextBatch(ctx) }
+func (s *sequenceOp) NextBatch(ctx *Ctx) (*Batch, error) { return s.last.NextBatch(ctx) }
 
 func (s *sequenceOp) Close(ctx *Ctx) error {
 	if s.last == nil {
@@ -565,7 +488,6 @@ type appendOp struct {
 	kids []Operator
 	idx  int
 	open bool
-	bcur BatchOperator // batch view of the open kid (batch mode only)
 }
 
 func (a *appendOp) skip(ctx *Ctx, i int) bool {
@@ -588,33 +510,6 @@ func (a *appendOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (a *appendOp) Next(ctx *Ctx) (types.Row, error) {
-	for {
-		if !a.open {
-			for a.idx < len(a.kids) && a.skip(ctx, a.idx) {
-				a.idx++
-			}
-			if a.idx >= len(a.kids) {
-				return nil, errEOF
-			}
-			if err := a.kids[a.idx].Open(ctx); err != nil {
-				return nil, err
-			}
-			a.open = true
-		}
-		row, err := a.kids[a.idx].Next(ctx)
-		if errors.Is(err, errEOF) {
-			if err := a.kids[a.idx].Close(ctx); err != nil {
-				return nil, err
-			}
-			a.idx++
-			a.open = false
-			continue
-		}
-		return row, err
-	}
-}
-
 func (a *appendOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	for {
 		if !a.open {
@@ -628,9 +523,8 @@ func (a *appendOp) NextBatch(ctx *Ctx) (*Batch, error) {
 				return nil, err
 			}
 			a.open = true
-			a.bcur = batchOf(a.kids[a.idx])
 		}
-		b, err := a.bcur.NextBatch(ctx)
+		b, err := a.kids[a.idx].NextBatch(ctx)
 		if errors.Is(err, errEOF) {
 			if err := a.kids[a.idx].Close(ctx); err != nil {
 				return nil, err
@@ -656,7 +550,6 @@ func (a *appendOp) Close(ctx *Ctx) error {
 type filterOp struct {
 	n      *plan.Filter
 	child  Operator
-	bchild BatchOperator
 	layout expr.Layout
 	env    expr.Env // reused per row
 	out    Batch    // reused output header (qualifying rows by reference)
@@ -668,29 +561,11 @@ type filterOp struct {
 func (f *filterOp) Open(ctx *Ctx) error {
 	f.layout = f.n.Child.Layout()
 	f.env = expr.Env{Layout: f.layout, Params: ctx.Params.Vals}
-	f.bchild = batchOf(f.child)
 	f.vp = nil
 	if columnarEnabled {
 		f.vp = compileVecPred(f.n.Pred, f.layout, ctx.Params.Vals)
 	}
 	return f.child.Open(ctx)
-}
-
-func (f *filterOp) Next(ctx *Ctx) (types.Row, error) {
-	for {
-		row, err := f.child.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		f.env.Row = row
-		ok, err := expr.EvalPred(f.n.Pred, &f.env)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return row, nil
-		}
-	}
 }
 
 // NextBatch evaluates the predicate over whole child batches, collecting
@@ -702,7 +577,7 @@ func (f *filterOp) Next(ctx *Ctx) (types.Row, error) {
 func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	f.out.reset()
 	for len(f.out.Rows) == 0 {
-		cb, err := f.bchild.NextBatch(ctx)
+		cb, err := f.child.NextBatch(ctx)
 		if err != nil {
 			return nil, err // includes EOF
 		}
@@ -749,7 +624,6 @@ func (f *filterOp) Close(ctx *Ctx) error { return f.child.Close(ctx) }
 type projectOp struct {
 	n      *plan.Project
 	child  Operator
-	bchild BatchOperator
 	layout expr.Layout
 	env    expr.Env // reused per row
 	out    Batch    // reused output header
@@ -762,7 +636,6 @@ type projectOp struct {
 func (p *projectOp) Open(ctx *Ctx) error {
 	p.layout = p.n.Child.Layout()
 	p.env = expr.Env{Layout: p.layout, Params: ctx.Params.Vals}
-	p.bchild = batchOf(p.child)
 	p.colPos, p.identity = nil, false
 	if columnarEnabled {
 		p.compileFastPath()
@@ -803,23 +676,6 @@ func (p *projectOp) compileFastPath() {
 	p.identity = true
 }
 
-func (p *projectOp) Next(ctx *Ctx) (types.Row, error) {
-	row, err := p.child.Next(ctx)
-	if err != nil {
-		return nil, err
-	}
-	p.env.Row = row
-	out := make(types.Row, len(p.n.Cols))
-	for i, c := range p.n.Cols {
-		v, err := expr.Eval(c.E, &p.env)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // NextBatch projects a whole child batch into one freshly-allocated datum
 // arena (output rows must stay stable after the next call, so only the row
 // headers are reused across batches). Identity projections forward the
@@ -828,7 +684,7 @@ func (p *projectOp) Next(ctx *Ctx) (types.Row, error) {
 // without expression dispatch, forwarding permuted column views when the
 // child batch is columnar.
 func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	cb, err := p.bchild.NextBatch(ctx)
+	cb, err := p.child.NextBatch(ctx)
 	if err != nil {
 		return nil, err // includes EOF
 	}

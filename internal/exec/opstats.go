@@ -7,7 +7,6 @@ import (
 	"partopt/internal/obs"
 	"partopt/internal/part"
 	"partopt/internal/plan"
-	"partopt/internal/types"
 )
 
 // Per-operator runtime instrumentation.
@@ -17,9 +16,9 @@ import (
 // opFrame that the operator body (via the Ctx note*/reserve helpers)
 // charges storage reads, partition selections, spill activity and memory
 // reservations to. Frames are goroutine-local — one Ctx per slice instance,
-// one frame per (Ctx, plan node) — so the row hot path takes no locks; a
-// frame is merged into the query's shared Stats exactly once, when the
-// slice instance finishes (Ctx.finishOpStats), which runAttempt guarantees
+// one frame per (Ctx, plan node) — so the NextBatch hot path takes no
+// locks; a frame is merged into the query's shared Stats exactly once, when
+// the slice instance finishes (Ctx.finishOpStats), which runAttempt guarantees
 // happens before it returns. That ordering is the EXPLAIN ANALYZE abort
 // guarantee: even a cancelled query's Stats are complete (for the work
 // actually done) by the time the caller sees them.
@@ -29,7 +28,7 @@ type opFrame struct {
 	started  bool
 	rowsOut  int64
 	rowsRead int64 // rows this operator read from storage
-	nanos    int64 // wall time inside Open+Next+Close, inclusive of children
+	nanos    int64 // wall time inside Open+NextBatch+Close, inclusive of children
 
 	cur  int64 // current attributed reservation, bytes
 	peak int64 // high-water mark of cur
@@ -72,10 +71,9 @@ type opAccum struct {
 // statsOp decorates an operator with instrumentation. It is inserted by
 // buildOp around every operator, so instrumentation is always on.
 type statsOp struct {
-	n      plan.Node
-	inner  Operator
-	binner BatchOperator // lazy batch view of inner; set on first NextBatch
-	f      *opFrame
+	n     plan.Node
+	inner Operator
+	f     *opFrame
 }
 
 func (s *statsOp) frame(ctx *Ctx) *opFrame {
@@ -107,39 +105,17 @@ func (s *statsOp) Open(ctx *Ctx) error {
 	return err
 }
 
-func (s *statsOp) Next(ctx *Ctx) (types.Row, error) {
-	f := s.frame(ctx)
-	prev := ctx.pushOp(f)
-	var t0 time.Time
-	if ctx.timed {
-		t0 = time.Now()
-	}
-	row, err := s.inner.Next(ctx)
-	if ctx.timed {
-		f.nanos += time.Since(t0).Nanoseconds()
-	}
-	ctx.popOp(prev)
-	if err == nil {
-		f.rowsOut++
-	}
-	return row, err
-}
-
 // NextBatch instruments one batch pull: the frame push and timing happen
 // once per batch, not once per row, and rowsOut advances by the batch
-// length — so EXPLAIN ANALYZE actual row counts are identical to the row
-// path's while the accounting overhead is amortized across the batch.
+// length, so the accounting overhead is amortized across the batch.
 func (s *statsOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if s.binner == nil {
-		s.binner = batchOf(s.inner)
-	}
 	f := s.frame(ctx)
 	prev := ctx.pushOp(f)
 	var t0 time.Time
 	if ctx.timed {
 		t0 = time.Now()
 	}
-	b, err := s.binner.NextBatch(ctx)
+	b, err := s.inner.NextBatch(ctx)
 	if ctx.timed {
 		f.nanos += time.Since(t0).Nanoseconds()
 	}

@@ -30,6 +30,8 @@ type pwJoinOp struct {
 	curProbe types.Row
 	matches  []types.Row
 	mi       int
+
+	out Batch // reused output header for NextBatch
 }
 
 func (j *pwJoinOp) Open(ctx *Ctx) error {
@@ -150,10 +152,17 @@ func keyHash(keys []expr.Expr, layout expr.Layout, row types.Row, ctx *Ctx) (uin
 	return h, false, nil
 }
 
-func (j *pwJoinOp) Next(ctx *Ctx) (types.Row, error) {
-	if err := ctx.pollAbort(); err != nil {
+// NextBatch accumulates joined rows into a reused output batch. Joined rows
+// are freshly allocated (inner) or heap-row references (semi), so they are
+// stable; only the header is reused.
+func (j *pwJoinOp) NextBatch(ctx *Ctx) (*Batch, error) {
+	if err := ctx.pollAbortBatch(); err != nil {
 		return nil, err
 	}
+	return fillBatch(&j.out, func() (types.Row, error) { return j.nextRow(ctx) })
+}
+
+func (j *pwJoinOp) nextRow(ctx *Ctx) (types.Row, error) {
 	for {
 		// Pending matches of the current probe row.
 		for j.mi < len(j.matches) {

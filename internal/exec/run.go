@@ -409,10 +409,9 @@ func runAttempt(ctx context.Context, rt *Runtime, root plan.Node, params *Params
 					}
 					return
 				}
-				bop := batchOf(op)
 				snd := sl.ex.newSender(ectx)
 				for {
-					b, err := bop.NextBatch(ectx)
+					b, err := op.NextBatch(ectx)
 					if errors.Is(err, errEOF) {
 						// Clean EOF: ship whatever is still staged. Error
 						// exits skip the flush — the query is failing and
@@ -467,9 +466,8 @@ func runAttempt(ctx context.Context, rt *Runtime, root plan.Node, params *Params
 			return err
 		}
 		defer op.Close(cctx)
-		bop := batchOf(op)
 		for {
-			b, err := bop.NextBatch(cctx)
+			b, err := op.NextBatch(cctx)
 			if errors.Is(err, errEOF) {
 				return nil
 			}
@@ -555,9 +553,8 @@ func RunLocal(rt *Runtime, root plan.Node, seg int, params *Params) (*Result, er
 	}
 	defer op.Close(ctx)
 	var rows []types.Row
-	bop := batchOf(op)
 	for {
-		b, err := bop.NextBatch(ctx)
+		b, err := op.NextBatch(ctx)
 		if errors.Is(err, errEOF) {
 			break
 		}

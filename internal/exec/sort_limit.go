@@ -54,9 +54,8 @@ func (s *sortOp) Open(ctx *Ctx) (err error) {
 		return err
 	}
 	s.childOpen = true
-	childB := batchOf(s.child)
 	for {
-		b, err := childB.NextBatch(ctx)
+		b, err := s.child.NextBatch(ctx)
 		if errors.Is(err, errEOF) {
 			break
 		}
@@ -187,16 +186,8 @@ func (s *sortOp) advance(ctx *Ctx, i int) error {
 	return nil
 }
 
-func (s *sortOp) Next(ctx *Ctx) (types.Row, error) {
-	if len(s.runs) == 0 {
-		if s.pos >= len(s.rows) {
-			return nil, errEOF
-		}
-		row := s.rows[s.pos]
-		s.pos++
-		return row, nil
-	}
-	// Merge: pop the smallest head; ties go to the lowest run index.
+// popMerge pops the smallest run head; ties go to the lowest run index.
+func (s *sortOp) popMerge(ctx *Ctx) (types.Row, error) {
 	best := -1
 	for i, h := range s.heads {
 		if h == nil {
@@ -235,21 +226,7 @@ func (s *sortOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		s.pos = end
 		return &s.out, nil
 	}
-	s.out.reset()
-	for len(s.out.Rows) < execBatchSize {
-		row, err := s.Next(ctx)
-		if errors.Is(err, errEOF) {
-			if len(s.out.Rows) == 0 {
-				return nil, errEOF
-			}
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.out.Rows = append(s.out.Rows, row)
-	}
-	return &s.out, nil
+	return fillBatch(&s.out, func() (types.Row, error) { return s.popMerge(ctx) })
 }
 
 // cleanup releases buffered rows, heads, readers and run files. Idempotent.
@@ -297,7 +274,6 @@ func (s *sortOp) Close(ctx *Ctx) error {
 type limitOp struct {
 	n           *plan.Limit
 	child       Operator
-	bchild      BatchOperator
 	seen        int64
 	childClosed bool
 }
@@ -305,7 +281,6 @@ type limitOp struct {
 func (l *limitOp) Open(ctx *Ctx) error {
 	l.seen = 0
 	l.childClosed = false
-	l.bchild = batchOf(l.child)
 	return l.child.Open(ctx)
 }
 
@@ -317,29 +292,9 @@ func (l *limitOp) closeChild(ctx *Ctx) error {
 	return l.child.Close(ctx)
 }
 
-func (l *limitOp) Next(ctx *Ctx) (types.Row, error) {
-	if l.seen >= l.n.N {
-		if err := l.closeChild(ctx); err != nil {
-			return nil, err
-		}
-		return nil, errEOF
-	}
-	row, err := l.child.Next(ctx)
-	if err != nil {
-		return nil, err
-	}
-	l.seen++
-	if l.seen >= l.n.N {
-		if err := l.closeChild(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return row, nil
-}
-
 // NextBatch truncates the child's batch in place once the limit is reached
 // (permitted by the ownership contract — the child resets its header on its
-// next call) and closes the child immediately, as the row path does.
+// next call) and closes the child the moment the limit is reached.
 func (l *limitOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if l.seen >= l.n.N {
 		if err := l.closeChild(ctx); err != nil {
@@ -347,7 +302,7 @@ func (l *limitOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		}
 		return nil, errEOF
 	}
-	b, err := l.bchild.NextBatch(ctx)
+	b, err := l.child.NextBatch(ctx)
 	if err != nil {
 		return nil, err // includes EOF
 	}

@@ -288,16 +288,16 @@ func TestLimitOverSpillingSortReclaimsFiles(t *testing.T) {
 	if n := countSpillFiles(t, base); n == 0 {
 		t.Fatalf("no live spill files while the merge is pending")
 	}
-	row, err := op.Next(ctx)
-	if err != nil || row == nil {
-		t.Fatalf("first row: %v (%v)", row, err)
+	b, err := op.NextBatch(ctx)
+	if err != nil || b.Len() != 1 {
+		t.Fatalf("first batch: %d rows (%v), want 1", b.Len(), err)
 	}
 	// LIMIT 1 is satisfied: the sort below must already be closed and its
 	// run files deleted, long before the plan itself is closed.
 	if n := countSpillFiles(t, base); n != 0 {
 		t.Fatalf("%d spill file(s) still live after the limit was satisfied", n)
 	}
-	if _, err := op.Next(ctx); err != errEOF {
+	if _, err := op.NextBatch(ctx); err != errEOF {
 		t.Fatalf("after limit: %v, want EOF", err)
 	}
 	if err := op.Close(ctx); err != nil {

@@ -55,9 +55,8 @@ func (u *updateOp) Open(ctx *Ctx) error {
 	var pending []pendingUpdate
 	seen := map[storage.RowID]bool{}
 	env := expr.Env{Layout: layout, Params: ctx.Params.Vals}
-	childB := batchOf(u.child)
 	for {
-		b, err := childB.NextBatch(ctx)
+		b, err := u.child.NextBatch(ctx)
 		if errors.Is(err, errEOF) {
 			break
 		}
@@ -118,12 +117,16 @@ func (u *updateOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (u *updateOp) Next(*Ctx) (types.Row, error) {
-	if u.emitted {
+func (u *updateOp) NextBatch(*Ctx) (*Batch, error) { return countBatch(&u.emitted, u.count) }
+
+// countBatch emits a DML operator's result — one row holding the affected
+// row count — as a one-row batch on the first call, and errEOF after.
+func countBatch(emitted *bool, count int64) (*Batch, error) {
+	if *emitted {
 		return nil, errEOF
 	}
-	u.emitted = true
-	return types.Row{types.NewInt(u.count)}, nil
+	*emitted = true
+	return &Batch{Rows: []types.Row{{types.NewInt(count)}}}, nil
 }
 
 func (u *updateOp) Close(*Ctx) error { return nil }
@@ -154,9 +157,8 @@ func (d *deleteOp) Open(ctx *Ctx) error {
 	}
 	var ids []storage.RowID
 	seen := map[storage.RowID]bool{}
-	childB := batchOf(d.child)
 	for {
-		b, err := childB.NextBatch(ctx)
+		b, err := d.child.NextBatch(ctx)
 		if errors.Is(err, errEOF) {
 			break
 		}
@@ -199,12 +201,6 @@ func (d *deleteOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (d *deleteOp) Next(*Ctx) (types.Row, error) {
-	if d.emitted {
-		return nil, errEOF
-	}
-	d.emitted = true
-	return types.Row{types.NewInt(d.count)}, nil
-}
+func (d *deleteOp) NextBatch(*Ctx) (*Batch, error) { return countBatch(&d.emitted, d.count) }
 
 func (d *deleteOp) Close(*Ctx) error { return nil }
