@@ -1,199 +1,17 @@
-// Package-level benchmarks: one per table/figure of the paper's evaluation.
-// Each benchmark regenerates its experiment through internal/bench and
-// reports the headline metrics via b.ReportMetric, so
+// Ablation benchmarks for the two features beyond the paper's evaluation
+// that EXPERIMENTS.md and DESIGN.md quote numbers for: the partition-wise
+// join and the per-partition index scan. Run them with
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Ablation -run '^$' .
 //
-// reproduces the entire evaluation section. cmd/experiments prints the same
-// experiments as formatted tables.
+// The paper's own tables and figures are printed by cmd/experiments.
 package partopt_test
 
 import (
-	"fmt"
 	"testing"
 
 	"partopt"
-	"partopt/internal/bench"
-	"partopt/internal/workload"
 )
-
-func benchStar() workload.StarConfig {
-	cfg := workload.DefaultStarConfig()
-	cfg.SalesPerDay = 20
-	return cfg
-}
-
-// BenchmarkTable2_ScanOverhead reproduces Table 2: full-scan overhead of
-// partitioning lineitem at 1/42/84/183/365 partitions.
-func BenchmarkTable2_ScanOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunTable2(bench.Table2Config{Rows: 30000, Segments: 4, Iters: 5})
-		if err != nil {
-			b.Fatalf("RunTable2: %v", err)
-		}
-		if i == 0 {
-			for _, r := range rows[1:] {
-				b.ReportMetric(r.OverheadPct, fmt.Sprintf("overhead%%@%dparts", r.Parts))
-			}
-		}
-	}
-}
-
-// BenchmarkTable3_WorkloadClassification reproduces Table 3: how often each
-// optimizer eliminates partitions on the star-schema workload.
-func BenchmarkTable3_WorkloadClassification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		stats, err := bench.RunWorkload(benchStar(), 4)
-		if err != nil {
-			b.Fatalf("RunWorkload: %v", err)
-		}
-		if i == 0 {
-			counts := map[bench.Category]int{}
-			for _, s := range stats {
-				counts[bench.Classify(s)]++
-			}
-			total := float64(len(stats))
-			b.ReportMetric(100*float64(counts[bench.OrcaOnly])/total, "orca-only%")
-			b.ReportMetric(100*float64(counts[bench.Equal])/total, "equal%")
-			b.ReportMetric(100*float64(counts[bench.OrcaFewer]+counts[bench.PlannerOnly])/total, "orca-worse%")
-		}
-	}
-}
-
-// BenchmarkFigure16_PartsScanned reproduces Figure 16: scanned partitions
-// per fact table, Planner vs Orca.
-func BenchmarkFigure16_PartsScanned(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		stats, err := bench.RunWorkload(benchStar(), 4)
-		if err != nil {
-			b.Fatalf("RunWorkload: %v", err)
-		}
-		if i == 0 {
-			var planner, orca int
-			for _, r := range bench.Figure16(stats) {
-				planner += r.PlannerParts
-				orca += r.OrcaParts
-			}
-			b.ReportMetric(float64(planner), "planner-parts")
-			b.ReportMetric(float64(orca), "orca-parts")
-		}
-	}
-}
-
-// BenchmarkFigure17_SelectionOnOff reproduces Figure 17: per-query runtime
-// improvement when partition selection is enabled.
-func BenchmarkFigure17_SelectionOnOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFigure17(benchStar(), 4, 2)
-		if err != nil {
-			b.Fatalf("RunFigure17: %v", err)
-		}
-		if i == 0 {
-			over50 := 0
-			for _, r := range rows {
-				if r.ImprovementPct >= 50 {
-					over50++
-				}
-			}
-			b.ReportMetric(100*float64(over50)/float64(len(rows)), "queries>50%improved%")
-		}
-	}
-}
-
-// BenchmarkFigure18a_StaticPlanSize reproduces Figure 18(a): plan size vs
-// percentage of partitions scanned under a static predicate.
-func BenchmarkFigure18a_StaticPlanSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFigure18a(4)
-		if err != nil {
-			b.Fatalf("RunFigure18a: %v", err)
-		}
-		if i == 0 {
-			last := rows[len(rows)-1]
-			b.ReportMetric(float64(last.PlannerBytes), "planner-bytes@100%")
-			b.ReportMetric(float64(last.OrcaBytes), "orca-bytes@100%")
-		}
-	}
-}
-
-// BenchmarkFigure18b_DynamicPlanSize reproduces Figure 18(b): plan size vs
-// partition count for the dynamic-elimination join.
-func BenchmarkFigure18b_DynamicPlanSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFigure18b(4)
-		if err != nil {
-			b.Fatalf("RunFigure18b: %v", err)
-		}
-		if i == 0 {
-			last := rows[len(rows)-1]
-			b.ReportMetric(float64(last.PlannerBytes), "planner-bytes@300parts")
-			b.ReportMetric(float64(last.OrcaBytes), "orca-bytes@300parts")
-		}
-	}
-}
-
-// BenchmarkFigure18c_DMLPlanSize reproduces Figure 18(c): plan size vs
-// partition count for the partitioned update join (quadratic vs flat).
-func BenchmarkFigure18c_DMLPlanSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFigure18c(4)
-		if err != nil {
-			b.Fatalf("RunFigure18c: %v", err)
-		}
-		if i == 0 {
-			last := rows[len(rows)-1]
-			b.ReportMetric(float64(last.PlannerBytes), "planner-bytes@300parts")
-			b.ReportMetric(float64(last.OrcaBytes), "orca-bytes@300parts")
-		}
-	}
-}
-
-// BenchmarkQueryEndToEnd measures a single representative dynamic
-// elimination query through the whole stack (parse → optimize → execute).
-func BenchmarkQueryEndToEnd(b *testing.B) {
-	eng, err := partopt.New(4)
-	if err != nil {
-		b.Fatalf("New: %v", err)
-	}
-	cfg := benchStar()
-	if err := workload.BuildStar(eng, cfg); err != nil {
-		b.Fatalf("BuildStar: %v", err)
-	}
-	const q = `SELECT avg(amount) FROM store_sales WHERE date_id IN
-		(SELECT date_id FROM date_dim WHERE month BETWEEN 22 AND 24)`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(q); err != nil {
-			b.Fatalf("Query: %v", err)
-		}
-	}
-}
-
-// BenchmarkOptimizeOnly measures pure optimization time of the Fig. 8 style
-// join query under both optimizers.
-func BenchmarkOptimizeOnly(b *testing.B) {
-	eng, err := partopt.New(4)
-	if err != nil {
-		b.Fatalf("New: %v", err)
-	}
-	cfg := benchStar()
-	cfg.SalesPerDay = 1
-	if err := workload.BuildStar(eng, cfg); err != nil {
-		b.Fatalf("BuildStar: %v", err)
-	}
-	const q = `SELECT count(*) FROM date_dim d, customer_dim c, store_sales s
-		WHERE d.date_id = s.date_id AND c.cust_id = s.cust_id AND d.month = 23 AND c.state = 'CA'`
-	for _, opt := range []partopt.OptimizerKind{partopt.Orca, partopt.LegacyPlanner} {
-		b.Run(opt.String(), func(b *testing.B) {
-			eng.SetOptimizer(opt)
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Explain(q); err != nil {
-					b.Fatalf("Explain: %v", err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblation_PartitionWiseJoin compares the partition-wise join
 // (the §5 related-work extension) against the monolithic hash join on

@@ -108,51 +108,6 @@ func fig17Records(rows []bench.Figure17Row) []benchRecord {
 	return out
 }
 
-// plancacheRecords flattens the plan-cache experiment: average point-query
-// latency with the cache off and on, the speedup (the acceptance criterion
-// tracks speedup_x >= 2), and the optimizer-invocation counts that prove
-// hits skip optimization.
-func plancacheRecords(r *bench.PlanCacheResult) []benchRecord {
-	return []benchRecord{
-		{"plancache", "cold_ns", float64(r.ColdNs.Nanoseconds()), "ns"},
-		{"plancache", "cached_ns", float64(r.CachedNs.Nanoseconds()), "ns"},
-		{"plancache", "speedup_x", r.Speedup, "x"},
-		{"plancache", "cold_optimizations", float64(r.ColdOpt), "calls"},
-		{"plancache", "cached_optimizations", float64(r.CachedOpt), "calls"},
-		{"plancache", "cache_hits", float64(r.Hits), "hits"},
-	}
-}
-
-// outerdpeRecords flattens the outer-join elimination experiment: the
-// partitions scanned with selection on vs off (the acceptance criterion
-// tracks scan_reduction_x >= 2) and the OID-cache proof that warm sweeps
-// perform zero descriptor traversals (warm_traversals == 0).
-func outerdpeRecords(r *bench.OuterDPEResult) []benchRecord {
-	return []benchRecord{
-		{"outerdpe", "parts_selection_on", float64(r.SelParts), "parts"},
-		{"outerdpe", "parts_selection_off", float64(r.NoSelParts), "parts"},
-		{"outerdpe", "scan_reduction_x", r.Ratio, "x"},
-		{"outerdpe", "cold_traversals", float64(r.ColdMisses), "calls"},
-		{"outerdpe", "warm_hits", float64(r.WarmHits), "hits"},
-		{"outerdpe", "warm_traversals", float64(r.WarmMisses), "calls"},
-	}
-}
-
-// colscanRecords flattens the vectorized-kernel grid: throughput and
-// elapsed time per (kernel × partition count), keyed like table2's records
-// so "scan_rows_per_sec@1parts" reads as the columnar full-scan headline.
-func colscanRecords(rows []bench.ColScanRow) []benchRecord {
-	var out []benchRecord
-	for _, r := range rows {
-		key := fmt.Sprintf("@%dparts", r.Parts)
-		out = append(out,
-			benchRecord{"colscan", r.Kernel + "_rows_per_sec" + key, r.RowsPerSec, "rows/s"},
-			benchRecord{"colscan", r.Kernel + "_elapsed_ns" + key, float64(r.Elapsed.Nanoseconds()), "ns"},
-		)
-	}
-	return out
-}
-
 // fig18Records flattens one plan-size curve (a, b or c).
 func fig18Records(name string, rows []bench.SizeRow) []benchRecord {
 	var out []benchRecord

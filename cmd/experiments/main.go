@@ -6,9 +6,6 @@
 //	Figure 16    — scanned partitions per fact table, Planner vs Orca
 //	Figure 17    — runtime improvement with partition selection enabled
 //	Figure 18a-c — plan-size scaling: static, dynamic, and DML plans
-//	plancache    — point-query latency with the plan cache off vs on
-//	colscan      — vectorized scan/filter/agg kernel throughput
-//	outerdpe     — partitions scanned by an outer-join star, Orca vs Planner
 //
 // With -json, each experiment additionally writes its headline metrics to
 // BENCH_<name>.json in -json-dir (default: current directory) using the
@@ -17,7 +14,7 @@
 //
 // Usage:
 //
-//	experiments [-segments N] [-rows N] [-sales N] [-iters N] [-only table2|table3|fig16|fig17|fig18|plancache|outerdpe|colscan] [-json] [-json-dir DIR]
+//	experiments [-segments N] [-rows N] [-sales N] [-iters N] [-only table2|table3|fig16|fig17|fig18] [-json] [-json-dir DIR]
 package main
 
 import (
@@ -35,7 +32,7 @@ import (
 
 // experiments names every value -only accepts; the flag help and the
 // unknown-name error are rendered from it.
-var experiments = []string{"table2", "table3", "fig16", "fig17", "fig18", "plancache", "outerdpe", "colscan"}
+var experiments = []string{"table2", "table3", "fig16", "fig17", "fig18"}
 
 func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
@@ -133,36 +130,6 @@ func run(args []string, stderr io.Writer) int {
 			"Figure 18(c): DML update join — plan size",
 			"partitions per table", c))
 		emit("fig18c", fig18Records("fig18c", c))
-	}
-
-	if want("plancache") {
-		fmt.Println("== Plan cache ===========================================================")
-		pcCfg := bench.DefaultPlanCacheConfig()
-		pcCfg.Segments = *segments
-		pcCfg.Iters = *iters
-		pc, err := bench.RunPlanCache(pcCfg)
-		fatalIf(err)
-		fmt.Println(bench.FormatPlanCache(pc))
-		emit("plancache", plancacheRecords(pc))
-	}
-
-	if want("colscan") {
-		fmt.Println("== Columnar kernels =====================================================")
-		csCfg := bench.ColScanConfig{Rows: *rows, Segments: *segments, Iters: *iters}
-		cs, err := bench.RunColScan(csCfg)
-		fatalIf(err)
-		fmt.Println(bench.FormatColScan(cs))
-		emit("colscan", colscanRecords(cs))
-	}
-
-	if want("outerdpe") {
-		fmt.Println("== Outer-join DPE =======================================================")
-		odCfg := bench.DefaultOuterDPEConfig()
-		odCfg.Segments = *segments
-		od, err := bench.RunOuterDPE(odCfg)
-		fatalIf(err)
-		fmt.Println(bench.FormatOuterDPE(od))
-		emit("outerdpe", outerdpeRecords(od))
 	}
 
 	return 0

@@ -78,25 +78,21 @@ func TestSignalExitsGracefully(t *testing.T) {
 				}
 			}()
 
-			waitCh := make(chan error, 1)
-			go func() { waitCh <- cmd.Wait() }()
-			select {
-			case err := <-waitCh:
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
-					t.Fatalf("want exit error with code 130, got %v", err)
-				}
-				if code := ee.ExitCode(); code != 130 {
-					t.Fatalf("exit code = %d, want 130", code)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("mppsim did not exit after signal")
-			}
+			// Read stdout to EOF before Wait: Wait closes the pipe, so a
+			// reader still draining it could lose the final line.
 			var out string
 			select {
 			case out = <-outCh:
-			case <-time.After(5 * time.Second):
-				t.Fatal("stdout reader did not finish")
+			case <-time.After(30 * time.Second):
+				t.Fatal("mppsim did not exit after signal")
+			}
+			err = cmd.Wait()
+			ee, ok := err.(*exec.ExitError)
+			if !ok {
+				t.Fatalf("want exit error with code 130, got %v", err)
+			}
+			if code := ee.ExitCode(); code != 130 {
+				t.Fatalf("exit code = %d, want 130", code)
 			}
 			if !strings.Contains(out, "interrupted") {
 				t.Fatalf("output missing %q:\n%s", "interrupted", out)

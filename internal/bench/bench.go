@@ -1,8 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§4). Each Run* function performs one experiment and returns
 // structured rows plus a formatted table whose columns mirror the paper's.
-// The root-level bench_test.go exposes them as testing.B benchmarks and
-// cmd/experiments prints them all.
+// cmd/experiments prints them all; the end-to-end benchmark (./benchmark)
+// measures the engine beyond the paper.
 //
 // Absolute numbers differ from the paper (the substrate is an in-process
 // simulation, not a 4-node cluster); the reproduction target is the shape:
@@ -56,11 +56,6 @@ type Table2Config struct {
 	Rows     int
 	Segments int
 	Iters    int
-}
-
-// DefaultTable2Config returns the scale used by the committed results.
-func DefaultTable2Config() Table2Config {
-	return Table2Config{Rows: 60000, Segments: 4, Iters: 3}
 }
 
 // RunTable2 measures full-scan overhead of partitioning at the paper's four

@@ -32,35 +32,6 @@ func TestRunTable2Shape(t *testing.T) {
 	}
 }
 
-func TestRunColScanShape(t *testing.T) {
-	rows, err := RunColScan(ColScanConfig{Rows: 3000, Segments: 2, Iters: 1})
-	if err != nil {
-		t.Fatalf("RunColScan: %v", err)
-	}
-	if len(rows) != 9 { // 3 kernels × 3 schemes
-		t.Fatalf("rows = %d, want 9", len(rows))
-	}
-	seen := map[string]int{}
-	for _, r := range rows {
-		seen[r.Kernel]++
-		if r.Parts != 1 && r.Parts != 42 && r.Parts != 84 {
-			t.Errorf("%s: unexpected partition count %d", r.Kernel, r.Parts)
-		}
-		if r.RowsPerSec <= 0 {
-			t.Errorf("%s@%dparts: non-positive throughput", r.Kernel, r.Parts)
-		}
-	}
-	for _, k := range []string{"scan", "filter", "agg"} {
-		if seen[k] != 3 {
-			t.Errorf("kernel %s measured %d times, want 3", k, seen[k])
-		}
-	}
-	out := FormatColScan(rows)
-	if !strings.Contains(out, "rows/s") || !strings.Contains(out, "agg") {
-		t.Errorf("format missing fields:\n%s", out)
-	}
-}
-
 func TestRunWorkloadAndClassification(t *testing.T) {
 	stats, err := RunWorkload(smallStar(), 2)
 	if err != nil {
@@ -215,37 +186,5 @@ func TestTimeQueryErrors(t *testing.T) {
 	eng, _ := partopt.New(1)
 	if _, err := timeQuery(eng, "SELECT * FROM ghost", 1); err == nil {
 		t.Errorf("timeQuery swallowed error")
-	}
-}
-
-func TestRunOuterDPE(t *testing.T) {
-	cfg := DefaultOuterDPEConfig()
-	cfg.Segments = 2
-	cfg.SalesPerDay = 5
-	cfg.Sweeps = 2
-	r, err := RunOuterDPE(cfg)
-	if err != nil {
-		t.Fatalf("RunOuterDPE: %v", err)
-	}
-	if r.SelParts != 3 || r.NoSelParts != r.TotalParts {
-		t.Errorf("parts = %d on / %d off, want 3 / %d", r.SelParts, r.NoSelParts, r.TotalParts)
-	}
-	if r.Ratio < 2 {
-		t.Errorf("scan reduction %.1fx, want >= 2x", r.Ratio)
-	}
-	if r.ColdMisses == 0 {
-		t.Errorf("cold sweep performed no descriptor traversals — cache never exercised")
-	}
-	if r.WarmMisses != 0 {
-		t.Errorf("warm sweeps performed %d descriptor traversals, want 0", r.WarmMisses)
-	}
-	if r.WarmHits == 0 {
-		t.Errorf("warm sweeps never hit the OID cache")
-	}
-	out := FormatOuterDPE(r)
-	for _, want := range []string{"scan reduction", "OID cache"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("format missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -64,6 +64,7 @@ func TestFuzzOIDCacheEquivalence(t *testing.T) {
 		}
 	}
 
+	var postDDL []string
 	for i := 0; i < 80; i++ {
 		if i == 40 {
 			// Partition-layout DDL: the epoch bump must stamp every cached
@@ -80,7 +81,11 @@ func TestFuzzOIDCacheEquivalence(t *testing.T) {
 		}
 		tmpl := templates[i%len(templates)]
 		lo := rnd.Intn(days)
-		check(i, tmpl(lo, lo+rnd.Intn(days-lo)))
+		q := tmpl(lo, lo+rnd.Intn(days-lo))
+		check(i, q)
+		if i >= 40 {
+			postDDL = append(postDDL, q)
+		}
 	}
 
 	st := cached.OIDCacheStats()
@@ -93,5 +98,23 @@ func TestFuzzOIDCacheEquivalence(t *testing.T) {
 	off := uncached.OIDCacheStats()
 	if off.Hits != 0 || off.Entries != 0 {
 		t.Fatalf("disabled OID cache reports activity: %+v", off)
+	}
+
+	// Warm replay of the post-DDL half: every static selection it needs is
+	// cached at the current epoch, so no selector opening — on any of the
+	// segment instances that open concurrently — traverses the descriptor
+	// (each miss is one traversal), and the hits grow. Hub and
+	// unconstrained selectors bypass the cache and count neither.
+	for i, q := range postDDL {
+		if _, err := cached.Query(q); err != nil {
+			t.Fatalf("replay %d: %v\n%s", i, err, q)
+		}
+	}
+	warm := cached.OIDCacheStats()
+	if warm.Misses != st.Misses {
+		t.Errorf("warm replay missed the OID cache %d time(s), want 0", warm.Misses-st.Misses)
+	}
+	if warm.Hits <= st.Hits {
+		t.Errorf("warm replay never hit the OID cache: %+v", warm)
 	}
 }

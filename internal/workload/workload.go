@@ -31,8 +31,8 @@ const (
 	LineitemUnpartitioned LineitemScheme = iota
 	LineitemBiMonthly                    // 42 parts: each represents 2 months
 	LineitemMonthly                      // 84 parts
-	LineitemBiWeekly                     // 169 parts
-	LineitemWeekly                       // 361 parts
+	LineitemBiWeekly                     // 183 parts
+	LineitemWeekly                       // 365 parts
 )
 
 // String names the scheme as Table 2 does.
@@ -51,7 +51,6 @@ func (s LineitemScheme) String() string {
 	}
 }
 
-// Parts returns the partition count of the scheme (Table 2's first column).
 const lineitemYears = 7
 
 // Parts returns the number of leaf partitions the scheme produces.

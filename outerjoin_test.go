@@ -112,6 +112,20 @@ func TestOuterJoinDPEOnNullProducingSide(t *testing.T) {
 	if got := rows.PartsScanned["orders_colo"]; got != 3 {
 		t.Errorf("parts scanned = %d, want 3 of 24 (DPE on the eliminable side)", got)
 	}
+	// With partition selection off the same query scans every partition
+	// and still counts the same rows: the 3 of 24 is elimination's work.
+	eng.SetPartitionSelection(false)
+	rows, err = eng.Query(q)
+	if err != nil {
+		t.Fatalf("selection-off Query: %v", err)
+	}
+	if got := rows.Data[0][0].Int(); got != 30 {
+		t.Errorf("selection-off count = %d, want 30", got)
+	}
+	if got := rows.PartsScanned["orders_colo"]; got != 24 {
+		t.Errorf("selection-off parts scanned = %d, want 24 of 24", got)
+	}
+	eng.SetPartitionSelection(true)
 	// The same query against the order_id-distributed copy of the fact
 	// table has no sound elimination route (redistribution would separate
 	// selector and scan; replicating the preserved dim side duplicates its
