@@ -50,9 +50,6 @@ func SetBatchSize(n int) int {
 	return prev
 }
 
-// BatchSize returns the active batch capacity.
-func BatchSize() int { return execBatchSize }
-
 // Batch is one unit of batched data flow: a slice of rows plus the reusable
 // header storage behind it. See the ownership contract above.
 //

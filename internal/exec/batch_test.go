@@ -158,7 +158,7 @@ func TestBatchedOperatorsHonorCancellation(t *testing.T) {
 				cancel()
 			}()
 			start := time.Now()
-			_, err := RunCtx(ctx, rt, chaosPlan(tab), nil)
+			_, err := RunIntoCtx(ctx, rt, chaosPlan(tab), nil, NewStats())
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want Canceled", err)
 			}

@@ -106,7 +106,7 @@ func TestChaosSweep(t *testing.T) {
 					before := runtime.NumGoroutine()
 					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 					defer cancel()
-					res, err := RunCtx(ctx, rt, chaosPlan(tab), nil)
+					res, err := RunIntoCtx(ctx, rt, chaosPlan(tab), nil, NewStats())
 					if ctx.Err() != nil {
 						t.Fatalf("ran past the deadline")
 					}
@@ -214,7 +214,7 @@ func TestDeadlineAbortsSlowSegments(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := RunCtx(ctx, rt, chaosPlan(tab), nil)
+	_, err := RunIntoCtx(ctx, rt, chaosPlan(tab), nil, NewStats())
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -238,7 +238,7 @@ func TestCancelAbortsMidQuery(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := RunCtx(ctx, rt, chaosPlan(tab), nil)
+	_, err := RunIntoCtx(ctx, rt, chaosPlan(tab), nil, NewStats())
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)

@@ -38,9 +38,6 @@ func SetColumnarExec(on bool) bool {
 	return prev
 }
 
-// ColumnarExec reports whether columnar execution is enabled.
-func ColumnarExec() bool { return columnarEnabled }
-
 // errVecFallback signals that a compiled vector kernel cannot handle this
 // particular batch (mixed lane, incomparable kinds); the caller runs the
 // row-at-a-time path for the batch instead. Never visible outside exec.
@@ -636,6 +633,26 @@ func newVecHasher(keys []expr.Expr, layout expr.Layout, mixNulls bool) *vecHashe
 		pos[i] = p
 	}
 	return &vecHasher{pos: pos, mixNulls: mixNulls}
+}
+
+// hashRowKeys is vecHasher's row twin: it hashes one row's evaluated key
+// expressions through a reused env. With mixNulls a NULL key value is mixed
+// into the hash like any other (motion routing); without it a NULL key
+// yields (0, true), since a NULL never joins.
+func hashRowKeys(env *expr.Env, keys []expr.Expr, row types.Row, mixNulls bool) (uint64, bool, error) {
+	env.Row = row
+	h := types.HashSeed
+	for _, k := range keys {
+		v, err := expr.Eval(k, env)
+		if err != nil {
+			return 0, false, err
+		}
+		if v.IsNull() && !mixNulls {
+			return 0, true, nil
+		}
+		h = types.HashDatum(h, v)
+	}
+	return h, false, nil
 }
 
 // hashBatch computes the key hash for every row of a columnar batch. The

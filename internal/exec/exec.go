@@ -107,7 +107,7 @@ type Stats struct {
 	// runWithRetry runs each attempt into a scratch Stats and absorbs only
 	// the final attempt, so EXPLAIN ANALYZE never mixes a failed attempt's
 	// partial counts with the attempt that produced the answer.
-	ops map[plan.Node]*opAccum
+	ops map[plan.Node]*opFrame
 
 	// timed enables per-operator wall-clock sampling (the EXPLAIN ANALYZE
 	// "time=" figure). Row, partition and spill counters are always

@@ -156,7 +156,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 				h, null = bh[k], bnull[k]
 			} else {
 				var err error
-				h, null, err = j.hashWith(&j.benv, j.n.BuildKeys, row)
+				h, null, err = hashRowKeys(&j.benv, j.n.BuildKeys, row, false)
 				if err != nil {
 					return err
 				}
@@ -219,7 +219,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 				h, null = ph[k], pnull[k]
 			} else {
 				var err error
-				h, null, err = j.hashWith(&j.penv, j.n.ProbeKeys, row)
+				h, null, err = hashRowKeys(&j.penv, j.n.ProbeKeys, row, false)
 				if err != nil {
 					return err
 				}
@@ -327,7 +327,7 @@ func (j *hashJoinOp) loadPartition(ctx *Ctx, p int) error {
 			return err
 		}
 		j.tableBytes += rb
-		h, _, err := j.hashWith(&j.benv, j.n.BuildKeys, row)
+		h, _, err := hashRowKeys(&j.benv, j.n.BuildKeys, row, false)
 		if err != nil {
 			return err
 		}
@@ -414,23 +414,6 @@ func (j *hashJoinOp) collectUnmatched() {
 			j.outerPending = append(j.outerPending, j.concat(b, j.nullProbe))
 		}
 	}
-}
-
-// hashWith hashes the key expressions of one row through a reused env.
-func (j *hashJoinOp) hashWith(env *expr.Env, keys []expr.Expr, row types.Row) (uint64, bool, error) {
-	env.Row = row
-	h := types.HashSeed
-	for _, k := range keys {
-		v, err := expr.Eval(k, env)
-		if err != nil {
-			return 0, false, err
-		}
-		if v.IsNull() {
-			return 0, true, nil
-		}
-		h = types.HashDatum(h, v)
-	}
-	return h, false, nil
 }
 
 // keysEqual verifies a hash match against actual key values.
@@ -535,7 +518,7 @@ func (j *hashJoinOp) nextRow(ctx *Ctx) (types.Row, error) {
 			}
 			return nil, err // includes EOF
 		}
-		h, null, err := j.hashWith(&j.penv, j.n.ProbeKeys, probe)
+		h, null, err := hashRowKeys(&j.penv, j.n.ProbeKeys, probe, false)
 		if err != nil {
 			return nil, err
 		}

@@ -130,14 +130,9 @@ func (s *motionSender) sendBatch(ctx *Ctx, b *Batch) error {
 			return nil
 		}
 		for _, row := range rows {
-			s.env.Row = row
-			h := types.HashSeed
-			for _, k := range s.ex.hashKeys {
-				v, err := expr.Eval(k, &s.env)
-				if err != nil {
-					return err
-				}
-				h = types.HashDatum(h, v)
+			h, _, err := hashRowKeys(&s.env, s.ex.hashKeys, row, true)
+			if err != nil {
+				return err
 			}
 			i := int(h % uint64(len(s.ex.recvSegs)))
 			if err := s.stage(ctx, i, row); err != nil {

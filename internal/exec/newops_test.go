@@ -7,6 +7,7 @@ import (
 
 	"partopt/internal/catalog"
 	"partopt/internal/expr"
+	"partopt/internal/mem"
 	"partopt/internal/part"
 	"partopt/internal/plan"
 	"partopt/internal/storage"
@@ -121,9 +122,9 @@ func TestPartitionWiseJoinOpDirect(t *testing.T) {
 				expr.NewCmp(expr.EQ, ak, bk))
 			// Selectors for both sides: prune a to k < 40, b unconstrained.
 			predA := expr.NewCmp(expr.LT, ak, expr.NewConst(types.NewInt(40)))
-			node := plan.NewPartitionSelector(a, 1, []expr.Expr{predA},
+			inner := plan.NewPartitionSelector(a, 1, []expr.Expr{predA},
 				plan.NewPartitionSelector(b, 2, nil, pwj))
-			res, err := RunLocal(rt, node, 0, nil)
+			res, err := RunLocal(rt, inner, 0, nil)
 			if err != nil {
 				t.Fatalf("RunLocal: %v", err)
 			}
@@ -139,18 +140,54 @@ func TestPartitionWiseJoinOpDirect(t *testing.T) {
 			if got := res.Stats.PartsScanned("b"); got != 2 {
 				t.Errorf("b parts = %d, want 2 (pair-pruned)", got)
 			}
+			// Every row read from storage is charged to exactly one node: the
+			// side scan that read it, not the join as well.
+			var read int64
+			for _, n := range plan.FindAll(inner, func(plan.Node) bool { return true }) {
+				if act, ok := res.Stats.Actuals(n); ok {
+					read += act.RowsRead
+				}
+			}
+			if read != res.Stats.RowsScanned() {
+				t.Errorf("rows read summed over nodes = %d, want RowsScanned %d", read, res.Stats.RowsScanned())
+			}
 			// Semi variant emits probe rows once.
-			semi := plan.NewPartitionWiseJoin(plan.SemiJoin,
-				[]expr.Expr{ak}, []expr.Expr{bk}, nil,
-				plan.NewDynamicScan(a, 1, 1), plan.NewDynamicScan(b, 2, 2), nil)
-			node = plan.NewPartitionSelector(a, 1, nil, plan.NewPartitionSelector(b, 2, nil, semi))
-			res, err = RunLocal(rt, node, 0, nil)
+			semi := plan.NewPartitionSelector(a, 1, nil, plan.NewPartitionSelector(b, 2, nil,
+				plan.NewPartitionWiseJoin(plan.SemiJoin,
+					[]expr.Expr{ak}, []expr.Expr{bk}, nil,
+					plan.NewDynamicScan(a, 1, 1), plan.NewDynamicScan(b, 2, 2), nil)))
+			res, err = RunLocal(rt, semi, 0, nil)
 			if err != nil {
 				t.Fatalf("semi RunLocal: %v", err)
 			}
 			if len(res.Rows) != 50 || len(res.Rows[0]) != 2 {
 				t.Errorf("semi rows = %d width %d, want 50×2", len(res.Rows), len(res.Rows[0]))
 			}
+			// Under a tiny work_mem the per-pair joins charge the budget, spill
+			// and still answer; every reserved byte and spill file comes back.
+			base := t.TempDir()
+			gov := mem.NewGovernor(mem.Config{WorkMem: 256, BaseDir: base})
+			rt.Gov = gov
+			for _, c := range []struct {
+				name string
+				node plan.Node
+				want int
+			}{{"inner", inner, 20}, {"semi", semi, 50}} {
+				res, err := RunLocal(rt, c.node, 0, nil)
+				if err != nil {
+					t.Fatalf("budgeted %s: %v", c.name, err)
+				}
+				if len(res.Rows) != c.want {
+					t.Errorf("budgeted %s rows = %d, want %d", c.name, len(res.Rows), c.want)
+				}
+				if res.Stats.SpilledBytes() == 0 {
+					t.Errorf("budgeted %s did not spill", c.name)
+				}
+			}
+			if used := gov.Used(); used != 0 {
+				t.Errorf("governor holds %d bytes after the joins", used)
+			}
+			assertNoSpillLeak(t, base)
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"partopt/internal/catalog"
 	"partopt/internal/expr"
 	"partopt/internal/fault"
 	"partopt/internal/oidcache"
@@ -69,118 +70,112 @@ func colWindow(cols []vec.View, base int, viewBuf []vec.View) []vec.View {
 	return viewBuf
 }
 
-// scanOp reads one heap (one leaf partition, or an unpartitioned table) on
-// the executing segment.
-type scanOp struct {
-	n    *plan.Scan
-	rows []types.Row
-	pos  int
+// leafScanOp is the executor's one leaf reader. Scan and IndexScan read
+// one known leaf, at Open; DynamicScan and DynamicIndexScan read the leaves
+// their PartitionSelector chose, one at a time as the previous leaf drains.
+// A leaf loads through the node's index when it names one, with column lanes
+// when columnar execution is on and no RowID is needed, or as heap rows.
+type leafScanOp struct {
+	n          plan.Node // the scan node, named in errors
+	table      *catalog.Table
+	withRowID  bool
+	dynamic    bool // leaves come from partScanID's mailbox
+	partScanID int
+	leaf       part.OID // the one leaf of a static scan
 
-	batch Batch
-	idBuf []types.Row // reused row headers for the WithRowID arena
+	index *catalog.IndexDef // nil: heap reads
+	rel   int
+	pred  expr.Expr
+	set   types.IntervalSet // the index's interval set, derived at Open
 
-	cols    []vec.View // columnar snapshot of rows (nil when disabled)
-	viewBuf []vec.View // reused per-batch column views
-}
-
-func (s *scanOp) Open(ctx *Ctx) error {
-	if ctx.Seg == CoordinatorSeg {
-		return fmt.Errorf("exec: Scan of %s cannot run on the coordinator", s.n.Table.Name)
-	}
-	var rows []types.Row
-	var err error
-	s.cols = nil
-	if columnarEnabled && !s.n.WithRowID {
-		s.cols, rows, err = ctx.scanLeafCols(s.n.Table.OID, s.n.Leaf)
-	} else {
-		rows, err = ctx.scanLeaf(s.n.Table.OID, s.n.Leaf)
-	}
-	if err != nil {
-		return err
-	}
-	s.rows, s.pos = rows, 0
-	ctx.notePartScanned(s.n.Table.Name, s.n.Leaf)
-	ctx.noteRowsScanned(int64(len(rows)))
-	return nil
-}
-
-// NextBatch emits up to execBatchSize rows as a zero-copy view of the heap
-// slice (rows are immutable, so the view satisfies the ownership contract).
-// Abort polling and the OpNext fault point run once per batch.
-func (s *scanOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if err := ctx.pollAbortBatch(); err != nil {
-		return nil, err
-	}
-	if err := ctx.hitFault(fault.OpNext); err != nil {
-		return nil, err
-	}
-	if s.pos >= len(s.rows) {
-		return nil, errEOF
-	}
-	end := s.pos + execBatchSize
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	out := s.rows[s.pos:end]
-	s.batch.Cols, s.batch.Sel = nil, nil
-	if s.n.WithRowID {
-		s.idBuf = withRowIDs(out, nil, ctx.Seg, s.n.Leaf, s.pos, s.idBuf)
-		out = s.idBuf
-	} else if s.cols != nil {
-		s.viewBuf = colWindow(s.cols, s.pos, s.viewBuf)
-		s.batch.Cols = s.viewBuf
-	}
-	s.pos = end
-	s.batch.Rows = out
-	return &s.batch, nil
-}
-
-func (s *scanOp) Close(*Ctx) error { s.rows, s.cols = nil, nil; return nil }
-
-// ---------------------------------------------------------------- dynamic scan
-
-// dynScanOp scans exactly the partitions its PartitionSelector produced.
-type dynScanOp struct {
-	n       *plan.DynamicScan
-	leaves  []part.OID
-	li      int // next leaf to load
+	leaves  []part.OID // selected leaves not loaded yet
 	curLeaf part.OID
 	rows    []types.Row
+	ids     []storage.RowID // per-row identities of an index lookup
+	cols    []vec.View      // columnar snapshot of rows (nil when disabled)
 	pos     int
 
-	batch Batch
-	idBuf []types.Row
-
-	cols    []vec.View // columnar snapshot of the current leaf
-	viewBuf []vec.View
+	batch   Batch
+	idBuf   []types.Row // reused row headers for the WithRowID arena
+	viewBuf []vec.View  // reused per-batch column views
 }
 
-func (s *dynScanOp) Open(ctx *Ctx) error {
-	if ctx.Seg == CoordinatorSeg {
-		return fmt.Errorf("exec: DynamicScan of %s cannot run on the coordinator", s.n.Table.Name)
+// newLeafScan builds the leaf reader of a Scan, DynamicScan, IndexScan or
+// DynamicIndexScan node.
+func newLeafScan(n plan.Node) *leafScanOp {
+	s := &leafScanOp{n: n}
+	switch x := n.(type) {
+	case *plan.Scan:
+		s.table, s.withRowID, s.leaf = x.Table, x.WithRowID, x.Leaf
+	case *plan.DynamicScan:
+		s.table, s.withRowID, s.dynamic, s.partScanID = x.Table, x.WithRowID, true, x.PartScanID
+	case *plan.IndexScan:
+		s.table, s.withRowID, s.leaf = x.Table, x.WithRowID, x.Leaf
+		s.index, s.rel, s.pred = &x.Index, x.Rel, x.Pred
+	case *plan.DynamicIndexScan:
+		s.table, s.withRowID, s.dynamic, s.partScanID = x.Table, x.WithRowID, true, x.PartScanID
+		s.index, s.rel, s.pred = &x.Index, x.Rel, x.Pred
 	}
-	leaves, err := ctx.selectedOIDs(s.n.PartScanID)
+	return s
+}
+
+func (s *leafScanOp) Open(ctx *Ctx) error {
+	if ctx.Seg == CoordinatorSeg {
+		return fmt.Errorf("exec: %s of %s cannot run on the coordinator", opName(s.n), s.table.Name)
+	}
+	s.rows, s.pos, s.leaves = nil, 0, nil
+	if s.index != nil {
+		s.set = deriveIndexSet(ctx, s.rel, s.index.ColOrd, s.pred)
+	}
+	if !s.dynamic {
+		if err := s.load(ctx, s.leaf); err != nil {
+			return err
+		}
+		ctx.notePartScanned(s.table.Name, s.leaf)
+		return nil
+	}
+	leaves, err := ctx.selectedOIDs(s.partScanID)
 	if err != nil {
 		return err
 	}
-	s.leaves, s.li = leaves, 0
-	s.rows, s.pos = nil, 0
+	s.leaves = leaves
 	// Every selected partition will be read; account for it here so
 	// partition-scan counts match the selector's decision even when a
 	// parent stops pulling early.
 	for _, leaf := range leaves {
-		ctx.notePartScanned(s.n.Table.Name, leaf)
+		ctx.notePartScanned(s.table.Name, leaf)
 	}
-	if f := ctx.curFrame(); f != nil && s.n.Table.Part != nil {
-		f.partsTotal = s.n.Table.Part.NumLeaves()
+	if f := ctx.curFrame(); f != nil && s.table.Part != nil {
+		f.partsTotal = s.table.Part.NumLeaves()
 	}
 	return nil
 }
 
-// NextBatch emits batches that never straddle a leaf boundary: a whole leaf
-// (or execBatchSize, whichever is smaller) per call, so row-ID annotation
-// stays a single (leaf, base) arena fill.
-func (s *dynScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
+// load reads one leaf into rows (plus ids or cols, per the read path).
+func (s *leafScanOp) load(ctx *Ctx, leaf part.OID) error {
+	var err error
+	s.curLeaf, s.pos, s.ids, s.cols = leaf, 0, nil, nil
+	switch {
+	case s.index != nil:
+		s.rows, s.ids, err = ctx.indexLookup(s.table, s.index.Name, leaf, s.set)
+	case columnarEnabled && !s.withRowID:
+		s.cols, s.rows, err = ctx.scanLeafCols(s.table.OID, leaf)
+	default:
+		s.rows, err = ctx.scanLeaf(s.table.OID, leaf)
+	}
+	if err != nil {
+		return err
+	}
+	ctx.noteRowsScanned(int64(len(s.rows)))
+	return nil
+}
+
+// NextBatch emits up to execBatchSize rows of the current leaf as a
+// zero-copy view of its heap slice (rows are immutable, so the view
+// satisfies the ownership contract). Batches never straddle a leaf, so
+// row-ID annotation stays a single (leaf, base) arena fill. Abort polling
+// and the OpNext fault point run once per batch.
+func (s *leafScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if err := ctx.pollAbortBatch(); err != nil {
 		return nil, err
 	}
@@ -188,33 +183,24 @@ func (s *dynScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		return nil, err
 	}
 	for s.pos >= len(s.rows) {
-		if s.li >= len(s.leaves) {
+		if len(s.leaves) == 0 {
 			return nil, errEOF
 		}
-		s.curLeaf = s.leaves[s.li]
-		s.li++
-		var rows []types.Row
-		var err error
-		s.cols = nil
-		if columnarEnabled && !s.n.WithRowID {
-			s.cols, rows, err = ctx.scanLeafCols(s.n.Table.OID, s.curLeaf)
-		} else {
-			rows, err = ctx.scanLeaf(s.n.Table.OID, s.curLeaf)
-		}
-		if err != nil {
+		leaf := s.leaves[0]
+		s.leaves = s.leaves[1:]
+		if err := s.load(ctx, leaf); err != nil {
 			return nil, err
 		}
-		ctx.noteRowsScanned(int64(len(rows)))
-		s.rows, s.pos = rows, 0
 	}
-	end := s.pos + execBatchSize
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
+	end := min(s.pos+execBatchSize, len(s.rows))
 	out := s.rows[s.pos:end]
 	s.batch.Cols, s.batch.Sel = nil, nil
-	if s.n.WithRowID {
-		s.idBuf = withRowIDs(out, nil, ctx.Seg, s.curLeaf, s.pos, s.idBuf)
+	if s.withRowID {
+		var ids []storage.RowID
+		if s.ids != nil {
+			ids = s.ids[s.pos:end]
+		}
+		s.idBuf = withRowIDs(out, ids, ctx.Seg, s.curLeaf, s.pos, s.idBuf)
 		out = s.idBuf
 	} else if s.cols != nil {
 		s.viewBuf = colWindow(s.cols, s.pos, s.viewBuf)
@@ -225,7 +211,10 @@ func (s *dynScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	return &s.batch, nil
 }
 
-func (s *dynScanOp) Close(*Ctx) error { s.rows, s.leaves, s.cols = nil, nil, nil; return nil }
+func (s *leafScanOp) Close(*Ctx) error {
+	s.rows, s.ids, s.cols, s.leaves = nil, nil, nil, nil
+	return nil
+}
 
 // ---------------------------------------------------------------- partition selector
 

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sort"
 	"time"
 
 	"partopt/internal/obs"
@@ -23,15 +22,18 @@ import (
 // guarantee: even a cancelled query's Stats are complete (for the work
 // actually done) by the time the caller sees them.
 
-// opFrame accumulates one slice instance's view of one operator.
+// opFrame is the runtime record of one operator. A slice instance keeps one
+// frame per plan node; Stats.ops keeps one merged frame per plan node
+// (guarded by Stats.mu), built by add over every instance's frame.
 type opFrame struct {
-	started  bool
-	rowsOut  int64
-	rowsRead int64 // rows this operator read from storage
-	nanos    int64 // wall time inside Open+NextBatch+Close, inclusive of children
+	started   bool
+	instances int // slice instances merged into this record; 0 on an instance frame
+	rowsOut   int64
+	rowsRead  int64 // rows this operator read from storage
+	nanos     int64 // wall time inside Open+NextBatch+Close, inclusive of children
 
-	cur  int64 // current attributed reservation, bytes
-	peak int64 // high-water mark of cur
+	cur  int64 // current attributed reservation, bytes (instance frames only)
+	peak int64 // high-water mark of cur; max over instances when merged
 
 	spillBytes int64
 	spillParts int64
@@ -51,21 +53,23 @@ func (f *opFrame) notePart(oid part.OID) {
 	f.parts[oid] = true
 }
 
-// opAccum is the shared, mutex-guarded aggregation of every instance's
-// frames for one plan node (guarded by Stats.mu).
-type opAccum struct {
-	started    bool
-	instances  int
-	rowsOut    int64
-	rowsRead   int64
-	nanos      int64
-	peakBytes  int64 // max over instances
-	spillBytes int64
-	spillParts int64
-	parts      map[part.OID]bool // union over instances
-	partsTotal int
-	oidHits    int64
-	oidMisses  int64
+// add folds o into f: counters sum, peaks and leaf counts take the max,
+// partitions union.
+func (f *opFrame) add(o *opFrame) {
+	f.started = f.started || o.started
+	f.instances += o.instances
+	f.rowsOut += o.rowsOut
+	f.rowsRead += o.rowsRead
+	f.nanos += o.nanos
+	f.peak = max(f.peak, o.peak)
+	f.spillBytes += o.spillBytes
+	f.spillParts += o.spillParts
+	f.oidHits += o.oidHits
+	f.oidMisses += o.oidMisses
+	f.partsTotal = max(f.partsTotal, o.partsTotal)
+	for oid := range o.parts {
+		f.notePart(oid)
+	}
 }
 
 // statsOp decorates an operator with instrumentation. It is inserted by
@@ -178,53 +182,39 @@ func (c *Ctx) finishOpStats() {
 	c.Stats.mergeFrames(c.frames)
 }
 
-// mergeFrames folds one slice instance's frames into the per-node
-// accumulators.
+// mergeFrames folds one slice instance's frames into the per-node records.
+// A frame that never started still creates its node's record, so Actuals
+// reports the node as instrumented but not run.
 func (s *Stats) mergeFrames(frames map[plan.Node]*opFrame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ops == nil {
-		s.ops = map[plan.Node]*opAccum{}
-	}
 	for n, f := range frames {
-		a := s.ops[n]
-		if a == nil {
-			a = &opAccum{}
-			s.ops[n] = a
-		}
-		if !f.started {
-			continue
-		}
-		a.started = true
-		a.instances++
-		a.rowsOut += f.rowsOut
-		a.rowsRead += f.rowsRead
-		a.nanos += f.nanos
-		if f.peak > a.peakBytes {
-			a.peakBytes = f.peak
-		}
-		a.spillBytes += f.spillBytes
-		a.spillParts += f.spillParts
-		a.oidHits += f.oidHits
-		a.oidMisses += f.oidMisses
-		if f.partsTotal > a.partsTotal {
-			a.partsTotal = f.partsTotal
-		}
-		if len(f.parts) > 0 {
-			if a.parts == nil {
-				a.parts = map[part.OID]bool{}
-			}
-			for oid := range f.parts {
-				a.parts[oid] = true
-			}
+		a := s.op(n)
+		if f.started {
+			a.add(f)
+			a.instances++
 		}
 	}
 }
 
+// op returns (creating on demand) the merged record of a plan node. Callers
+// hold s.mu.
+func (s *Stats) op(n plan.Node) *opFrame {
+	if s.ops == nil {
+		s.ops = map[plan.Node]*opFrame{}
+	}
+	a := s.ops[n]
+	if a == nil {
+		a = &opFrame{}
+		s.ops[n] = a
+	}
+	return a
+}
+
 // absorb folds another Stats into s. runWithRetry uses it to publish one
 // attempt's scratch counters (see the retry-isolation comment there) into
-// the caller's accumulated Stats; the per-node accumulators merge the same
-// way mergeFrames merges frames (sums, max of peaks, union of partitions).
+// the caller's accumulated Stats; the per-node records merge through the
+// same opFrame.add as mergeFrames.
 func (s *Stats) absorb(o *Stats) {
 	if o == nil || s == o {
 		return
@@ -251,38 +241,8 @@ func (s *Stats) absorb(o *Stats) {
 		s.aggBatches.Typed[st] += o.aggBatches.Typed[st]
 		s.aggBatches.Row[st] += o.aggBatches.Row[st]
 	}
-	if len(o.ops) > 0 && s.ops == nil {
-		s.ops = map[plan.Node]*opAccum{}
-	}
 	for n, oa := range o.ops {
-		a := s.ops[n]
-		if a == nil {
-			a = &opAccum{}
-			s.ops[n] = a
-		}
-		a.started = a.started || oa.started
-		a.instances += oa.instances
-		a.rowsOut += oa.rowsOut
-		a.rowsRead += oa.rowsRead
-		a.nanos += oa.nanos
-		if oa.peakBytes > a.peakBytes {
-			a.peakBytes = oa.peakBytes
-		}
-		a.spillBytes += oa.spillBytes
-		a.spillParts += oa.spillParts
-		a.oidHits += oa.oidHits
-		a.oidMisses += oa.oidMisses
-		if oa.partsTotal > a.partsTotal {
-			a.partsTotal = oa.partsTotal
-		}
-		if len(oa.parts) > 0 {
-			if a.parts == nil {
-				a.parts = map[part.OID]bool{}
-			}
-			for oid := range oa.parts {
-				a.parts[oid] = true
-			}
-		}
+		s.op(n).add(oa)
 	}
 }
 
@@ -302,7 +262,7 @@ func (s *Stats) Actuals(n plan.Node) (plan.Actuals, bool) {
 		RowsOut:       a.rowsOut,
 		RowsRead:      a.rowsRead,
 		Nanos:         a.nanos,
-		PeakBytes:     a.peakBytes,
+		PeakBytes:     a.peak,
 		SpillBytes:    a.spillBytes,
 		SpillParts:    a.spillParts,
 		PartsSelected: len(a.parts),
@@ -310,23 +270,6 @@ func (s *Stats) Actuals(n plan.Node) (plan.Actuals, bool) {
 		OIDCacheHits:  a.oidHits,
 		OIDCacheMiss:  a.oidMisses,
 	}, true
-}
-
-// OpParts returns the distinct partition OIDs a partition-aware node
-// selected/scanned (union over instances), in ascending order.
-func (s *Stats) OpParts(n plan.Node) []part.OID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, ok := s.ops[n]
-	if !ok || len(a.parts) == 0 {
-		return nil
-	}
-	out := make([]part.OID, 0, len(a.parts))
-	for oid := range a.parts {
-		out = append(out, oid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ---------------------------------------------------------------- Ctx note helpers

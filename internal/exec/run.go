@@ -37,10 +37,8 @@ func buildOp(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) {
 // built through buildOp, so they carry their own instrumentation.
 func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) {
 	switch x := n.(type) {
-	case *plan.Scan:
-		return &scanOp{n: x}, nil
-	case *plan.DynamicScan:
-		return &dynScanOp{n: x}, nil
+	case *plan.Scan, *plan.DynamicScan, *plan.IndexScan, *plan.DynamicIndexScan:
+		return newLeafScan(n), nil
 	case *plan.PartitionSelector:
 		var child Operator
 		if x.Child != nil {
@@ -113,10 +111,6 @@ func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) 
 		return &deleteOp{n: x, child: child}, nil
 	case *plan.PartitionWiseJoin:
 		return &pwJoinOp{n: x}, nil
-	case *plan.IndexScan:
-		return &indexScanOp{n: x}, nil
-	case *plan.DynamicIndexScan:
-		return &dynIndexScanOp{n: x}, nil
 	case *plan.Sort:
 		child, err := buildOp(x.Child, exch)
 		if err != nil {
@@ -166,26 +160,14 @@ func Run(rt *Runtime, root plan.Node, params *Params) (*Result, error) {
 	return RunIntoCtx(context.Background(), rt, root, params, NewStats())
 }
 
-// RunCtx is Run governed by a context: cancelling it — or exceeding its
-// deadline — aborts every slice on every segment instead of letting peers
-// run to completion.
-func RunCtx(ctx context.Context, rt *Runtime, root plan.Node, params *Params) (*Result, error) {
-	return RunIntoCtx(ctx, rt, root, params, NewStats())
-}
-
-// RunInto is Run with caller-provided statistics, letting multi-plan
-// executions (the legacy planner's prep steps plus main plan) accumulate
-// into one counter set.
-func RunInto(rt *Runtime, root plan.Node, params *Params, stats *Stats) (*Result, error) {
-	return RunIntoCtx(context.Background(), rt, root, params, stats)
-}
-
-// RunIntoCtx is the full-control entry point: context plus caller-provided
-// statistics. When the runtime's RetryPolicy allows it, read-only queries
-// that fail with a transient error (a fault marked retryable, e.g. a
-// dropped motion send) are re-executed with exponential backoff; DML plans
-// are never retried, since re-running them after a partial failure would
-// double-apply their effects.
+// RunIntoCtx is the full-control entry point: a context whose cancellation
+// or deadline aborts every slice on every segment, plus caller-provided
+// statistics, letting multi-plan executions (the legacy planner's prep
+// steps plus main plan) accumulate into one counter set. When the runtime's
+// RetryPolicy allows it, read-only queries that fail with a transient error
+// (a fault marked retryable, e.g. a dropped motion send) are re-executed
+// with exponential backoff; DML plans are never retried, since re-running
+// them after a partial failure would double-apply their effects.
 func RunIntoCtx(ctx context.Context, rt *Runtime, root plan.Node, params *Params, stats *Stats) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -27,7 +27,6 @@ import (
 	"partopt/internal/exec"
 	"partopt/internal/fts"
 	"partopt/internal/legacy"
-	"partopt/internal/logical"
 	"partopt/internal/mem"
 	"partopt/internal/obs"
 	"partopt/internal/oidcache"
@@ -420,16 +419,6 @@ func (e *Engine) compileDML(p *prepared) (*plancache.Entry, error) {
 	return e.compileBound(bound)
 }
 
-func (e *Engine) bind(query string) (*sql.Bound, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return sql.Bind(e.cat, stmt)
-}
-
 // plan compiles a bound statement with the active optimizer and applies
 // the presentation shell (ORDER BY / LIMIT run on the coordinator). For
 // the legacy planner the second result carries the prep steps. Every call
@@ -475,15 +464,6 @@ func (e *Engine) plan(bound *sql.Bound) (plan.Node, *legacy.Planned, orca.OptSta
 		pl.Main = node
 	}
 	return node, pl, stats, nil
-}
-
-// PlanLogical exposes the bound logical tree (for tools and tests).
-func (e *Engine) PlanLogical(query string) (logical.Node, error) {
-	bound, err := e.bind(query)
-	if err != nil {
-		return nil, err
-	}
-	return bound.Root, nil
 }
 
 // executeEntry runs a compiled plan with fully bound parameter values
