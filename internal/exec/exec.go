@@ -338,31 +338,27 @@ func (c *Ctx) release(n int64) {
 	c.attributeRelease(n)
 }
 
-// chunkBytes sums the memory footprint of a motion chunk (mem.RowBytes per
-// row). The sender computes it once at flush time and ships the figure with
-// the chunk, so account and release always agree.
-func chunkBytes(rows []types.Row) int64 {
+// accountChunk sizes one motion-buffered chunk (mem.RowBytes per row) and
+// attributes it to the query (no denial; raises pressure so spillable
+// operators yield memory sooner). The sender ships the returned figure with
+// the chunk, so account and release always agree. An ungoverned query
+// accounts nothing, so it skips the per-datum walk and the figure is 0.
+func (c *Ctx) accountChunk(rows []types.Row) int64 {
+	if c.budget == nil {
+		return 0
+	}
 	var n int64
 	for _, row := range rows {
 		n += mem.RowBytes(row)
 	}
+	c.budget.Account(n)
 	return n
 }
 
-// accountChunkBytes attributes one motion-buffered chunk to the query (no
-// denial; raises pressure so spillable operators yield memory sooner).
-func (c *Ctx) accountChunkBytes(n int64) {
-	if c.budget != nil {
-		c.budget.Account(n)
-	}
-}
-
-// releaseChunkBytes undoes accountChunkBytes once the chunk leaves the
-// motion buffer.
+// releaseChunkBytes undoes accountChunk once the chunk leaves the motion
+// buffer.
 func (c *Ctx) releaseChunkBytes(n int64) {
-	if c.budget != nil {
-		c.budget.Release(n)
-	}
+	c.budget.Release(n)
 }
 
 // pollAbort samples the query context for cancellation. Row loops that read

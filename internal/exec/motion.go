@@ -196,8 +196,7 @@ func (s *motionSender) flush(ctx *Ctx, i int) error {
 	if err := ctx.hitFault(fault.MotionSend); err != nil {
 		return err
 	}
-	chunk := motionChunk{rows: rows, bytes: chunkBytes(rows)}
-	ctx.accountChunkBytes(chunk.bytes)
+	chunk := motionChunk{rows: rows, bytes: ctx.accountChunk(rows)}
 	select {
 	case s.ex.chans[s.ex.recvSegs[i]] <- chunk:
 		ctx.noteRowsMoved(int64(len(rows)))

@@ -49,14 +49,7 @@ func (m *memo) implementJoin(le *lexpr, op *logical.Join, req request) []*result
 			probeSpecs = append(probeSpecs, spec)
 			continue
 		}
-		keyPreds, found := expr.FindPredsOnKeys(spec.Keys, op.Pred)
-		if found && predsSourcedFrom(keyPreds, spec, build.rels) {
-			ns := spec.clone()
-			for lvl, p := range keyPreds {
-				if p != nil {
-					ns.Preds[lvl] = expr.Conj(p, ns.Preds[lvl])
-				}
-			}
+		if ns, ok := joinDriven(spec, op.Pred, build.rels); ok {
 			buildSpecs = append(buildSpecs, ns)
 			dynRels = append(dynRels, spec.ScanRel)
 			dynCopies = append(dynCopies, spec.clone())
@@ -96,11 +89,7 @@ func (m *memo) implementJoin(le *lexpr, op *logical.Join, req request) []*result
 			// Credit the run-time pruning the dynamic selectors achieve.
 			probeCost *= m.o.dynFraction()
 		}
-		outRows := joinOutRows(op.Type, b.rows, p.rows)
-		cost := b.cost + probeCost + b.rows*costBuildRow + p.rows*costProbeRow + outRows*costJoinOutRow
-		node := plan.NewHashJoin(op.Type, buildKeys, probeKeys, residual, b.node, p.node, op.Pred)
-		plan.SetEstimates(node, outRows, cost)
-		out = append(out, &result{valid: true, cost: cost, rows: outRows, delivered: d, node: node})
+		out = append(out, hashJoinResult(op, le.join, b, p, probeCost, d))
 	}
 
 	bCols, bOK := le.join.bCols, le.join.bOK
@@ -162,7 +151,164 @@ func (m *memo) implementJoin(le *lexpr, op *logical.Join, req request) []*result
 	if pw := m.implementPartitionWise(build, probe, op, buildKeys, probeKeys, residual, req); pw != nil {
 		out = append(out, pw)
 	}
+
+	// Alternative 5: outer joins prune the null-producing side from a
+	// replicated copy of the preserved side's keys, below the Motion.
+	return append(out, m.implementKeySet(le, op, req)...)
+}
+
+// implementKeySet is the key-set alternative of an outer join: the
+// null-producing side is pruned by a PartitionSelector that sits below the
+// Motion redistributing that side, fed by a replicated copy of the
+// preserved side:
+//
+//	HashLeftOuterJoin                 (or the flipped HashRightOuterJoin)
+//	  -> preserved side, HashedOn(its keys)
+//	  -> Redistribute Motion (null-side keys)
+//	    -> Sequence
+//	      -> PartitionSelector(join keys ∧ static preds)
+//	        -> preserved side again, Replicated
+//	      -> null-producing side, containing the DynamicScan
+//
+// Sound because a null-side row is emitted only if some preserved row
+// satisfies the join predicate, and therefore its key conjuncts: every
+// partition such a row can live in is selected by some row of the copy (a
+// NULL preserved key selects nothing, and matches nothing). Selector and
+// scan share the process below the Motion, so the colocation rule holds;
+// the preserved side itself is neither pruned nor broadcast — only its
+// copy is, and the copy's rows are discarded by the Sequence.
+//
+// Offered only when the preserved side holds no partitioned table (its copy
+// must never duplicate a DynamicScan or a mailbox), and only when the null
+// side's plan is not already hashed on the join keys: then alternative 1
+// prunes it with no Motion at all.
+func (m *memo) implementKeySet(le *lexpr, op *logical.Join, req request) []*result {
+	if !op.Type.Outer() || m.o.DisableSelection {
+		return nil
+	}
+	ji := le.join
+	if len(ji.buildKeys) == 0 || !ji.bOK || !ji.pOK {
+		return nil
+	}
+	preserved, null := le.children[0], le.children[1]
+	presCols, nullCols, nullKeys := ji.bCols, ji.pCols, ji.probeKeys
+	if op.Type.ProbePreserved() {
+		preserved, null = null, preserved
+		presCols, nullCols, nullKeys = nullCols, presCols, ji.buildKeys
+	}
+	delivered := HashedOn(presCols...)
+	if !delivered.Satisfies(req.dist) || m.hasPartitioned(preserved) {
+		return nil
+	}
+
+	// Every spec lies on the null side. Those the join predicate constrains
+	// from preserved-side values move to the key source; a copy may also
+	// travel down the null side to collect its static predicates.
+	var keySpecs, nullSpecs, copies []*SpecReq
+	for _, spec := range req.specs {
+		ns, ok := joinDriven(spec, op.Pred, preserved.rels)
+		if !ok {
+			nullSpecs = append(nullSpecs, spec)
+			continue
+		}
+		keySpecs = append(keySpecs, ns)
+		copies = append(copies, spec.clone())
+	}
+	if len(keySpecs) == 0 {
+		return nil
+	}
+
+	pres := m.optimize(preserved, request{dist: delivered})
+	if !pres.valid {
+		return nil
+	}
+	src := m.optimize(preserved, request{dist: Replicated()})
+	if !src.valid || sharesNode(pres.node, src.node) {
+		// Both copies may be enforcers over one memoized subplan; a plan
+		// tree must not hold the same node twice.
+		return nil
+	}
+	// The key source: one selector per pruned scan, chained over the copy.
+	var keySrc plan.Node = src.node
+	srcCost := src.cost
+	for _, spec := range keySpecs {
+		sel := plan.NewPartitionSelector(spec.Table, spec.ScanRel, spec.Preds, keySrc)
+		sel.Hub = hubSpec(spec)
+		srcCost += src.rows*costSelectorPerRow + costSelectorBase
+		plan.SetEstimates(sel, src.rows, srcCost)
+		keySrc = sel
+	}
+
+	var out []*result
+	withCopies := append(append([]*SpecReq{}, nullSpecs...), copies...)
+	for _, specs := range [][]*SpecReq{nullSpecs, withCopies} {
+		n := m.optimize(null, request{dist: AnySpec(), specs: specs})
+		if !n.valid || n.delivered.Satisfies(HashedOn(nullCols...)) {
+			continue
+		}
+		motionFree := true
+		for _, spec := range keySpecs {
+			motionFree = motionFree && pathMotionFree(n.node, spec.ScanRel)
+		}
+		if !motionFree {
+			continue
+		}
+		// Credit the run-time pruning to the null side's scan and to the
+		// rows its Redistribute no longer moves; estimates stay unscaled.
+		seq := plan.NewSequence(keySrc, n.node)
+		seqCost := srcCost + n.cost*m.o.dynFraction()
+		plan.SetEstimates(seq, n.rows, seqCost)
+		motion := plan.NewMotion(plan.RedistributeMotion, nullKeys, seq)
+		if n.delivered.Kind == ReplicatedDist {
+			motion.FromSegment = 0
+		}
+		nullCost := seqCost + n.rows*costRedistRow*m.o.dynFraction()
+		plan.SetEstimates(motion, n.rows, nullCost)
+
+		b, p := pres, &result{rows: n.rows, cost: nullCost, node: motion}
+		if op.Type.ProbePreserved() {
+			b, p = p, b
+		}
+		out = append(out, hashJoinResult(op, ji, b, p, p.cost, delivered))
+	}
 	return out
+}
+
+// hashJoinResult costs a HashJoin over the planned build side b and probe
+// side p and builds its node. probeCost is p's cost after any credit for
+// run-time pruning; the row estimates stay unscaled.
+func hashJoinResult(op *logical.Join, ji *joinInfo, b, p *result, probeCost float64, d DistSpec) *result {
+	outRows := joinOutRows(op.Type, b.rows, p.rows)
+	cost := b.cost + probeCost + b.rows*costBuildRow + p.rows*costProbeRow + outRows*costJoinOutRow
+	node := plan.NewHashJoin(op.Type, ji.buildKeys, ji.probeKeys, ji.residual, b.node, p.node, op.Pred)
+	plan.SetEstimates(node, outRows, cost)
+	return &result{valid: true, cost: cost, rows: outRows, delivered: d, node: node}
+}
+
+// sharesNode reports whether two plan trees have a node in common.
+func sharesNode(a, b plan.Node) bool {
+	seen := map[plan.Node]bool{}
+	plan.Walk(a, func(n plan.Node) bool {
+		seen[n] = true
+		return true
+	})
+	shared := false
+	plan.Walk(b, func(n plan.Node) bool {
+		shared = shared || seen[n]
+		return !shared
+	})
+	return shared
+}
+
+// hasPartitioned reports whether any relation below g is a partitioned
+// table.
+func (m *memo) hasPartitioned(g *group) bool {
+	for rel := range g.rels {
+		if t := m.tables[rel]; t != nil && t.IsPartitioned() {
+			return true
+		}
+	}
+	return false
 }
 
 // implementPartitionWise builds the partition-wise alternative when the
@@ -252,6 +398,24 @@ func soleGet(g *group) *logical.Get {
 		}
 	}
 	return nil
+}
+
+// joinDriven returns a copy of spec whose level predicates also carry the
+// join predicate's constraints on the partitioning keys, when it has some
+// and their other operands come from the relations in src (the side whose
+// rows will drive the selector); ok is false otherwise.
+func joinDriven(spec *SpecReq, pred expr.Expr, src map[int]bool) (*SpecReq, bool) {
+	keyPreds, found := expr.FindPredsOnKeys(spec.Keys, pred)
+	if !found || !predsSourcedFrom(keyPreds, spec, src) {
+		return nil, false
+	}
+	ns := spec.clone()
+	for lvl, p := range keyPreds {
+		if p != nil {
+			ns.Preds[lvl] = expr.Conj(p, ns.Preds[lvl])
+		}
+	}
+	return ns, true
 }
 
 // predsSourcedFrom reports whether every non-key column referenced by the

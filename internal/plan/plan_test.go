@@ -331,6 +331,9 @@ func TestValidate(t *testing.T) {
 	scan := func() Node { return NewPartitionSelector(r, 1, nil, NewDynamicScan(r, 1, 1)) }
 	final := func(child Node) Node { return NewStagedHashAgg(AggFinal, nil, aggs, child) }
 	partial := NewStagedHashAgg(AggPartial, nil, aggs, scan())
+	sKey, rKey := []expr.Expr{col(2, 0, "a")}, []expr.Expr{col(1, 1, "b")}
+	joinPred := []expr.Expr{expr.NewCmp(expr.EQ, col(1, 1, "b"), col(2, 0, "a"))}
+	staticPred := expr.NewCmp(expr.LT, col(1, 1, "b"), expr.NewConst(types.NewInt(5)))
 
 	good := []Node{
 		NewMotion(GatherMotion, nil, NewHashAgg(nil, aggs, scan())),
@@ -338,6 +341,23 @@ func TestValidate(t *testing.T) {
 		// Producer-side selector above a Motion, consumer scan beside it.
 		NewMotion(GatherMotion, nil, NewHashJoin(InnerJoin, []expr.Expr{col(2, 0, "a")}, []expr.Expr{col(1, 1, "b")}, nil,
 			NewPartitionSelector(r, 1, nil, NewMotion(BroadcastMotion, nil, NewScan(s, 2))), NewDynamicScan(r, 1, 1), nil)),
+		// Key-set outer join: the null-producing side is pruned below its
+		// Redistribute by a selector over a broadcast copy of the preserved
+		// side; the preserved side itself is neither pruned nor broadcast.
+		NewMotion(GatherMotion, nil, NewHashJoin(LeftOuterJoin, sKey, rKey, nil,
+			NewMotion(RedistributeMotion, sKey, NewScan(s, 2)),
+			NewMotion(RedistributeMotion, rKey, NewSequence(
+				NewPartitionSelector(r, 1, joinPred, NewMotion(BroadcastMotion, nil, NewScan(s, 2))),
+				NewDynamicScan(r, 1, 1))), nil)),
+		// A static selector may prune a preserved side from anywhere.
+		NewMotion(GatherMotion, nil, NewPartitionSelector(r, 1, []expr.Expr{staticPred},
+			NewHashJoin(RightOuterJoin, sKey, rKey, nil, NewScan(s, 2), NewDynamicScan(r, 1, 1), nil))),
+		// An inner join above a fact-preserving outer join may prune the
+		// fact by its own keys: it drops the unmatched fact rows anyway.
+		NewMotion(GatherMotion, nil, NewHashJoin(InnerJoin, []expr.Expr{col(4, 0, "a")}, rKey, nil,
+			NewPartitionSelector(r, 1, []expr.Expr{expr.NewCmp(expr.EQ, col(1, 1, "b"), col(4, 0, "a"))},
+				NewMotion(BroadcastMotion, nil, NewScan(s, 4))),
+			NewHashJoin(RightOuterJoin, sKey, rKey, nil, NewScan(s, 2), NewDynamicScan(r, 1, 1), nil), nil)),
 	}
 	for _, p := range good {
 		if err := Validate(p); err != nil {
@@ -350,6 +370,13 @@ func TestValidate(t *testing.T) {
 		"no Motion between":         final(partial),
 		"1 Final aggregation stage": final(NewMotion(GatherMotion, nil, scan())),
 		"more than one Final":       final(NewMotion(GatherMotion, nil, final(NewMotion(GatherMotion, nil, partial)))),
+		// Join-driven pruning of the fact side that RIGHT JOIN preserves.
+		"prunes the preserved side": NewMotion(GatherMotion, nil, NewHashJoin(RightOuterJoin, sKey, rKey, nil,
+			NewPartitionSelector(r, 1, joinPred, NewMotion(BroadcastMotion, nil, NewScan(s, 2))), NewDynamicScan(r, 1, 1), nil)),
+		// A replicated preserved side null-extends once per segment.
+		"broadcasts the preserved side": NewMotion(GatherMotion, nil, NewHashJoin(LeftOuterJoin, sKey, []expr.Expr{col(3, 0, "a")}, nil,
+			NewFilter(expr.NewCmp(expr.LT, col(2, 1, "b"), expr.NewConst(types.NewInt(5))),
+				NewMotion(BroadcastMotion, nil, NewScan(s, 2))), NewScan(s, 3), nil)),
 	}
 	for want, p := range bad {
 		if err := Validate(p); err == nil || !strings.Contains(err.Error(), want) {

@@ -262,7 +262,10 @@ func (b *binder) buildJoinTree(sc *scope, refs []TableRef, conjuncts []expr.Expr
 		r := sc.rels[ri]
 		right := logical.Node(&logical.Get{Table: r.tab, Rel: r.rel, Alias: r.alias})
 		if kind := joinOf(ri); kind == JoinLeft || kind == JoinRight {
-			node, err := b.bindOuterJoin(sc, refs[ri], tree, right, r, avail)
+			// WHERE conjuncts on the new relation go above its Get when no
+			// outer join NULL-extends it (a RIGHT JOIN's preserved side),
+			// as they do for the first relation of a LEFT JOIN.
+			node, err := b.bindOuterJoin(sc, refs[ri], tree, attach(right, r.rel), r, avail)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -15,6 +15,12 @@ import (
 // configurations — Orca, Orca with partition selection disabled, and the
 // legacy Planner. All three must return identical results; partition
 // selection may only change what is scanned, never what is answered.
+//
+// The dimension-preserved outer joins are the key-set selector's queries:
+// the fact is distributed on cust_id, so Orca prunes it below the Motion
+// that brings it to the dimension. The test fails if none of them scanned
+// fewer than all of the fact's leaves, so it cannot stop covering that
+// route unnoticed.
 func TestFuzzOptimizersAgree(t *testing.T) {
 	eng, err := partopt.New(3)
 	if err != nil {
@@ -58,10 +64,15 @@ func TestFuzzOptimizersAgree(t *testing.T) {
 	}
 	randAgg := func() string { return randAggs(rnd, "") }
 
+	// genQuery leaves the drawn fact table in fact, and dimKept says whether
+	// the query is a dimension-preserved outer join.
+	var fact string
+	var dimKept bool
 	genQuery := func() string {
-		fact := facts[rnd.Intn(len(facts))]
+		fact, dimKept = facts[rnd.Intn(len(facts))], false
 		switch rnd.Intn(6) {
 		case 4: // outer join, dimension preserved: dim predicates in WHERE
+			dimKept = true
 			kw := []string{"LEFT", "RIGHT"}[rnd.Intn(2)]
 			from := fmt.Sprintf("date_dim d %s JOIN %s f", kw, fact)
 			if kw == "RIGHT" {
@@ -117,21 +128,32 @@ func TestFuzzOptimizersAgree(t *testing.T) {
 		}
 	}
 
-	run := func(q string, setup func()) ([][]partopt.Value, error) {
+	run := func(q string, setup func()) (*partopt.Rows, error) {
 		setup()
 		rows, err := eng.Query(q)
 		if err != nil {
 			return nil, err
 		}
 		rows.SortData()
-		return rows.Data, nil
+		return rows, nil
 	}
 
+	keySetPruned := 0 // dimension-preserved outer joins that scanned < all fact leaves
 	for i := 0; i < 120; i++ {
 		q := genQuery()
-		ref, err := run(q, func() { eng.SetOptimizer(partopt.Orca); eng.SetPartitionSelection(true) })
+		orca, err := run(q, func() { eng.SetOptimizer(partopt.Orca); eng.SetPartitionSelection(true) })
 		if err != nil {
 			t.Fatalf("query %d orca: %v\n%s", i, err, q)
+		}
+		ref := orca.Data
+		if dimKept {
+			leaves, err := eng.NumPartitions(fact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if orca.PartsScanned[fact] < leaves {
+				keySetPruned++
+			}
 		}
 		noSel, err := run(q, func() { eng.SetPartitionSelection(false) })
 		if err != nil {
@@ -144,12 +166,15 @@ func TestFuzzOptimizersAgree(t *testing.T) {
 		}
 		eng.SetOptimizer(partopt.Orca)
 
-		for name, got := range map[string][][]partopt.Value{"selection-off": noSel, "legacy": legacy} {
+		for name, got := range map[string][][]partopt.Value{"selection-off": noSel.Data, "legacy": legacy.Data} {
 			if !resultsEqual(ref, got) {
 				t.Fatalf("query %d: %s disagrees with orca\nquery: %s\norca:   %v\nother:  %v",
 					i, name, q, sample(ref), sample(got))
 			}
 		}
+	}
+	if keySetPruned == 0 {
+		t.Errorf("no dimension-preserved outer join pruned its fact table: the key-set selector went unexercised")
 	}
 }
 

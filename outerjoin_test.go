@@ -12,10 +12,10 @@ import (
 func outerFixture(t *testing.T, segs int) *Engine {
 	t.Helper()
 	eng := paperEngine(t, segs)
-	// orders_colo is orders_fk co-distributed on the join key: the one
-	// layout where join-driven elimination of the fact side is sound for
-	// an outer join (no Motion between selector and scan, and no
-	// replication of a preserved side).
+	// orders_colo is orders_fk co-distributed on the join key: the layout
+	// where an outer join prunes the fact side from the preserved side
+	// itself (no Motion between selector and scan, and no replication of a
+	// preserved side). orders_fk needs the key-set route instead.
 	eng.MustCreateTable("orders_colo",
 		Columns("order_id", TypeInt, "amount", TypeFloat, "date_id", TypeInt),
 		DistributedBy("date_id"),
@@ -126,11 +126,12 @@ func TestOuterJoinDPEOnNullProducingSide(t *testing.T) {
 		t.Errorf("selection-off parts scanned = %d, want 24 of 24", got)
 	}
 	eng.SetPartitionSelection(true)
-	// The same query against the order_id-distributed copy of the fact
-	// table has no sound elimination route (redistribution would separate
-	// selector and scan; replicating the preserved dim side duplicates its
-	// unmatched rows) — the planner must fall back to the full scan, not
-	// prune unsoundly.
+	// The order_id-distributed copy of the fact table must be redistributed
+	// to meet the dimension, which would separate a join-side selector from
+	// its scan, and replicating the preserved dim side would duplicate its
+	// unmatched rows. The key-set route prunes it anyway: a selector below
+	// the fact side's Redistribute, fed by a replicated copy of the
+	// dimension's keys.
 	rows, err = eng.Query(`SELECT count(*) FROM date_dim d LEFT JOIN orders_fk o ON d.date_id = o.date_id
 		WHERE d.year = 2013 AND d.month BETWEEN 10 AND 12`)
 	if err != nil {
@@ -139,8 +140,114 @@ func TestOuterJoinDPEOnNullProducingSide(t *testing.T) {
 	if got := rows.Data[0][0].Int(); got != 30 {
 		t.Errorf("orders_fk count = %d, want 30", got)
 	}
-	if got := rows.PartsScanned["orders_fk"]; got != 24 {
-		t.Errorf("orders_fk parts scanned = %d, want 24 (no sound DPE route)", got)
+	if got := rows.PartsScanned["orders_fk"]; got != 3 {
+		t.Errorf("orders_fk parts scanned = %d, want 3 of 24 (key-set route)", got)
+	}
+}
+
+// The key-set route in its other spellings. Each case must count what the
+// legacy planner counts; partsWant is Orca's orders_fk partition count.
+func TestOuterJoinKeySetRoutes(t *testing.T) {
+	eng := outerFixture(t, 3)
+	// date_dim hash-distributed on its key: its replicated copy needs a
+	// Broadcast, the one it already delivers HashedOn does not.
+	eng.MustCreateTable("date_dim_h",
+		Columns("date_id", TypeInt, "year", TypeInt, "month", TypeInt, "day_of_week", TypeInt),
+		DistributedBy("date_id"),
+	)
+	dims, err := eng.Query("SELECT date_id, year, month, day_of_week FROM date_dim")
+	if err != nil {
+		t.Fatalf("read date_dim: %v", err)
+	}
+	for _, r := range dims.Data {
+		if err := eng.Insert("date_dim_h", r...); err != nil {
+			t.Fatalf("insert date_dim_h: %v", err)
+		}
+	}
+	if err := eng.Analyze(); err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	cases := []struct {
+		name, q   string
+		partsWant int
+		explain   []string // lines Orca's EXPLAIN must contain, in this order
+	}{
+		{"right join spelling",
+			`SELECT count(*) FROM orders_fk o RIGHT JOIN date_dim d ON o.date_id = d.date_id
+				WHERE d.year = 2013 AND d.month BETWEEN 10 AND 12`, 3,
+			[]string{"HashLeftOuterJoin", "Sequence", "PartitionSelector(1, orders_fk", "DynamicScan(1, orders_fk)"}},
+		{"hashed preserved side",
+			`SELECT count(*) FROM date_dim_h d LEFT JOIN orders_fk o ON d.date_id = o.date_id
+				WHERE d.year = 2013 AND d.month BETWEEN 10 AND 12`, 3,
+			[]string{"Sequence", "PartitionSelector(2, orders_fk", "Broadcast Motion", "DynamicScan(2, orders_fk)"}},
+		// A partitioned preserved side would have its DynamicScan and
+		// mailbox duplicated by the copy: the route is not offered.
+		{"partitioned preserved side",
+			`SELECT count(*) FROM orders_colo c LEFT JOIN orders_fk f ON c.date_id = f.date_id`, 24, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng.SetOptimizer(LegacyPlanner)
+			ref, err := eng.Query(c.q)
+			if err != nil {
+				t.Fatalf("legacy Query: %v", err)
+			}
+			eng.SetOptimizer(Orca)
+			rows, err := eng.Query(c.q)
+			if err != nil {
+				t.Fatalf("Query: %v", err)
+			}
+			if got, want := rows.Data[0][0].Int(), ref.Data[0][0].Int(); got != want {
+				t.Errorf("count = %d, legacy counts %d", got, want)
+			}
+			out, err := eng.Explain(c.q)
+			if err != nil {
+				t.Fatalf("Explain: %v", err)
+			}
+			if got := rows.PartsScanned["orders_fk"]; got != c.partsWant {
+				t.Errorf("parts scanned = %d, want %d of 24:\n%s", got, c.partsWant, out)
+			}
+			rest := out
+			for _, line := range c.explain {
+				i := strings.Index(rest, line)
+				if i < 0 {
+					t.Fatalf("explain lacks %q after the lines before it:\n%s", line, out)
+				}
+				rest = rest[i+len(line):]
+			}
+		})
+	}
+}
+
+// An inner or semi join above a fact-preserving LEFT JOIN may prune the
+// fact from its own dimension: it drops the unmatched fact rows anyway.
+// Such a selector lies outside the outer join's preserved child, and the
+// plan must still validate and count what the legacy planner counts.
+func TestOuterJoinPreservedSidePrunedFromAbove(t *testing.T) {
+	eng := outerFixture(t, 3)
+	for _, q := range []string{
+		`SELECT count(*) FROM orders_fk f LEFT JOIN date_dim x ON f.date_id = x.date_id
+			JOIN date_dim d ON f.date_id = d.date_id WHERE d.month = 11`,
+		`SELECT count(*) FROM orders_fk f LEFT JOIN date_dim x ON f.date_id = x.date_id
+			WHERE f.date_id IN (SELECT date_id FROM date_dim WHERE month = 11)`,
+	} {
+		eng.SetOptimizer(LegacyPlanner)
+		ref, err := eng.Query(q)
+		if err != nil {
+			t.Fatalf("legacy Query: %v\n%s", err, q)
+		}
+		eng.SetOptimizer(Orca)
+		rows, err := eng.Query(q)
+		if err != nil {
+			t.Fatalf("Query: %v\n%s", err, q)
+		}
+		if got, want := rows.Data[0][0].Int(), ref.Data[0][0].Int(); got != want {
+			t.Errorf("count = %d, legacy counts %d\n%s", got, want, q)
+		}
+		if got := rows.PartsScanned["orders_fk"]; got >= 24 {
+			out, _ := eng.Explain(q)
+			t.Errorf("orders_fk parts scanned = %d, want fewer than 24:\n%s", got, out)
+		}
 	}
 }
 
@@ -232,6 +339,52 @@ Project (count_1)  (actual rows=1 loops=1 time=T)
           -> DynamicScan(2, orders_colo)  (rows=240 cost=240)  (actual rows=30 loops=2 time=T)
                Partitions selected: 3 (out of 24)
                Rows read from storage: 30
+`
+	if got := normalizeAnalyze(out); got != want {
+		t.Errorf("golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// Golden tree for the key-set route: the fact table is distributed on
+// order_id, so its rows are redistributed to meet the preserved dimension.
+// The selector sits below that Motion, fed by the dimension's replicated
+// copy, and prunes the scan to 3 of 24 partitions before any row moves.
+func TestExplainAnalyzeGoldenOuterJoinKeySet(t *testing.T) {
+	eng := outerFixture(t, 2)
+	eng.SetOptimizer(Orca)
+	const q = `SELECT count(*) FROM date_dim d LEFT JOIN orders_fk o ON d.date_id = o.date_id
+		WHERE d.year = 2013 AND d.month BETWEEN 10 AND 12`
+	if _, err := eng.Query(q); err != nil {
+		t.Fatalf("warm-up Query: %v", err)
+	}
+	out, err := eng.ExplainAnalyze(q)
+	if err != nil {
+		t.Fatalf("ExplainAnalyze: %v", err)
+	}
+	const want = `optimization: 5 groups, T ms
+aggregation: 0 typed / 4 row batches (partial 0/2, final 0/2)
+Project (count_1)  (actual rows=1 loops=1 time=T)
+  -> Final HashAggregate (count(*))  (rows=1 cost=631)  (actual rows=1 loops=1 time=T)
+       Peak memory: N per instance
+    -> Gather Motion  (actual rows=2 loops=1 time=T)
+      -> Partial HashAggregate (count(*))  (rows=2 cost=623)  (actual rows=2 loops=2 time=T)
+           Peak memory: N per instance
+        -> HashLeftOuterJoin (d.date_id = o.date_id)  (rows=240 cost=383)  (actual rows=30 loops=2 time=T)
+             Peak memory: N per instance
+          -> Redistribute Motion (t1.c0)  (rows=1 cost=30)  (actual rows=3 loops=2 time=T)
+            -> Filter (d.year = $1 AND d.month >= $2 AND d.month <= $3)  (rows=1 cost=28)  (actual rows=3 loops=1 time=T)
+              -> Scan date_dim  (rows=25 cost=25)  (actual rows=25 loops=1 time=T)
+                   Rows read from storage: 25
+          -> Redistribute Motion (o.date_id)  (rows=240 cost=137)  (actual rows=30 loops=2 time=T)
+            -> Sequence  (rows=240 cost=65)  (actual rows=30 loops=2 time=T)
+              -> PartitionSelector(2, orders_fk, d.date_id = o.date_id)  (rows=1 cost=29)  (actual rows=6 loops=2 time=T)
+                   Partitions selected: 3 (out of 24)
+                -> Filter (d.year = $1 AND d.month >= $2 AND d.month <= $3)  (rows=1 cost=28)  (actual rows=6 loops=2 time=T)
+                  -> Scan date_dim  (rows=25 cost=25)  (actual rows=50 loops=2 time=T)
+                       Rows read from storage: 50
+              -> DynamicScan(2, orders_fk)  (rows=240 cost=240)  (actual rows=30 loops=2 time=T)
+                   Partitions selected: 3 (out of 24)
+                   Rows read from storage: 30
 `
 	if got := normalizeAnalyze(out); got != want {
 		t.Errorf("golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
