@@ -117,7 +117,6 @@ func (t *Table) NumCols() int { return len(t.Cols) }
 // Catalog is a registry of tables with a shared OID allocator.
 type Catalog struct {
 	tables  map[string]*Table
-	byOID   map[part.OID]*Table
 	nextOID part.OID
 }
 
@@ -125,7 +124,6 @@ type Catalog struct {
 func New() *Catalog {
 	return &Catalog{
 		tables:  map[string]*Table{},
-		byOID:   map[part.OID]*Table{},
 		nextOID: 1,
 	}
 }
@@ -180,7 +178,6 @@ func (c *Catalog) CreateTable(name string, cols []Column, dist DistPolicy, partL
 		t.Part = part.Build(t.OID, c.AllocOID, partLevels...)
 	}
 	c.tables[name] = t
-	c.byOID[t.OID] = t
 	return t, nil
 }
 
@@ -198,12 +195,6 @@ func (c *Catalog) MustTable(name string) *Table {
 		panic(fmt.Sprintf("catalog: unknown table %q", name))
 	}
 	return t
-}
-
-// TableByOID looks a table up by its root OID.
-func (c *Catalog) TableByOID(oid part.OID) (*Table, bool) {
-	t, ok := c.byOID[oid]
-	return t, ok
 }
 
 // Tables returns all tables sorted by name.

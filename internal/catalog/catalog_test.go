@@ -32,10 +32,6 @@ func TestCreateTableBasics(t *testing.T) {
 	if !ok || got != tab {
 		t.Errorf("Table lookup failed")
 	}
-	byOID, ok := c.TableByOID(tab.OID)
-	if !ok || byOID != tab {
-		t.Errorf("TableByOID lookup failed")
-	}
 	if c.MustTable("orders") != tab {
 		t.Errorf("MustTable failed")
 	}

@@ -179,7 +179,9 @@ func (d *Desc) Node(oid OID) (*Node, bool) {
 
 // Route implements fT: it maps the partitioning-key values of a tuple to
 // the leaf partition that must store it, or InvalidOID (⊥) when no
-// partition accepts the tuple. keys holds one datum per level.
+// partition accepts the tuple. keys holds one datum per level. It is also
+// the builtin partition_selection(rootOid, value) (paper §2.1: for pk = c
+// predicates, f*T coincides with fT(c)).
 func (d *Desc) Route(keys []types.Datum) OID {
 	if len(keys) != len(d.Levels) {
 		panic(fmt.Sprintf("part: Route got %d keys for %d levels", len(keys), len(d.Levels)))
@@ -222,12 +224,6 @@ func routeLevel(nodes []*Node, sorted bool, v types.Datum) *Node {
 	}
 	return nil
 }
-
-// Selection implements the builtin partition_selection(rootOid, value): the
-// OID of the leaf partition containing the given key values, or InvalidOID.
-// It is fT applied to a concrete value (paper §2.1: for pk = c predicates,
-// f*T coincides with fT(c)).
-func (d *Desc) Selection(keys []types.Datum) OID { return d.Route(keys) }
 
 // Select implements f*T for interval sets: given one derived IntervalSet
 // per level (use types.WholeDomain() for unconstrained levels), it returns
@@ -278,9 +274,6 @@ func (d *Desc) Select(sets []types.IntervalSet) []OID {
 	group(d.Roots, d.sortedRoots, 0)
 	return out
 }
-
-// SelectAll returns every leaf OID — f*T with no predicate.
-func (d *Desc) SelectAll() []OID { return d.Expansion() }
 
 // Aligned reports whether two single-level descriptors have identical
 // partitioning schemes: the same number of leaves with pairwise equal

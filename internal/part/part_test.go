@@ -71,8 +71,8 @@ func TestRouteAndSelection(t *testing.T) {
 	if got := d.Route([]types.Datum{types.Null}); got != InvalidOID {
 		t.Errorf("Route(NULL) = %d, want InvalidOID", got)
 	}
-	if got := d.Selection([]types.Datum{types.NewInt(55)}); got != exp[5] {
-		t.Errorf("Selection(55) = %d, want %d", got, exp[5])
+	if got := d.Route([]types.Datum{types.NewInt(55)}); got != exp[5] {
+		t.Errorf("Route(55) = %d, want %d", got, exp[5])
 	}
 }
 

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -227,15 +229,169 @@ func TestExplainShape(t *testing.T) {
 	}
 }
 
+// Every field the executor reads must reach the dispatched bytes: each pair
+// differs in exactly one such field and must serialize differently.
 func TestSerializeDeterministicAndDistinct(t *testing.T) {
 	_, r, s := fixture(t)
-	p1 := NewMotion(GatherMotion, nil, NewScan(s, 2))
-	if string(Serialize(p1)) != string(Serialize(p1)) {
-		t.Errorf("serialization not deterministic")
+	leaves := r.Part.Expansion()
+	a, b := col(1, 0, "r.a"), col(1, 1, "r.b")
+	filter := func(pred expr.Expr) Node { return NewFilter(pred, NewDynamicScan(r, 1, 1)) }
+	scan := func(leaf part.OID, rowID bool) Node {
+		sc := NewLeafScan(r, 1, leaf)
+		sc.WithRowID = rowID
+		return sc
 	}
-	p2 := NewMotion(GatherMotion, nil, NewDynamicScan(r, 1, 0))
-	if string(Serialize(p1)) == string(Serialize(p2)) {
-		t.Errorf("different plans serialize identically")
+	selector := func(hub bool, child Node) Node {
+		sel := NewPartitionSelector(r, 1, []expr.Expr{nil}, child)
+		sel.Hub = hub
+		return sel
+	}
+	kids := []Node{NewScan(s, 2), NewScan(s, 2)}
+	buildKeys, probeKeys := []expr.Expr{col(2, 1, "r2.b")}, []expr.Expr{b}
+	join := func(jt JoinType) Node {
+		return NewHashJoin(jt, buildKeys, probeKeys, nil, NewDynamicScan(r, 2, 2), NewDynamicScan(r, 1, 1), nil)
+	}
+	aggs := []AggSpec{{Kind: AggSum, Arg: a, Name: "s", Out: expr.ColID{Rel: 9, Ord: 0}}}
+	agg := func(stage AggStage) Node { return NewStagedHashAgg(stage, nil, aggs, NewDynamicScan(r, 1, 1)) }
+	gather := func(from int) Node {
+		m := NewMotion(GatherMotion, nil, NewScan(s, 2))
+		m.FromSegment = from
+		return m
+	}
+	indexScan := func(leaf part.OID) Node {
+		is := NewIndexScan(r, 1, catalog.IndexDef{Name: "rb", ColOrd: 1}, expr.NewCmp(expr.LT, b, expr.NewConst(types.NewInt(9))))
+		is.Leaf = leaf
+		return is
+	}
+	dynIndexScan := func(index catalog.IndexDef) Node {
+		return NewDynamicIndexScan(r, 1, 1, index, expr.NewCmp(expr.LT, b, expr.NewConst(types.NewInt(9))))
+	}
+	update := func(ord int) Node {
+		return NewUpdate(r, 1, []SetClause{{Ord: ord, Value: expr.NewConst(types.NewInt(7))}}, NewDynamicScan(r, 1, 1))
+	}
+	const days = 15706 // 2013-01-01
+
+	pairs := []struct {
+		field string
+		a, b  Node
+	}{
+		{"Scan.Leaf", scan(leaves[0], false), scan(leaves[1], false)},
+		{"Scan.WithRowID", scan(leaves[0], false), scan(leaves[0], true)},
+		{"DynamicScan.PartScanID", NewDynamicScan(r, 1, 1), NewDynamicScan(r, 1, 2)},
+		{"PartitionSelector.Hub", selector(false, NewScan(s, 2)), selector(true, NewScan(s, 2))},
+		{"PartitionSelector.Child", selector(false, nil), selector(false, NewScan(s, 2))},
+		{"Append.ParamID", NewAppend(kids...), NewFilteredAppend(0, kids...)},
+		{"HashJoin.Type", join(InnerJoin), join(LeftOuterJoin)},
+		{"HashJoin vs PartitionWiseJoin", join(InnerJoin),
+			NewPartitionWiseJoin(InnerJoin, buildKeys, probeKeys, nil, NewDynamicScan(r, 2, 2), NewDynamicScan(r, 1, 1), nil)},
+		{"HashAgg.Stage", agg(AggPartial), agg(AggFinal)},
+		{"Motion.Kind", NewMotion(GatherMotion, nil, NewScan(s, 2)), NewMotion(BroadcastMotion, nil, NewScan(s, 2))},
+		{"Motion.FromSegment", gather(-1), gather(0)},
+		{"SortKey.Desc", NewSort([]SortKey{{Pos: 0}}, NewScan(s, 2)), NewSort([]SortKey{{Pos: 0, Desc: true}}, NewScan(s, 2))},
+		{"Limit.N", NewLimit(10, NewScan(s, 2)), NewLimit(11, NewScan(s, 2))},
+		{"IndexScan.Leaf", indexScan(leaves[0]), indexScan(leaves[1])},
+		{"DynamicIndexScan.Index.Name", dynIndexScan(catalog.IndexDef{Name: "rb", ColOrd: 1}), dynIndexScan(catalog.IndexDef{Name: "rb2", ColOrd: 1})},
+		{"DynamicIndexScan.Index.ColOrd", dynIndexScan(catalog.IndexDef{Name: "rb", ColOrd: 1}), dynIndexScan(catalog.IndexDef{Name: "rb", ColOrd: 0})},
+		{"SetClause.Ord", update(0), update(1)},
+		{"Delete.Rel", NewDelete(r, 1, NewDynamicScan(r, 1, 1)), NewDelete(r, 2, NewDynamicScan(r, 1, 1))},
+		{"IsNull.Negate", filter(&expr.IsNull{Arg: a}), filter(&expr.IsNull{Arg: a, Negate: true})},
+		{"Const kind int vs date", filter(expr.NewCmp(expr.EQ, a, expr.NewConst(types.NewInt(days)))),
+			filter(expr.NewCmp(expr.EQ, a, expr.NewConst(types.NewDate(days))))},
+	}
+	for _, p := range pairs {
+		ba, bb := Serialize(p.a), Serialize(p.b)
+		if !bytes.Equal(ba, Serialize(p.a)) {
+			t.Errorf("%s: serialization not deterministic", p.field)
+		}
+		if bytes.Equal(ba, bb) {
+			t.Errorf("%s: plans differing only in this field serialize identically:\n%s---\n%s", p.field, Explain(p.a), Explain(p.b))
+		}
+	}
+}
+
+// Property: two independently built copies of a random plan serialize to
+// the same bytes.
+func TestSerializeRandomPlans(t *testing.T) {
+	_, r, s := fixture(t)
+	var rnd *rand.Rand
+
+	var genExpr func(depth int) expr.Expr
+	genExpr = func(depth int) expr.Expr {
+		if depth <= 0 || rnd.Intn(3) == 0 {
+			switch rnd.Intn(4) {
+			case 0:
+				return expr.NewCol(expr.ColID{Rel: 1 + rnd.Intn(2), Ord: rnd.Intn(2)}, "c")
+			case 1:
+				return expr.NewConst(types.NewInt(rnd.Int63n(100)))
+			case 2:
+				return expr.NewConst(types.NewString("s"))
+			default:
+				return &expr.Param{Idx: rnd.Intn(3)}
+			}
+		}
+		switch rnd.Intn(4) {
+		case 0:
+			return expr.NewCmp(expr.CmpOp(rnd.Intn(6)), genExpr(depth-1), genExpr(depth-1))
+		case 1:
+			return expr.Conj(genExpr(depth-1), genExpr(depth-1))
+		case 2:
+			return expr.Disj(genExpr(depth-1), genExpr(depth-1))
+		default:
+			return &expr.Arith{Op: expr.ArithOp(rnd.Intn(5)), L: genExpr(depth - 1), R: genExpr(depth - 1)}
+		}
+	}
+
+	var genNode func(depth int) Node
+	genNode = func(depth int) Node {
+		if depth <= 0 {
+			if rnd.Intn(2) == 0 {
+				return NewScan(s, 2)
+			}
+			return NewDynamicScan(r, 1, 1)
+		}
+		switch rnd.Intn(7) {
+		case 6:
+			// Every aggregation stage and aggregate kind (COUNT(*) included).
+			aggs := make([]AggSpec, 1+rnd.Intn(3))
+			for i := range aggs {
+				aggs[i] = AggSpec{Kind: AggKind(rnd.Intn(5)), Name: "a", Out: expr.ColID{Rel: 8, Ord: 1 + i}}
+				if aggs[i].Kind != AggCount || rnd.Intn(2) == 0 {
+					aggs[i].Arg = genExpr(1)
+				}
+			}
+			var groups []GroupCol
+			if rnd.Intn(2) == 0 {
+				groups = []GroupCol{{E: genExpr(1), Name: "g", Out: expr.ColID{Rel: 8, Ord: 0}}}
+			}
+			return NewStagedHashAgg(AggStage(rnd.Intn(3)), groups, aggs, genNode(depth-1))
+		case 0:
+			return NewFilter(genExpr(2), genNode(depth-1))
+		case 1:
+			return NewProject([]ProjCol{{E: genExpr(2), Name: "p", Out: expr.ColID{Rel: 9, Ord: 0}}}, genNode(depth-1))
+		case 2:
+			k := genExpr(1)
+			return NewHashJoin(JoinType(rnd.Intn(4)), []expr.Expr{k}, []expr.Expr{k}, nil, genNode(depth-1), genNode(depth-1), nil)
+		case 3:
+			sel := NewPartitionSelector(r, 1, []expr.Expr{genExpr(2)}, genNode(depth-1))
+			sel.Hub = rnd.Intn(2) == 0
+			return sel
+		case 4:
+			keys := []expr.Expr{genExpr(1)}
+			return NewMotion(RedistributeMotion, keys, genNode(depth-1))
+		default:
+			return NewAppend(genNode(depth-1), genNode(depth-1))
+		}
+	}
+	gen := func(seed int64) Node {
+		rnd = rand.New(rand.NewSource(seed))
+		return genNode(3)
+	}
+
+	for seed := int64(0); seed < 200; seed++ {
+		p := gen(seed)
+		if !bytes.Equal(Serialize(p), Serialize(gen(seed))) {
+			t.Fatalf("seed %d: equal plans serialize differently:\n%s", seed, Explain(p))
+		}
 	}
 }
 

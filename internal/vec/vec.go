@@ -84,15 +84,6 @@ func (cs *ColumnSet) Len() int {
 // Width returns the number of columns.
 func (cs *ColumnSet) Width() int { return len(cs.cols) }
 
-// Kinds returns the declared lane kinds (for re-creating a compatible set).
-func (cs *ColumnSet) Kinds() []types.Kind {
-	ks := make([]types.Kind, len(cs.cols))
-	for i := range cs.cols {
-		ks[i] = cs.cols[i].kind
-	}
-	return ks
-}
-
 // invalidate drops the cached row view. Every mutation calls it; handed-out
 // views keep their (now stale) arena untouched.
 func (cs *ColumnSet) invalidate() { cs.view.Store(nil) }
