@@ -264,6 +264,34 @@ func TestAggregationSplitSurvivesKilledSegment(t *testing.T) {
 	}
 }
 
+// loadStar creates and loads the benchmark's star schema at reduced scale:
+// sales (4 800 rows over 24 date_id leaves), the replicated date_dim (240
+// days, ten per month) and the replicated dim1 (200 keys, five tags).
+func loadStar(t *testing.T, eng *Engine) {
+	t.Helper()
+	eng.MustCreateTable("sales", Columns("sale_id", TypeInt, "date_id", TypeInt, "k1", TypeInt, "amount", TypeFloat),
+		DistributedBy("sale_id"), PartitionByRangeInt("date_id", 0, 240, 24))
+	sales := make([][]Value, 4800)
+	for i := range sales {
+		sales[i] = []Value{Int(int64(i)), Int(int64(i % 240)), Int(int64(i % 200)), Float(float64(i % 97))}
+	}
+	eng.MustCreateTable("date_dim", Columns("date_id", TypeInt, "month", TypeInt, "moy", TypeInt), Replicated())
+	dates := make([][]Value, 240)
+	for i := range dates {
+		dates[i] = []Value{Int(int64(i)), Int(int64(1 + i/10)), Int(int64(1 + (i/10)%12))}
+	}
+	eng.MustCreateTable("dim1", Columns("k", TypeInt, "tag", TypeString), Replicated())
+	dim := make([][]Value, 200)
+	for i := range dim {
+		dim[i] = []Value{Int(int64(i)), String(fmt.Sprintf("t%d", i%5))}
+	}
+	for table, rows := range map[string][][]Value{"sales": sales, "date_dim": dates, "dim1": dim} {
+		if err := eng.InsertRows(table, rows); err != nil {
+			t.Fatalf("load %s: %v", table, err)
+		}
+	}
+}
+
 // EXPLAIN goldens for the shapes the benchmark's workloads run, at reduced
 // scale: where the aggregate lands is decided by row and distinct-value
 // estimates alone.
@@ -279,22 +307,10 @@ func TestAggregationPlanGoldens(t *testing.T) {
 	for i := range li {
 		li[i] = []Value{Int(int64(i / 4)), Int(int64(1 + i%25)), Float(float64(i) * 1.5), DateOfEpochDays(13514 + int64(i%2555))}
 	}
-	eng.MustCreateTable("sales", Columns("sale_id", TypeInt, "date_id", TypeInt, "k1", TypeInt, "amount", TypeFloat),
-		DistributedBy("sale_id"), PartitionByRangeInt("date_id", 0, 240, 24))
-	sales := make([][]Value, 4800)
-	for i := range sales {
-		sales[i] = []Value{Int(int64(i)), Int(int64(i % 240)), Int(int64(i % 200)), Float(float64(i % 97))}
+	if err := eng.InsertRows("lineitem", li); err != nil {
+		t.Fatalf("load lineitem: %v", err)
 	}
-	eng.MustCreateTable("date_dim", Columns("date_id", TypeInt, "month", TypeInt, "moy", TypeInt), Replicated())
-	dates := make([][]Value, 240)
-	for i := range dates {
-		dates[i] = []Value{Int(int64(i)), Int(int64(1 + i/10)), Int(int64(1 + (i/10)%12))}
-	}
-	for table, rows := range map[string][][]Value{"lineitem": li, "sales": sales, "date_dim": dates} {
-		if err := eng.InsertRows(table, rows); err != nil {
-			t.Fatalf("load %s: %v", table, err)
-		}
-	}
+	loadStar(t, eng)
 	if err := eng.Analyze(); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -372,5 +388,61 @@ func TestAggregationSplitObservability(t *testing.T) {
 	typed := eng.Obs().Counter("partopt_agg_partial_typed_batches_total").Value()
 	if fmt.Sprint(typed) != m[1] || eng.Obs().Counter("partopt_agg_final_row_batches_total").Value() != 4 {
 		t.Errorf("registry counters disagree with the header %v: partial typed %d", m, typed)
+	}
+}
+
+// The five star_dpe template shapes aggregate above their joins off typed
+// lanes: the hash join emits column lanes, every Partial aggregate batch
+// takes the typed loop, and no batch is ever turned back into rows. The
+// answers equal the row-at-a-time run's.
+func TestStarJoinAggregatesTyped(t *testing.T) {
+	eng, err := New(4)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	loadStar(t, eng)
+	if err := eng.Analyze(); err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	templates := []struct{ name, q string }{
+		{"join_month", "SELECT count(*), sum(s.amount) FROM date_dim d, sales s WHERE d.date_id = s.date_id AND d.month = 3"},
+		{"in_subquery", "SELECT count(*), sum(amount) FROM sales WHERE date_id IN (SELECT date_id FROM date_dim WHERE month BETWEEN 3 AND 5)"},
+		{"two_dims", "SELECT count(*), sum(s.amount) FROM date_dim d, dim1 a, sales s WHERE d.date_id = s.date_id AND a.k = s.k1 AND a.tag = 't1' AND d.month = 3"},
+		{"group_moy", "SELECT d.moy, count(*), sum(s.amount) FROM date_dim d, sales s WHERE d.date_id = s.date_id AND d.month BETWEEN 3 AND 8 GROUP BY d.moy"},
+		{"left_join", "SELECT count(*), sum(s.amount) FROM date_dim d LEFT JOIN sales s ON d.date_id = s.date_id WHERE d.month = 3"},
+	}
+	header := regexp.MustCompile(`aggregation: \d+ typed / \d+ row batches \(partial (\d+)/(\d+),`)
+	built := eng.Obs().Counter("partopt_exec_rows_materialized_batches_total")
+	for _, tc := range templates {
+		before := built.Value()
+		rows, err := eng.Query(tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		m := header.FindStringSubmatch(rows.ExplainAnalyze)
+		if m == nil || m[1] == "0" || m[2] != "0" {
+			t.Errorf("%s: want partial N/0 with N > 0:\n%s", tc.name, rows.ExplainAnalyze)
+		}
+		if n := built.Value() - before; n != 0 {
+			t.Errorf("%s: %d batches materialized, want 0", tc.name, n)
+		}
+		prev := exec.SetColumnarExec(false)
+		want, err := eng.Query(tc.q)
+		exec.SetColumnarExec(prev)
+		if err != nil {
+			t.Fatalf("%s row mode: %v", tc.name, err)
+		}
+		if got, w := renderTyped(rows), renderTyped(want); strings.Join(got, "|") != strings.Join(w, "|") {
+			t.Errorf("%s: lanes %v, rows %v", tc.name, got, w)
+		}
+	}
+	// The counter does count: a join whose rows a Motion ships is
+	// materialized.
+	before := built.Value()
+	if _, err := eng.Query("SELECT s.sale_id, d.moy FROM date_dim d, sales s WHERE d.date_id = s.date_id AND d.month = 3"); err != nil {
+		t.Fatalf("gathered join: %v", err)
+	}
+	if built.Value() == before {
+		t.Errorf("a gathered join materialized no batch")
 	}
 }

@@ -77,7 +77,7 @@ const recentGroups = 64
 // resolveGroups fills a.rowStates with the group state of each row, creating
 // groups as they first appear, and returns the number of rows resolved.
 func (a *hashAggOp) resolveGroups(b *Batch, ctx *Ctx) (int, error) {
-	n := len(b.Rows)
+	n := b.Len()
 	if cap(a.rowStates) < n {
 		a.rowStates = make([]*aggState, n)
 	}

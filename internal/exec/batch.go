@@ -20,11 +20,19 @@ import (
 //     retain individual row headers (hash-join build tables, sort buffers,
 //     the coordinator's result set) indefinitely. Producers never reuse the
 //     datum storage behind emitted rows.
-//   - The Batch itself (the *Batch and its Rows slice header) is transient:
-//     it is valid only until the next NextBatch or Close call on the same
+//   - Rows may be lazy. A batch that carries column lanes (Cols) may leave
+//     Rows nil; a consumer that needs rows calls rows(ctx), which builds
+//     them from Cols+Sel into a fresh, exactly-sized arena — so they are
+//     stable like any other rows — and counts the batch as materialized.
+//     Scans always fill Rows (zero-copy), and with columnar execution off
+//     every batch carries Rows.
+//   - The length is explicit: Len reports it whether or not Rows is built.
+//   - The Batch itself (the *Batch, its Rows slice header, Cols, Sel and the
+//     lanes behind Cols that an operator assembled itself) is transient: it
+//     is valid only until the next NextBatch or Close call on the same
 //     operator. Consumers that need the slice beyond that must copy the
-//     headers out. Truncating b.Rows in place (limitOp) is permitted — the
-//     producer resets the header on its next call.
+//     headers out. Truncating a batch in place (limitOp) is permitted — the
+//     producer resets it on its next call.
 //   - A returned batch holds at least one row; end of stream is (nil,
 //     errEOF). Operators that filter (filterOp) keep pulling child batches
 //     until they can return a non-empty batch.
@@ -50,29 +58,27 @@ func SetBatchSize(n int) int {
 	return prev
 }
 
-// Batch is one unit of batched data flow: a slice of rows plus the reusable
-// header storage behind it. See the ownership contract above.
+// Batch is one unit of batched data flow: Len rows, held as row headers,
+// as column lanes, or both. See the ownership contract above.
 //
-// A batch may additionally carry a columnar payload: Cols is a set of
-// zero-copy column views (one per output column, straight off the storage
-// layer's vectors) and Sel an optional selection vector. The invariant tying
-// the two representations together is
+// The columnar payload is Cols, one view per output column, plus an
+// optional selection vector Sel. The invariant tying the two
+// representations together is
 //
 //	Rows[k] == column values at window row (Sel == nil ? k : Sel[k])
 //
-// for every k < len(Rows). Rows is ALWAYS populated — operators that read
-// only Rows and the stats layer never look at Cols — so the columnar
-// payload is a strictly optional acceleration: any operator may ignore it,
-// and any operator that builds fresh rows simply emits batches with
-// Cols == nil.
-// Operators that forward a child's *Batch unchanged (selector, sequence,
-// append, stats, limit's in-place prefix truncation) preserve the invariant
-// for free. Cols and Sel are transient exactly like the Rows header; the
-// views' underlying vectors are owned by storage and are read-only here.
+// for every k < Len(). A scan's views are zero-copy windows onto storage's
+// vectors; a hash join's are lanes it assembled. Operators that only read
+// rows call rows(ctx); operators that build fresh rows emit batches with
+// Cols == nil. Operators that forward a child's *Batch unchanged
+// (selector, sequence, append, stats, limit's in-place truncation)
+// preserve the invariant for free. The views' underlying vectors are
+// read-only here.
 type Batch struct {
 	Rows []types.Row
 	Cols []vec.View
 	Sel  []int32
+	n    int
 }
 
 // Len returns the number of rows, tolerating a nil batch.
@@ -80,12 +86,55 @@ func (b *Batch) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.Rows)
+	return b.n
 }
 
 // reset empties the batch for refilling, keeping the header capacity and
 // dropping any columnar payload.
-func (b *Batch) reset() { b.Rows, b.Cols, b.Sel = b.Rows[:0], nil, nil }
+func (b *Batch) reset() { b.Rows, b.Cols, b.Sel, b.n = b.Rows[:0], nil, nil, 0 }
+
+// setRows makes the batch exactly rows, with no columnar payload.
+func (b *Batch) setRows(rows []types.Row) { b.Rows, b.Cols, b.Sel, b.n = rows, nil, nil, len(rows) }
+
+// truncate keeps the first n rows.
+func (b *Batch) truncate(n int) {
+	if n >= b.n {
+		return
+	}
+	if b.Rows != nil {
+		b.Rows = b.Rows[:n]
+	}
+	if b.Sel != nil {
+		b.Sel = b.Sel[:n]
+	}
+	b.n = n
+}
+
+// rows returns the batch's rows, materializing them from the column lanes
+// when the producer left Rows lazy. Materialized rows live in a fresh
+// arena sized to the batch, so they are stable; the batch keeps them, so a
+// second call is free. Each materialization is counted — it is the slow
+// road a columnar consumer avoids.
+func (b *Batch) rows(ctx *Ctx) []types.Row {
+	if b.Rows != nil || b.n == 0 {
+		return b.Rows
+	}
+	n, w := b.n, len(b.Cols)
+	arena := make([]types.Datum, n*w)
+	for j := range b.Cols {
+		v := &b.Cols[j]
+		for k := 0; k < n; k++ {
+			arena[k*w+j] = v.Datum(selRow(b.Sel, k))
+		}
+	}
+	rows := make([]types.Row, n)
+	for k := range rows {
+		rows[k] = arena[k*w : (k+1)*w : (k+1)*w]
+	}
+	b.Rows = rows
+	ctx.noteRowsMaterialized()
+	return rows
+}
 
 // fillBatch refills out with rows pulled from next until it holds
 // execBatchSize rows or next reports errEOF, and returns it. It returns
@@ -107,26 +156,6 @@ func fillBatch(out *Batch, next func() (types.Row, error)) (*Batch, error) {
 		}
 		out.Rows = append(out.Rows, row)
 	}
+	out.n = len(out.Rows)
 	return out, nil
-}
-
-// batchCursor iterates the rows of successive batches from a child
-// operator, for operators that stream rows out of it one at a time (the
-// hash-join probe).
-type batchCursor struct {
-	cur *Batch
-	pos int
-}
-
-func (c *batchCursor) next(ctx *Ctx, src Operator) (types.Row, error) {
-	for c.cur == nil || c.pos >= len(c.cur.Rows) {
-		b, err := src.NextBatch(ctx)
-		if err != nil {
-			return nil, err // includes EOF
-		}
-		c.cur, c.pos = b, 0
-	}
-	row := c.cur.Rows[c.pos]
-	c.pos++
-	return row, nil
 }

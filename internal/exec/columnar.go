@@ -9,15 +9,18 @@ import (
 )
 
 // Columnar execution: batches flowing out of scans carry zero-copy column
-// views (Batch.Cols/Sel), and the hot kernels — filter predicates, join /
-// agg / motion hashing — run as tight typed loops over those vectors
-// instead of per-datum expr.Eval dispatch.
+// views (Batch.Cols/Sel), the hash join emits lanes of its own, and the hot
+// kernels — filter predicates, join / agg / motion hashing, join key checks
+// — run as tight typed loops over those vectors instead of per-datum
+// expr.Eval dispatch.
 //
 // Two rules keep this invisible to everything else:
 //
-//  1. Rows is always populated, so row-only operators, the stats layer
-//     (EXPLAIN ANALYZE actuals count len(b.Rows)) and the spill paths see
-//     exactly what they saw before.
+//  1. Rows are always reachable: a batch either carries them or carries
+//     lanes they are materialized from on demand (Batch.rows, counted per
+//     batch), and Batch.Len is explicit. Row-only operators, the stats
+//     layer (EXPLAIN ANALYZE actuals count Len) and the spill paths see
+//     exactly the rows they saw before.
 //  2. Every vectorized kernel is bit-compatible with its row twin — the
 //     same types.Compare ordering (including NaN and cross-kind numeric
 //     rules) and the same types.HashDatum mixing — or it refuses the batch
@@ -98,9 +101,9 @@ func compileVecPred(e expr.Expr, layout expr.Layout, params []types.Datum) *vecP
 }
 
 // eval runs the compiled predicate over a columnar batch and returns the
-// qualification bitmask over k = 0..len(b.Rows)-1.
+// qualification bitmask over k = 0..b.Len()-1.
 func (p *vecPred) eval(b *Batch) ([]uint64, error) {
-	n := len(b.Rows)
+	n := b.Len()
 	w := (n + 63) >> 6
 	p.res = growWords(p.res, w)
 	p.nul = growWords(p.nul, w)
@@ -665,7 +668,7 @@ func (vh *vecHasher) hashBatch(b *Batch) (h []uint64, null []bool, ok bool) {
 	if vh == nil || b.Cols == nil {
 		return nil, nil, false
 	}
-	n := len(b.Rows)
+	n := b.Len()
 	if cap(vh.h) < n {
 		vh.h = make([]uint64, n)
 		vh.null = make([]bool, n)

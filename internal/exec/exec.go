@@ -99,6 +99,7 @@ type Stats struct {
 	spilledBytes int64
 	spillParts   int64
 	aggBatches   AggBatches
+	rowsBuilt    int64 // batches whose lazy rows a consumer materialized
 
 	// ops is the per-operator runtime record, keyed by plan node. Keying by
 	// node identity (not a numeric id) keeps the trees of a multi-plan
@@ -181,6 +182,21 @@ func (s *Stats) noteAggBatches(stage plan.AggStage, typed, row int64) {
 	s.aggBatches.Typed[stage] += typed
 	s.aggBatches.Row[stage] += row
 	s.mu.Unlock()
+}
+
+func (s *Stats) noteRowsMaterialized() {
+	s.mu.Lock()
+	s.rowsBuilt++
+	s.mu.Unlock()
+}
+
+// RowsMaterializedBatches returns how many batches a consumer had to turn
+// from column lanes back into rows (Batch.rows): the slow road behind a
+// columnar producer such as the hash join.
+func (s *Stats) RowsMaterializedBatches() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rowsBuilt
 }
 
 // AggBatches returns the query's typed-vs-row aggregate batch counters.

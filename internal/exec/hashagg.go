@@ -289,12 +289,12 @@ func (a *hashAggOp) Open(ctx *Ctx) (err error) {
 		if err != nil {
 			return err
 		}
-		if done == len(b.Rows) {
+		if done == b.Len() {
 			a.typedBatches++
 			continue
 		}
 		a.rowBatches++
-		for _, row := range b.Rows[done:] {
+		for _, row := range b.rows(ctx)[done:] {
 			if err := a.accumulate(row, ctx, false); err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@ import (
 	"partopt/internal/mem"
 	"partopt/internal/plan"
 	"partopt/internal/types"
+	"partopt/internal/vec"
 )
 
 // spillFanout is the number of disk partitions a spilling hash operator
@@ -20,20 +21,32 @@ const spillFanout = 8
 // ---------------------------------------------------------------- hash join
 
 // hashJoinOp drains the build child (child 0 — the "outer" in the paper's
-// execution-order sense) into a hash table, then streams the probe child.
-// Inner joins emit buildRow ++ probeRow; semi joins emit each probe row at
-// most once.
+// execution-order sense) into a hash table, then matches the probe child
+// one batch at a time. Inner and outer joins emit buildRow ++ probeRow;
+// semi joins emit each probe row at most once.
+//
+// One probe loop serves every join type and both the resident table and
+// the spilled partitions. A probe batch is hashed once (vecHasher when the
+// keys are plain columns and the batch has lanes), each candidate's keys
+// are checked typed — the probe lane against the build datum — and the
+// matches collect into reused position buffers: the probe slot and the
+// build row of each output row. The output is then gathered column by
+// column into reused lanes (vec.Lane), leaving Batch.Rows lazy, so an
+// aggregate above the join folds the lanes without a joined row ever
+// being built. A semi join forwards the probe batch itself, narrowed to
+// the matched rows by Sel. With columnar execution off the join emits
+// rows, each batch in one exactly-sized arena.
 //
 // Outer joins NULL-extend the non-preserved side. RightOuterJoin (probe
 // preserved) emits every probe row: a probe row with no surviving match —
-// including one with a NULL join key — is emitted immediately with NULLs
-// in the build columns. LeftOuterJoin (build preserved) tracks a matched
-// flag per resident build row; once the probe side (or, when spilled, one
-// probe partition) drains, build rows never matched by a residual-passing
-// probe row are emitted with NULLs in the probe columns. NULL-keyed rows
-// of a preserved side are therefore kept (they can never match but must
-// still be emitted), while NULL-keyed rows of a null-producing side are
-// dropped at ingest exactly like the inner-join path.
+// including one with a NULL join key — is emitted with NULLs in the build
+// columns. LeftOuterJoin (build preserved) tracks a matched flag per
+// resident build row; once the probe side (or, when spilled, one probe
+// partition) drains, build rows never matched by a residual-passing probe
+// row are emitted with NULLs in the probe columns. NULL-keyed rows of a
+// preserved side are therefore kept (they can never match but must still
+// be emitted), while NULL-keyed rows of a null-producing side are dropped
+// at ingest exactly like the inner-join path.
 //
 // The build table charges the query budget row by row. When a reservation
 // is denied the operator switches to a Grace-style spill: the rows hashed
@@ -50,49 +63,55 @@ type hashJoinOp struct {
 
 	buildLayout expr.Layout
 	probeLayout expr.Layout
-	outLayout   expr.Layout
+	bw, pw      int // build and probe row widths
 
 	table      map[uint64][]types.Row // hash(build keys) → build rows
 	tableBytes int64                  // bytes reserved for the resident table
+	// matched parallels table bucket-for-bucket (LeftOuterJoin only): set
+	// when a build row joins a probe row that passes the residual.
+	matched map[uint64][]bool
 
 	spilled    bool
 	buildParts []*mem.SpillWriter
 	probeParts []*mem.SpillWriter
 	part       int              // next partition to load
 	partReader *mem.SpillReader // probe rows of the loaded partition
+	partBatch  Batch            // reused header for the partition's probe batches
 
 	buildOpen bool
 	probeOpen bool
+	probeDone bool // the resident probe stream ended (its unmatched build rows are staged)
 
-	// Streaming state: pending matches for the current probe row.
-	curProbe types.Row
-	matches  []types.Row
-	mi       int
+	// The probe batch being matched: its key hashes (a NULL key is flagged
+	// in pnull), and the next row to match.
+	pb       *Batch
+	ph       []uint64
+	pnull    []bool
+	pk       int
+	rowHash  []uint64 // ph/pnull storage when the batch is hashed row by row
+	rowNull  []bool
+	keyBuild []int // build-row position of each key; -1: computed
+	keyProbe []int // probe-row position of each key; -1: computed
 
-	// Outer-join state. matched parallels table bucket-for-bucket for
-	// LeftOuterJoin; matchIdx parallels matches with the bucket index of
-	// each candidate so a residual-passing emit can set its flag. curHash
-	// is the current probe row's bucket. curEmitted tracks whether the
-	// current probe row produced at least one output (RightOuterJoin).
-	// outerPending holds materialized NULL-extended build rows awaiting
-	// emission; nullBuild/nullProbe are the reusable all-NULL pads.
-	matched        map[uint64][]bool
-	matchIdx       []int
-	curHash        uint64
-	curEmitted     bool
-	outerPending   []types.Row
-	outerCollected bool
-	nullBuild      types.Row
-	nullProbe      types.Row
+	// Matches awaiting emission, one entry per output row: the probe slot
+	// (-1: NULL probe columns) and the build row (nil: NULL build columns,
+	// or a semi join, which emits the probe row alone).
+	pairK  []int32
+	pairB  []types.Row
+	pairAt int
 
-	// Probe-side cursor over the probe child's batches; the envs are
-	// instance-owned so key hashing and residual evaluation do not allocate
-	// per row.
-	probeCur batchCursor
-	benv     expr.Env // build-layout env (hashing, key equality)
-	penv     expr.Env // probe-layout env
-	resEnv   expr.Env // concat-layout env (residual predicate)
-	out      Batch    // reused output header for NextBatch
+	penv     expr.Env  // probe-layout env (row hashing, computed keys)
+	benv     expr.Env  // build-layout env
+	resEnv   expr.Env  // build ++ probe env (residual predicate)
+	resRow   types.Row // scratch joined row the residual reads
+	probeTmp types.Row // scratch probe row built from lanes
+
+	// Output assembly, reused across batches.
+	lanes []vec.Lane
+	cols  []vec.View
+	win   []int32     // window rows (Sel) of the slots being emitted
+	rowsK []types.Row // probe rows of the slots being emitted
+	out   Batch
 
 	// Columnar key hashing (nil: keys are not plain columns). Join
 	// semantics: a NULL key yields (0, true), so mixNulls is false.
@@ -103,26 +122,39 @@ type hashJoinOp struct {
 func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 	j.buildLayout = j.n.Build.Layout()
 	j.probeLayout = j.n.Probe.Layout()
-	j.outLayout = j.n.Layout()
+	j.bw, j.pw = j.buildLayout.Width(), j.probeLayout.Width()
 	j.benv = expr.Env{Layout: j.buildLayout, Params: ctx.Params.Vals}
 	j.penv = expr.Env{Layout: j.probeLayout, Params: ctx.Params.Vals}
-	j.resEnv = expr.Env{Layout: j.outer(), Params: ctx.Params.Vals}
+	j.resEnv = expr.Env{Layout: expr.Concat(j.buildLayout, j.probeLayout), Params: ctx.Params.Vals}
+	j.resRow = nil
+	if j.n.Residual != nil {
+		j.resRow = make(types.Row, j.bw+j.pw)
+	}
 	j.vhBuild = newVecHasher(j.n.BuildKeys, j.buildLayout, false)
 	j.vhProbe = newVecHasher(j.n.ProbeKeys, j.probeLayout, false)
+	j.keyBuild = make([]int, len(j.n.BuildKeys))
+	j.keyProbe = make([]int, len(j.n.ProbeKeys))
+	for i := range j.n.BuildKeys {
+		j.keyBuild[i] = colPos(j.n.BuildKeys[i], j.buildLayout)
+		j.keyProbe[i] = colPos(j.n.ProbeKeys[i], j.probeLayout)
+	}
 	j.table = map[uint64][]types.Row{}
 	j.tableBytes = 0
+	j.matched = nil
+	if j.n.Type == plan.LeftOuterJoin {
+		j.matched = map[uint64][]bool{}
+	}
 	j.spilled = false
 	j.buildParts, j.probeParts = nil, nil
 	j.part, j.partReader = 0, nil
-	j.curProbe, j.matches, j.mi = nil, nil, 0
-	j.probeCur = batchCursor{}
-	j.matched, j.matchIdx = nil, nil
-	j.curHash, j.curEmitted = 0, false
-	j.outerPending, j.outerCollected = nil, false
-	j.nullBuild = nullRow(len(j.buildLayout))
-	j.nullProbe = nullRow(len(j.probeLayout))
-	if j.n.Type == plan.LeftOuterJoin {
-		j.matched = map[uint64][]bool{}
+	j.probeDone = false
+	j.pb, j.pk = nil, 0
+	j.pairK, j.pairB, j.pairAt = j.pairK[:0], j.pairB[:0], 0
+	switch w := j.bw + j.pw; {
+	case !columnarEnabled || j.n.Type == plan.SemiJoin:
+		j.lanes, j.cols = nil, nil // rows, or the probe batch itself
+	case len(j.lanes) != w:
+		j.lanes, j.cols = make([]vec.Lane, w), make([]vec.View, w)
 	}
 	// A failed Open tears the operator down itself: the executor only
 	// closes operators whose Open succeeded, and an abort must not leak the
@@ -149,7 +181,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 			return err
 		}
 		bh, bnull, bok := j.vhBuild.hashBatch(b)
-		for k, row := range b.Rows {
+		for k, row := range b.rows(ctx) {
 			var h uint64
 			var null bool
 			if bok {
@@ -196,7 +228,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 	}
 	j.probeOpen = true
 	if !j.spilled {
-		return nil // stream the probe side directly in NextBatch
+		return nil // match the probe side's batches directly in NextBatch
 	}
 	// Spilled: partition the probe side the same way, then join
 	// partition-at-a-time in NextBatch.
@@ -212,7 +244,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 			return err
 		}
 		ph, pnull, pok := j.vhProbe.hashBatch(b)
-		for k, row := range b.Rows {
+		for k, row := range b.rows(ctx) {
 			var h uint64
 			var null bool
 			if pok {
@@ -359,17 +391,54 @@ func (j *hashJoinOp) finishPartition(ctx *Ctx, p int) {
 	j.table = nil
 }
 
-// nextProbe yields the next probe row: straight from the probe child when
-// the build side fit in memory, or from the current probe partition —
-// advancing (and reclaiming) partitions as they drain — when spilled.
-func (j *hashJoinOp) nextProbe(ctx *Ctx) (types.Row, error) {
-	if !j.spilled {
-		row, err := j.probeCur.next(ctx, j.probe)
-		if errors.Is(err, errEOF) && !j.outerCollected {
-			j.outerCollected = true
-			j.collectUnmatched()
+// NextBatch runs the probe loop: it emits pending matches a batch at a
+// time, matches the current probe batch until a batch of matches is
+// pending, and pulls the next probe batch when this one is used up.
+func (j *hashJoinOp) NextBatch(ctx *Ctx) (*Batch, error) {
+	if err := ctx.pollAbortBatch(); err != nil {
+		return nil, err
+	}
+	for {
+		if j.pairAt < len(j.pairK) {
+			return j.emit(), nil
 		}
-		return row, err
+		if j.pb != nil && j.pk < j.pb.Len() {
+			if err := j.match(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		b, err := j.nextProbe(ctx)
+		if err != nil {
+			if errors.Is(err, errEOF) && j.pairAt < len(j.pairK) {
+				continue // EOF staged the final unmatched build rows
+			}
+			return nil, err // includes EOF
+		}
+		if b != nil {
+			if err := j.startProbe(b); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
+// nextProbe yields the next probe batch: straight from the probe child when
+// the build side fit in memory, or from the current probe partition —
+// advancing (and reclaiming) partitions as they drain — when spilled. A nil
+// batch without an error means a drained partition staged unmatched build
+// rows for emission.
+func (j *hashJoinOp) nextProbe(ctx *Ctx) (*Batch, error) {
+	if !j.spilled {
+		if j.probeDone {
+			return nil, errEOF
+		}
+		b, err := j.probe.NextBatch(ctx)
+		if errors.Is(err, errEOF) {
+			j.probeDone = true
+			j.stageUnmatched()
+		}
+		return b, err
 	}
 	for {
 		if err := ctx.pollAbort(); err != nil {
@@ -383,25 +452,37 @@ func (j *hashJoinOp) nextProbe(ctx *Ctx) (types.Row, error) {
 				return nil, err
 			}
 		}
-		row, err := j.partReader.Next()
-		if err == io.EOF {
-			// LeftOuterJoin: this partition's probe side has drained, so
-			// its unmatched build rows are final — materialize them before
-			// the partition's table is discarded.
-			j.collectUnmatched()
-			j.finishPartition(ctx, j.part)
-			j.part++
-			continue
+		b, err := fillBatch(&j.partBatch, j.partRow)
+		if !errors.Is(err, errEOF) {
+			return b, err
 		}
-		return row, err
+		// LeftOuterJoin: this partition's probe side has drained, so its
+		// unmatched build rows are final — stage them before the
+		// partition's table is discarded.
+		j.stageUnmatched()
+		j.finishPartition(ctx, j.part)
+		j.part++
+		if j.pairAt < len(j.pairK) {
+			return nil, nil
+		}
 	}
 }
 
-// collectUnmatched materializes the NULL-extended output of every resident
-// build row no probe row ever matched (LeftOuterJoin only; a no-op
-// otherwise). The pending rows are full output copies, so they stay valid
-// after the hash table is released.
-func (j *hashJoinOp) collectUnmatched() {
+// partRow reads the loaded probe partition's next row.
+func (j *hashJoinOp) partRow() (types.Row, error) {
+	row, err := j.partReader.Next()
+	if err == io.EOF {
+		return nil, errEOF
+	}
+	return row, err
+}
+
+// stageUnmatched queues every resident build row no probe row matched for
+// emission with NULL probe columns (LeftOuterJoin only; a no-op
+// otherwise). The queue holds the rows themselves, so it stays valid after
+// the hash table is released.
+func (j *hashJoinOp) stageUnmatched() {
+	j.pb = nil
 	if j.n.Type != plan.LeftOuterJoin {
 		return
 	}
@@ -411,140 +492,243 @@ func (j *hashJoinOp) collectUnmatched() {
 			if i < len(flags) && flags[i] {
 				continue
 			}
-			j.outerPending = append(j.outerPending, j.concat(b, j.nullProbe))
+			j.pairK = append(j.pairK, -1)
+			j.pairB = append(j.pairB, b)
 		}
 	}
 }
 
-// keysEqual verifies a hash match against actual key values.
-func (j *hashJoinOp) keysEqual(buildRow, probeRow types.Row) (bool, error) {
-	j.benv.Row, j.penv.Row = buildRow, probeRow
+// startProbe makes b the probe batch and hashes its keys: off the lanes
+// when it has them, row by row otherwise.
+func (j *hashJoinOp) startProbe(b *Batch) error {
+	j.pb, j.pk = b, 0
+	var ok bool
+	if j.ph, j.pnull, ok = j.vhProbe.hashBatch(b); ok {
+		return nil
+	}
+	n := b.Len()
+	if cap(j.rowHash) < n {
+		j.rowHash, j.rowNull = make([]uint64, n), make([]bool, n)
+	}
+	j.ph, j.pnull = j.rowHash[:n], j.rowNull[:n]
+	for k := 0; k < n; k++ {
+		h, null, err := hashRowKeys(&j.penv, j.n.ProbeKeys, j.probeRow(k), false)
+		if err != nil {
+			return err
+		}
+		j.ph[k], j.pnull[k] = h, null
+	}
+	return nil
+}
+
+// probeRow returns row k of the probe batch, built into a scratch row when
+// the batch's rows are lazy. Only key and residual evaluation read it.
+func (j *hashJoinOp) probeRow(k int) types.Row {
+	b := j.pb
+	if b.Rows != nil {
+		return b.Rows[k]
+	}
+	if cap(j.probeTmp) < len(b.Cols) {
+		j.probeTmp = make(types.Row, len(b.Cols))
+	}
+	row := j.probeTmp[:len(b.Cols)]
+	i := selRow(b.Sel, k)
+	for c := range b.Cols {
+		row[c] = b.Cols[c].Datum(i)
+	}
+	return row
+}
+
+// match resolves probe rows, from j.pk on, into matches until a batch of
+// them is pending or the probe batch is used up. A semi join takes each
+// probe row's first surviving match.
+func (j *hashJoinOp) match() error {
+	n := j.pb.Len()
+	keepProbe := j.n.Type == plan.RightOuterJoin
+	for ; j.pk < n && len(j.pairK)-j.pairAt < execBatchSize; j.pk++ {
+		k := j.pk
+		if j.pnull[k] {
+			if keepProbe {
+				j.pairK, j.pairB = append(j.pairK, int32(k)), append(j.pairB, nil)
+			}
+			continue
+		}
+		h := j.ph[k]
+		found, resFilled := false, false
+		for i, brow := range j.table[h] {
+			eq, err := j.keysEqual(brow, k)
+			if err != nil {
+				return err
+			}
+			if !eq {
+				continue
+			}
+			if j.n.Residual != nil {
+				copy(j.resRow, brow)
+				if !resFilled {
+					copy(j.resRow[j.bw:], j.probeRow(k))
+					resFilled = true
+				}
+				j.resEnv.Row = j.resRow
+				ok, err := expr.EvalPred(j.n.Residual, &j.resEnv)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue
+				}
+			}
+			found = true
+			if j.n.Type == plan.SemiJoin {
+				j.pairK, j.pairB = append(j.pairK, int32(k)), append(j.pairB, nil)
+				break // one witness suffices
+			}
+			j.pairK, j.pairB = append(j.pairK, int32(k)), append(j.pairB, brow)
+			if j.matched != nil {
+				j.matched[h][i] = true
+			}
+		}
+		if !found && keepProbe {
+			j.pairK, j.pairB = append(j.pairK, int32(k)), append(j.pairB, nil)
+		}
+	}
+	return nil
+}
+
+// keysEqual verifies a hash match against actual key values: the build
+// datum against the probe lane when the key is a plain column of a batch
+// with lanes, against the evaluated probe key otherwise.
+func (j *hashJoinOp) keysEqual(brow types.Row, k int) (bool, error) {
 	for i := range j.n.BuildKeys {
-		bv, err := expr.Eval(j.n.BuildKeys[i], &j.benv)
-		if err != nil {
-			return false, err
+		var bv types.Datum
+		if p := j.keyBuild[i]; p >= 0 {
+			bv = brow[p]
+		} else {
+			j.benv.Row = brow
+			var err error
+			if bv, err = expr.Eval(j.n.BuildKeys[i], &j.benv); err != nil {
+				return false, err
+			}
 		}
-		pv, err := expr.Eval(j.n.ProbeKeys[i], &j.penv)
-		if err != nil {
-			return false, err
+		if bv.IsNull() {
+			return false, nil
 		}
-		if bv.IsNull() || pv.IsNull() || !types.Equal(bv, pv) {
+		if p := j.keyProbe[i]; p >= 0 && j.pb.Cols != nil {
+			if !j.pb.Cols[p].EqualDatum(selRow(j.pb.Sel, k), bv) {
+				return false, nil
+			}
+			continue
+		}
+		var pv types.Datum
+		if p := j.keyProbe[i]; p >= 0 {
+			pv = j.probeRow(k)[p]
+		} else {
+			j.penv.Row = j.probeRow(k)
+			var err error
+			if pv, err = expr.Eval(j.n.ProbeKeys[i], &j.penv); err != nil {
+				return false, err
+			}
+		}
+		if pv.IsNull() || !types.Equal(bv, pv) {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-func (j *hashJoinOp) concat(buildRow, probeRow types.Row) types.Row {
-	out := make(types.Row, 0, len(buildRow)+len(probeRow))
-	out = append(out, buildRow...)
-	out = append(out, probeRow...)
-	return out
-}
-
-func (j *hashJoinOp) residualOK(joined types.Row) (bool, error) {
-	if j.n.Residual == nil {
-		return true, nil
+// emit hands out up to a batch of pending matches: a semi join's as the
+// narrowed probe batch, others gathered into the output lanes with Rows
+// left lazy, or — columnar execution off — as rows in one fresh arena.
+func (j *hashJoinOp) emit() *Batch {
+	end := min(j.pairAt+execBatchSize, len(j.pairK))
+	ks, bs := j.pairK[j.pairAt:end], j.pairB[j.pairAt:end]
+	j.pairAt = end
+	if end == len(j.pairK) {
+		// All handed out: the buffers refill from the start, which leaves
+		// ks and bs intact until the next match.
+		j.pairK, j.pairB, j.pairAt = j.pairK[:0], j.pairB[:0], 0
 	}
-	j.resEnv.Row = joined
-	return expr.EvalPred(j.n.Residual, &j.resEnv)
-}
-
-// outer returns the layout of the concatenated build++probe row, which is
-// what residual predicates see regardless of join type.
-func (j *hashJoinOp) outer() expr.Layout {
-	return expr.Concat(j.buildLayout, j.probeLayout)
-}
-
-// NextBatch accumulates joined rows into a reused output batch. Joined rows
-// are freshly allocated (inner) or probe-row references (semi), so they are
-// stable; only the header is reused.
-func (j *hashJoinOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if err := ctx.pollAbortBatch(); err != nil {
-		return nil, err
+	if j.n.Type == plan.SemiJoin {
+		return j.narrow(ks)
 	}
-	return fillBatch(&j.out, func() (types.Row, error) { return j.nextRow(ctx) })
+	j.out.reset()
+	j.out.n = len(ks)
+	if j.lanes == nil {
+		w := j.bw + j.pw
+		arena := make([]types.Datum, len(ks)*w)
+		for p, brow := range bs {
+			dst := arena[p*w : (p+1)*w : (p+1)*w]
+			copy(dst, brow) // a nil build row leaves NULLs
+			if k := ks[p]; k >= 0 {
+				copy(dst[j.bw:], j.probeRow(int(k)))
+			}
+			j.out.Rows = append(j.out.Rows, dst)
+		}
+		return &j.out
+	}
+	for c := 0; c < j.bw; c++ {
+		j.lanes[c].Reset()
+		j.lanes[c].AppendColumn(bs, c)
+	}
+	if pb := j.pb; pb != nil && pb.Cols != nil {
+		j.win = j.win[:0]
+		for _, k := range ks {
+			if k >= 0 {
+				k = int32(selRow(pb.Sel, int(k)))
+			}
+			j.win = append(j.win, k)
+		}
+		for c := 0; c < j.pw; c++ {
+			j.lanes[j.bw+c].Reset()
+			j.lanes[j.bw+c].AppendView(&pb.Cols[c], j.win)
+		}
+	} else {
+		j.rowsK = j.rowsK[:0]
+		for _, k := range ks {
+			var row types.Row
+			if k >= 0 {
+				row = pb.Rows[k]
+			}
+			j.rowsK = append(j.rowsK, row)
+		}
+		for c := 0; c < j.pw; c++ {
+			j.lanes[j.bw+c].Reset()
+			j.lanes[j.bw+c].AppendColumn(j.rowsK, c)
+		}
+	}
+	for c := range j.lanes {
+		j.cols[c] = j.lanes[c].View()
+	}
+	j.out.Rows, j.out.Cols = nil, j.cols
+	return &j.out
 }
 
-func (j *hashJoinOp) nextRow(ctx *Ctx) (types.Row, error) {
-	for {
-		// Emit pending matches of the current probe row.
-		for j.mi < len(j.matches) {
-			b := j.matches[j.mi]
-			idx := -1
-			if j.matchIdx != nil {
-				idx = j.matchIdx[j.mi]
-			}
-			j.mi++
-			joined := j.concat(b, j.curProbe)
-			ok, err := j.residualOK(joined)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			if j.n.Type == plan.SemiJoin {
-				// One successful witness suffices; skip remaining matches.
-				j.matches, j.mi = nil, 0
-				return j.curProbe, nil
-			}
-			if j.matched != nil && idx >= 0 {
-				j.matched[j.curHash][idx] = true
-			}
-			j.curEmitted = true
-			return joined, nil
-		}
-		// A preserved probe row whose matches all failed (or that had none)
-		// is NULL-extended exactly once.
-		if j.n.Type == plan.RightOuterJoin && j.curProbe != nil && !j.curEmitted {
-			row := j.concat(j.nullBuild, j.curProbe)
-			j.curProbe = nil
-			return row, nil
-		}
-		// Serve NULL-extended unmatched build rows (LeftOuterJoin), staged
-		// by collectUnmatched at probe-EOF / partition boundaries.
-		if n := len(j.outerPending); n > 0 {
-			row := j.outerPending[n-1]
-			j.outerPending[n-1] = nil
-			j.outerPending = j.outerPending[:n-1]
-			return row, nil
-		}
-		// Fetch the next probe row.
-		probe, err := j.nextProbe(ctx)
-		if err != nil {
-			if errors.Is(err, errEOF) && len(j.outerPending) > 0 {
-				continue // EOF staged the final unmatched build rows
-			}
-			return nil, err // includes EOF
-		}
-		h, null, err := hashRowKeys(&j.penv, j.n.ProbeKeys, probe, false)
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			if j.n.Type == plan.RightOuterJoin {
-				return j.concat(j.nullBuild, probe), nil
-			}
-			continue
-		}
-		var matches []types.Row
-		var idxs []int
-		for i, b := range j.table[h] {
-			eq, err := j.keysEqual(b, probe)
-			if err != nil {
-				return nil, err
-			}
-			if eq {
-				matches = append(matches, b)
-				if j.matched != nil {
-					idxs = append(idxs, i)
-				}
-			}
-		}
-		j.curProbe, j.matches, j.mi = probe, matches, 0
-		j.matchIdx, j.curHash, j.curEmitted = idxs, h, false
+// narrow hands out the probe batch narrowed to the slots ks: the probe's
+// own lanes under a selection vector, and its row headers when it has
+// them. Nothing is copied but positions and headers, and a batch whose
+// every row matched is forwarded as it is.
+func (j *hashJoinOp) narrow(ks []int32) *Batch {
+	pb := j.pb
+	if len(ks) == pb.Len() {
+		return pb
 	}
+	j.out.reset()
+	j.out.n = len(ks)
+	if pb.Rows != nil {
+		for _, k := range ks {
+			j.out.Rows = append(j.out.Rows, pb.Rows[k])
+		}
+	} else {
+		j.out.Rows = nil
+	}
+	if pb.Cols != nil {
+		j.win = j.win[:0]
+		for _, k := range ks {
+			j.win = append(j.win, int32(selRow(pb.Sel, int(k))))
+		}
+		j.out.Cols, j.out.Sel = pb.Cols, j.win
+	}
+	return &j.out
 }
 
 // cleanup releases every resource the join holds — hash table reservation,
@@ -564,19 +748,8 @@ func (j *hashJoinOp) cleanup(ctx *Ctx) {
 	j.buildParts, j.probeParts = nil, nil
 	ctx.release(j.tableBytes)
 	j.tableBytes = 0
-	j.table = nil
-	j.curProbe, j.matches = nil, nil
-	j.matched, j.matchIdx, j.outerPending = nil, nil, nil
-}
-
-// nullRow returns a row of n NULL datums — the outer-join padding for the
-// non-preserved side.
-func nullRow(n int) types.Row {
-	r := make(types.Row, n)
-	for i := range r {
-		r[i] = types.Null
-	}
-	return r
+	j.table, j.matched, j.pb = nil, nil, nil
+	j.pairK, j.pairB, j.pairAt = j.pairK[:0], j.pairB[:0], 0
 }
 
 // abort is the failed-Open teardown: children that opened are closed (their

@@ -108,7 +108,7 @@ func (ex *exchange) newSender(ctx *Ctx) *motionSender {
 // per the batch ownership contract, so no copy is needed. Redistribute
 // hashing runs column-wise when the batch carries vectors.
 func (s *motionSender) sendBatch(ctx *Ctx, b *Batch) error {
-	rows := b.Rows
+	rows := b.rows(ctx)
 	switch s.ex.kind {
 	case plan.GatherMotion:
 		return s.stageRows(ctx, 0, rows)
@@ -253,7 +253,7 @@ func (r *motionRecvOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.batch.Rows = chunk
+	r.batch.setRows(chunk)
 	return &r.batch, nil
 }
 

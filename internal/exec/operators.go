@@ -194,7 +194,7 @@ func (s *leafScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	}
 	end := min(s.pos+execBatchSize, len(s.rows))
 	out := s.rows[s.pos:end]
-	s.batch.Cols, s.batch.Sel = nil, nil
+	var cols []vec.View
 	if s.withRowID {
 		var ids []storage.RowID
 		if s.ids != nil {
@@ -204,10 +204,11 @@ func (s *leafScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		out = s.idBuf
 	} else if s.cols != nil {
 		s.viewBuf = colWindow(s.cols, s.pos, s.viewBuf)
-		s.batch.Cols = s.viewBuf
+		cols = s.viewBuf
 	}
 	s.pos = end
-	s.batch.Rows = out
+	s.batch.setRows(out)
+	s.batch.Cols = cols
 	return &s.batch, nil
 }
 
@@ -370,7 +371,7 @@ func (s *selectorOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		return nil, err
 	}
 	if s.anyDynamic {
-		for _, row := range b.Rows {
+		for _, row := range b.rows(ctx) {
 			s.deriveRow(ctx, row)
 		}
 	}
@@ -561,11 +562,12 @@ func (f *filterOp) Open(ctx *Ctx) error {
 // qualifying rows (by reference) into a reused output batch. Child batches
 // are pulled until the output is non-empty or the input ends. Columnar
 // batches run the compiled vector predicate, producing a selection vector
-// over the child's column window instead of touching any datum; the kernel
-// refuses batches it cannot type (errVecFallback) and the row loop runs.
+// over the child's column window instead of touching any datum (a child
+// batch with lazy rows stays lazy); the kernel refuses batches it cannot
+// type (errVecFallback) and the row loop runs.
 func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	f.out.reset()
-	for len(f.out.Rows) == 0 {
+	for f.out.Len() == 0 {
 		cb, err := f.child.NextBatch(ctx)
 		if err != nil {
 			return nil, err // includes EOF
@@ -577,14 +579,19 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 			res, verr := f.vp.eval(cb)
 			if verr == nil {
 				f.selBuf = f.selBuf[:0]
-				for k := range cb.Rows {
+				for k := 0; k < cb.Len(); k++ {
 					if bitGet(res, k) {
-						f.out.Rows = append(f.out.Rows, cb.Rows[k])
+						if cb.Rows != nil {
+							f.out.Rows = append(f.out.Rows, cb.Rows[k])
+						}
 						f.selBuf = append(f.selBuf, int32(selRow(cb.Sel, k)))
 					}
 				}
-				if len(f.out.Rows) > 0 {
-					f.out.Cols, f.out.Sel = cb.Cols, f.selBuf
+				if len(f.selBuf) > 0 {
+					f.out.Cols, f.out.Sel, f.out.n = cb.Cols, f.selBuf, len(f.selBuf)
+					if cb.Rows == nil {
+						f.out.Rows = nil
+					}
 				}
 				continue
 			}
@@ -592,7 +599,7 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 				return nil, verr
 			}
 		}
-		for _, row := range cb.Rows {
+		for _, row := range cb.rows(ctx) {
 			f.env.Row = row
 			ok, err := expr.EvalPred(f.n.Pred, &f.env)
 			if err != nil {
@@ -602,6 +609,7 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 				f.out.Rows = append(f.out.Rows, row)
 			}
 		}
+		f.out.n = len(f.out.Rows)
 	}
 	return &f.out, nil
 }
@@ -614,8 +622,9 @@ type projectOp struct {
 	n      *plan.Project
 	child  Operator
 	layout expr.Layout
-	env    expr.Env // reused per row
-	out    Batch    // reused output header
+	env    expr.Env   // reused per row
+	out    Batch      // reused output header
+	cols   []vec.View // reused header of the output's permuted column views
 
 	colPos   []int // all-column projection: source position per output col
 	maxPos   int   // largest source position (bounds guard per batch)
@@ -671,7 +680,7 @@ func (p *projectOp) compileFastPath() {
 // child batch untouched — rows are immutable, so sharing them satisfies the
 // ownership contract — and all-column projections gather by position
 // without expression dispatch, forwarding permuted column views when the
-// child batch is columnar.
+// child batch is columnar — and only those when its rows are lazy.
 func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	cb, err := p.child.NextBatch(ctx)
 	if err != nil {
@@ -683,11 +692,17 @@ func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if p.identity {
 		return cb, nil
 	}
-	w := len(p.n.Cols)
-	arena := make([]types.Datum, len(cb.Rows)*w)
 	p.out.reset()
-	if p.colPos != nil && (len(cb.Rows) == 0 || p.maxPos < len(cb.Rows[0])) {
-		for i, row := range cb.Rows {
+	if p.colPos != nil && cb.Rows == nil && p.maxPos < len(cb.Cols) {
+		p.out.Rows, p.out.Cols, p.out.Sel, p.out.n = nil, p.permute(cb.Cols), cb.Sel, cb.Len()
+		return &p.out, nil
+	}
+	rows := cb.rows(ctx)
+	w := len(p.n.Cols)
+	arena := make([]types.Datum, len(rows)*w)
+	p.out.n = len(rows)
+	if p.colPos != nil && (len(rows) == 0 || p.maxPos < len(rows[0])) {
+		for i, row := range rows {
 			dst := arena[i*w : (i+1)*w : (i+1)*w]
 			for j, src := range p.colPos {
 				dst[j] = row[src]
@@ -695,15 +710,11 @@ func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 			p.out.Rows = append(p.out.Rows, dst)
 		}
 		if cb.Cols != nil {
-			p.out.Cols = p.out.Cols[:0]
-			for _, src := range p.colPos {
-				p.out.Cols = append(p.out.Cols, cb.Cols[src])
-			}
-			p.out.Sel = cb.Sel
+			p.out.Cols, p.out.Sel = p.permute(cb.Cols), cb.Sel
 		}
 		return &p.out, nil
 	}
-	for i, row := range cb.Rows {
+	for i, row := range rows {
 		p.env.Row = row
 		dst := arena[i*w : (i+1)*w : (i+1)*w]
 		for j, c := range p.n.Cols {
@@ -716,6 +727,16 @@ func (p *projectOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		p.out.Rows = append(p.out.Rows, dst)
 	}
 	return &p.out, nil
+}
+
+// permute returns the child's column views in output order, in a reused
+// header.
+func (p *projectOp) permute(cols []vec.View) []vec.View {
+	p.cols = p.cols[:0]
+	for _, src := range p.colPos {
+		p.cols = append(p.cols, cols[src])
+	}
+	return p.cols
 }
 
 func (p *projectOp) Close(ctx *Ctx) error { return p.child.Close(ctx) }

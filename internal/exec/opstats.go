@@ -125,7 +125,7 @@ func (s *statsOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	}
 	ctx.popOp(prev)
 	if err == nil {
-		f.rowsOut += int64(len(b.Rows))
+		f.rowsOut += int64(b.Len())
 	}
 	return b, err
 }
@@ -237,6 +237,7 @@ func (s *Stats) absorb(o *Stats) {
 	s.rowsMoved += o.rowsMoved
 	s.spilledBytes += o.spilledBytes
 	s.spillParts += o.spillParts
+	s.rowsBuilt += o.rowsBuilt
 	for st := range o.aggBatches.Typed {
 		s.aggBatches.Typed[st] += o.aggBatches.Typed[st]
 		s.aggBatches.Row[st] += o.aggBatches.Row[st]
@@ -351,6 +352,17 @@ func (c *Ctx) noteAggBatches(stage plan.AggStage, typed, row int64) {
 	}
 }
 
+// noteRowsMaterialized records one batch whose lazy rows were built from
+// its column lanes.
+func (c *Ctx) noteRowsMaterialized() {
+	if c.Stats != nil {
+		c.Stats.noteRowsMaterialized()
+	}
+	if m := c.Rt.metrics(); m != nil {
+		m.rowsBuilt.Add(1)
+	}
+}
+
 // attributeReserve/attributeRelease keep the running operator's high-water
 // reservation mark. They are called from the Ctx reserve/release wrappers,
 // so every operator's peak memory is tracked even ungoverned (nil budget
@@ -389,6 +401,7 @@ type runtimeMetrics struct {
 	spillParts      *obs.Counter
 	motionRows      *obs.Counter
 	rowsScanned     *obs.Counter
+	rowsBuilt       *obs.Counter                    // batches materialized from column lanes (Batch.rows)
 	aggTyped        [plan.NumAggStages]*obs.Counter // aggregate batches folded by the typed loop, by stage
 	aggRow          [plan.NumAggStages]*obs.Counter // ... and by the row loop
 	active          *obs.Gauge
@@ -413,6 +426,7 @@ func (rt *Runtime) metrics() *runtimeMetrics {
 			spillParts:      r.Counter("partopt_spill_parts_total"),
 			motionRows:      r.Counter("partopt_motion_rows_total"),
 			rowsScanned:     r.Counter("partopt_rows_scanned_total"),
+			rowsBuilt:       r.Counter("partopt_exec_rows_materialized_batches_total"),
 			active:          r.Gauge("partopt_queries_active"),
 			latency:         r.Histogram("partopt_query_latency_seconds", obs.DefaultLatencyBuckets()),
 		}

@@ -456,7 +456,7 @@ func runAttempt(ctx context.Context, rt *Runtime, root plan.Node, params *Params
 			if err != nil {
 				return err
 			}
-			rows = append(rows, b.Rows...)
+			rows = append(rows, b.rows(cctx)...)
 		}
 	}()
 	if coordErr != nil && !errors.Is(coordErr, errQueryAborted) {
@@ -543,7 +543,7 @@ func RunLocal(rt *Runtime, root plan.Node, seg int, params *Params) (*Result, er
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, b.Rows...)
+		rows = append(rows, b.rows(ctx)...)
 	}
 	return &Result{Rows: rows, Layout: root.Layout(), Stats: stats}, nil
 }

@@ -65,7 +65,7 @@ func (s *sortOp) Open(ctx *Ctx) (err error) {
 		if err := ctx.pollAbortBatch(); err != nil {
 			return err
 		}
-		for _, row := range b.Rows {
+		for _, row := range b.rows(ctx) {
 			rb := mem.RowBytes(row)
 			if ctx.reserve(rb) != nil {
 				if err := s.flushRun(ctx); err != nil {
@@ -222,7 +222,7 @@ func (s *sortOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		if end > len(s.rows) {
 			end = len(s.rows)
 		}
-		s.out.Rows = s.rows[s.pos:end]
+		s.out.setRows(s.rows[s.pos:end])
 		s.pos = end
 		return &s.out, nil
 	}
@@ -306,10 +306,10 @@ func (l *limitOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if err != nil {
 		return nil, err // includes EOF
 	}
-	if rem := l.n.N - l.seen; int64(len(b.Rows)) > rem {
-		b.Rows = b.Rows[:rem]
+	if rem := l.n.N - l.seen; int64(b.Len()) > rem {
+		b.truncate(int(rem))
 	}
-	l.seen += int64(len(b.Rows))
+	l.seen += int64(b.Len())
 	if l.seen >= l.n.N {
 		if err := l.closeChild(ctx); err != nil {
 			return nil, err

@@ -68,7 +68,7 @@ func (u *updateOp) Open(ctx *Ctx) error {
 			u.child.Close(ctx)
 			return err
 		}
-		for _, row := range b.Rows {
+		for _, row := range b.rows(ctx) {
 			id := DecodeRowID(row[ridPos])
 			if seen[id] {
 				continue // each target row updated at most once
@@ -126,7 +126,9 @@ func countBatch(emitted *bool, count int64) (*Batch, error) {
 		return nil, errEOF
 	}
 	*emitted = true
-	return &Batch{Rows: []types.Row{{types.NewInt(count)}}}, nil
+	b := &Batch{}
+	b.setRows([]types.Row{{types.NewInt(count)}})
+	return b, nil
 }
 
 func (u *updateOp) Close(*Ctx) error { return nil }
@@ -170,7 +172,7 @@ func (d *deleteOp) Open(ctx *Ctx) error {
 			d.child.Close(ctx)
 			return err
 		}
-		for _, row := range b.Rows {
+		for _, row := range b.rows(ctx) {
 			id := DecodeRowID(row[ridPos])
 			if seen[id] {
 				continue

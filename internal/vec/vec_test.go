@@ -238,3 +238,44 @@ func TestAppendRowsBulk(t *testing.T) {
 		t.Fatal("bulk append diverges from row-at-a-time append")
 	}
 }
+
+// A lane adopts the kind of its first non-NULL value, degrades on a second
+// kind, copies typed views lane to lane (negative positions are NULL), and
+// after Reset holds only what was appended since.
+func TestLaneAppendAndReset(t *testing.T) {
+	i, f := types.NewInt, types.NewFloat
+	check := func(name string, l *Lane, want []types.Datum, mixed bool) {
+		t.Helper()
+		v := l.View()
+		if v.Mixed != mixed {
+			t.Fatalf("%s: mixed = %v, want %v", name, v.Mixed, mixed)
+		}
+		for k, d := range want {
+			got := v.Datum(k)
+			if got.Kind() != d.Kind() || types.Compare(got, d) != 0 || v.Null(k) != d.IsNull() {
+				t.Fatalf("%s: value %d = %v, want %v", name, k, got, d)
+			}
+		}
+	}
+	var l Lane
+	l.Reset()
+	l.AppendColumn([]types.Row{nil, {types.Null}, {i(3)}, {i(4)}}, 0)
+	check("adopted", &l, []types.Datum{types.Null, types.Null, i(3), i(4)}, false)
+	if v := l.View(); v.Kind != types.KindInt {
+		t.Fatalf("adopted kind %v, want int", v.Kind)
+	}
+	l.AppendDatum(f(2.5))
+	check("degraded", &l, []types.Datum{types.Null, types.Null, i(3), i(4), f(2.5)}, true)
+
+	src := NewColumnSet(kinds(types.KindString))
+	for _, s := range []types.Datum{types.NewString("a"), types.Null, types.NewString("c")} {
+		src.AppendRow(row(s))
+	}
+	sv := src.ColView(0)
+	sv.Base = 1 // a window starting at the NULL
+	l.Reset()
+	l.AppendView(&sv, []int32{1, -1, 0})
+	check("typed copy", &l, []types.Datum{types.NewString("c"), types.Null, types.Null}, false)
+	l.AppendDatum(i(1))
+	check("degraded copy", &l, []types.Datum{types.NewString("c"), types.Null, types.Null, i(1)}, true)
+}

@@ -43,8 +43,10 @@ func (cs *ColumnSet) ViewSnapshot() []View {
 // (Base 0). Callers windowing a scan adjust Base themselves. The view
 // aliases the live lanes — safe only while the caller excludes writers;
 // scans that outlive the storage lock go through ViewSnapshot instead.
-func (cs *ColumnSet) ColView(j int) View {
-	c := &cs.cols[j]
+func (cs *ColumnSet) ColView(j int) View { return cs.cols[j].view() }
+
+// view returns a read-only view of the column's lanes (Base 0).
+func (c *Column) view() View {
 	return View{
 		Kind:  c.kind,
 		Mixed: c.mixed,
