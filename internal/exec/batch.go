@@ -24,8 +24,10 @@ import (
 //     Rows nil; a consumer that needs rows calls rows(ctx), which builds
 //     them from Cols+Sel into a fresh, exactly-sized arena — so they are
 //     stable like any other rows — and counts the batch as materialized.
-//     Scans always fill Rows (zero-copy), and with columnar execution off
-//     every batch carries Rows.
+//     Plain scans fill Rows (zero-copy); a RowID-bearing heap scan (the
+//     target of an UPDATE or DELETE) leaves them lazy and carries the
+//     RowID as one more int lane. With columnar execution off every batch
+//     carries Rows.
 //   - The length is explicit: Len reports it whether or not Rows is built.
 //   - The Batch itself (the *Batch, its Rows slice header, Cols, Sel and the
 //     lanes behind Cols that an operator assembled itself) is transient: it
@@ -68,7 +70,8 @@ func SetBatchSize(n int) int {
 //	Rows[k] == column values at window row (Sel == nil ? k : Sel[k])
 //
 // for every k < Len(). A scan's views are zero-copy windows onto storage's
-// vectors; a hash join's are lanes it assembled. Operators that only read
+// vectors (plus, for a RowID-bearing scan, the RowID lane it fills per
+// batch); a hash join's are lanes it assembled. Operators that only read
 // rows call rows(ctx); operators that build fresh rows emit batches with
 // Cols == nil. Operators that forward a child's *Batch unchanged
 // (selector, sequence, append, stats, limit's in-place truncation)

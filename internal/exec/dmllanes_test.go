@@ -1,0 +1,234 @@
+package exec
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"partopt/internal/catalog"
+	"partopt/internal/expr"
+	"partopt/internal/part"
+	"partopt/internal/plan"
+	"partopt/internal/storage"
+	"partopt/internal/types"
+)
+
+// The target scan of an UPDATE or DELETE reads lanes: the RowID is one more
+// int lane, the filter qualifies the batch into a selection vector, and
+// rows are built only for the matched targets. These tests pin that path
+// and the RowID field bounds it relies on.
+
+// TestRowIDRangeGuard checks the bound every RowID-bearing read is held
+// to, on synthetic lengths: past a field's range the encoding would wrap
+// into the neighbouring field and a DML would address another row.
+func TestRowIDRangeGuard(t *testing.T) {
+	// Why the guard exists: one position past the index field spills into
+	// the leaf field (here onto row 0 of the next leaf).
+	if got := DecodeRowID(EncodeRowID(storage.RowID{Seg: 1, Leaf: 4, Idx: rowIDMaxIdx + 1})); got != (storage.RowID{Seg: 1, Leaf: 5, Idx: 0}) {
+		t.Fatalf("unguarded overflow decoded to %+v; the guard's premise changed", got)
+	}
+	for _, c := range []struct {
+		seg  int
+		leaf part.OID
+		n    int
+		want string // "" = in range
+	}{
+		{0, 1, 0, ""},
+		{3, 7, rowIDMaxIdx + 1, ""}, // positions 0 .. 2^24-1: the full field
+		{3, 7, rowIDMaxIdx + 2, "heap-index field"},
+		{0, rowIDMaxLeaf, 10, ""},
+		{0, rowIDMaxLeaf + 1, 10, "leaf field"},
+		{0, -1, 10, "leaf field"},
+		{rowIDMaxSeg, 1, 10, ""},
+		{rowIDMaxSeg + 1, 1, 10, "segment field"},
+	} {
+		err := checkRowIDRange(c.seg, c.leaf, c.n)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("seg %d leaf %d n %d: unexpected %v", c.seg, c.leaf, c.n, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("seg %d leaf %d n %d: err %v, want it to name the %s", c.seg, c.leaf, c.n, err, c.want)
+		}
+	}
+}
+
+// TestRowIDScanRejectsUnencodableLeaf drives the guard through the leaf
+// reader, in both read modes: a RowID-bearing scan of a leaf OID the
+// encoding cannot hold fails instead of emitting wrapped RowIDs, while the
+// same scan without RowIDs reads the (absent) leaf as empty.
+func TestRowIDScanRejectsUnencodableLeaf(t *testing.T) {
+	defer SetColumnarExec(SetColumnarExec(true))
+	rt, cat := fixture(t, 1)
+	tt := cat.MustTable("T")
+	for _, columnar := range []bool{true, false} {
+		SetColumnarExec(columnar)
+		scan := plan.NewScan(tt, 1)
+		scan.Leaf = rowIDMaxLeaf + 1
+		if res, err := RunLocal(rt, scan, 0, nil); err != nil || len(res.Rows) != 0 {
+			t.Fatalf("columnar=%v: plain scan: %v rows (%v), want 0", columnar, len(res.Rows), err)
+		}
+		scan.WithRowID = true
+		if _, err := RunLocal(rt, scan, 0, nil); err == nil || !strings.Contains(err.Error(), "RowID leaf field") {
+			t.Fatalf("columnar=%v: RowID scan of leaf %d: err %v, want the RowID leaf-field error", columnar, scan.Leaf, err)
+		}
+	}
+}
+
+// TestRowIDLaneMatchesRowPath compares the RowID-bearing scan's two read
+// paths batch by batch: the columnar one leaves Rows lazy and carries the
+// RowID as an int lane at the layout's RowID position, and its rows, once
+// built, equal the row path's (heap columns plus EncodeRowID of the
+// position).
+func TestRowIDLaneMatchesRowPath(t *testing.T) {
+	defer SetColumnarExec(SetColumnarExec(true))
+	defer SetBatchSize(SetBatchSize(7))
+	rt, cat := fixture(t, 2)
+	tt := cat.MustTable("T")
+	scan := plan.NewScan(tt, 1)
+	scan.Leaf = tt.Part.Expansion()[2]
+	scan.WithRowID = true
+	ridPos := scan.Layout()[expr.ColID{Rel: 1, Ord: plan.RowIDOrd}]
+
+	read := func(columnar bool) []types.Row {
+		SetColumnarExec(columnar)
+		ctx := newCtx(rt, 1, nil, NewStats(), context.Background(), rt.Gov.NewBudget(), rt.Store.PrimaryMap())
+		op := newLeafScan(scan)
+		if err := op.Open(ctx); err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer op.Close(ctx)
+		var out []types.Row
+		for {
+			b, err := op.NextBatch(ctx)
+			if err == errEOF {
+				return out
+			}
+			if err != nil {
+				t.Fatalf("NextBatch: %v", err)
+			}
+			if columnar {
+				if b.Rows != nil || len(b.Cols) != ridPos+1 {
+					t.Fatalf("columnar RowID batch: rows built=%v, %d lanes; want lazy rows and %d lanes", b.Rows != nil, len(b.Cols), ridPos+1)
+				}
+				if rid := b.Cols[ridPos]; rid.Kind != types.KindInt || rid.Mixed {
+					t.Fatalf("RowID lane kind %v (mixed %v), want int", rid.Kind, rid.Mixed)
+				}
+			}
+			out = append(out, b.rows(ctx)...)
+		}
+	}
+	lanes, rows := read(true), read(false)
+	if len(rows) == 0 || len(lanes) != len(rows) {
+		t.Fatalf("columnar read %d rows, row read %d", len(lanes), len(rows))
+	}
+	for i := range rows {
+		if id := DecodeRowID(rows[i][ridPos]); id != (storage.RowID{Seg: 1, Leaf: scan.Leaf, Idx: i}) {
+			t.Fatalf("row %d: RowID %+v", i, id)
+		}
+		for j := range rows[i] {
+			if types.Compare(lanes[i][j], rows[i][j]) != 0 {
+				t.Fatalf("row %d col %d: columnar %v, row %v", i, j, lanes[i][j], rows[i][j])
+			}
+		}
+	}
+}
+
+// TestDMLTargetScanBuildsOnlyMatchedRows pins the fast path on leaves of
+// ≥ 10 000 rows per segment: a single-row UPDATE and a single-row DELETE
+// materialize rows for at most one batch per segment holding the match,
+// and no segment's target scan builds (or reads) the leaf's row view.
+func TestDMLTargetScanBuildsOnlyMatchedRows(t *testing.T) {
+	defer SetColumnarExec(SetColumnarExec(true))
+	defer SetBatchSize(SetBatchSize(DefaultBatchSize))
+	const segs, perSeg = 4, 10_000
+	cat := catalog.New()
+	st := storage.NewStore(segs)
+	tt, err := cat.CreateTable("big",
+		[]catalog.Column{{Name: "pk", Kind: types.KindInt}, {Name: "v", Kind: types.KindInt}},
+		catalog.Hashed(0), part.RangeLevel(0, part.IntBounds(0, 200_000, 2)...))
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	st.CreateTable(tt)
+	rows := make([]types.Row, 0, 48_000)
+	for i := int64(0); i < 48_000; i++ {
+		rows = append(rows, types.Row{types.NewInt(i), types.NewInt(i % 97)})
+	}
+	if err := st.InsertBatch(tt, rows); err != nil {
+		t.Fatalf("InsertBatch: %v", err)
+	}
+	rt := &Runtime{Store: st}
+	leaf := tt.Part.Expansion()[0]
+	leafSets := func() (minRows int, withView []int) {
+		minRows = -1
+		for seg := 0; seg < segs; seg++ {
+			cs, err := st.LeafColumns(tt.OID, seg, 0, leaf)
+			if err != nil {
+				t.Fatalf("LeafColumns: %v", err)
+			}
+			if minRows < 0 || cs.Len() < minRows {
+				minRows = cs.Len()
+			}
+			if cs.HasRowView() {
+				withView = append(withView, seg)
+			}
+		}
+		return minRows, withView
+	}
+	if n, views := leafSets(); n < perSeg || len(views) != 0 {
+		t.Fatalf("fixture: smallest segment heap %d rows (want ≥ %d), row views built on %v", n, perSeg, views)
+	}
+
+	pk := tcol(1, 0, "pk")
+	target := func(k int64) plan.Node {
+		pred := expr.NewCmp(expr.EQ, pk, intc(k))
+		sel := plan.NewPartitionSelector(tt, 1, []expr.Expr{pred}, nil)
+		scan := plan.NewDynamicScan(tt, 1, 1)
+		scan.WithRowID = true
+		return plan.NewSequence(sel, plan.NewFilter(pred, scan))
+	}
+	run := func(name string, dml plan.Node) {
+		t.Helper()
+		res, err := Run(rt, plan.NewMotion(plan.GatherMotion, nil, dml), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var n int64
+		for _, r := range res.Rows {
+			n += r[0].Int()
+		}
+		if n != 1 {
+			t.Fatalf("%s: %d rows affected, want 1", name, n)
+		}
+		// One segment holds the match.
+		if got := res.Stats.RowsMaterializedBatches(); got > 1 {
+			t.Errorf("%s: %d batches materialized, want ≤ 1 (the matched segment's)", name, got)
+		}
+		if _, views := leafSets(); len(views) != 0 {
+			t.Errorf("%s: the target scan built the row view on segments %v", name, views)
+		}
+	}
+
+	set := []plan.SetClause{{Ord: 1, Value: &expr.Arith{Op: expr.Add, L: tcol(1, 1, "v"), R: intc(1000)}}}
+	run("update", plan.NewUpdate(tt, 1, set, target(4242)))
+	run("delete", plan.NewDelete(tt, 1, target(777)))
+
+	// The writes landed: pk 4242 carries v + 1000, pk 777 is gone.
+	check, err := Run(rt, plan.NewMotion(plan.GatherMotion, nil, seqScanAll(tt, 1)), nil)
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if len(check.Rows) != len(rows)-1 {
+		t.Fatalf("verify: %d rows, want %d", len(check.Rows), len(rows)-1)
+	}
+	for _, r := range check.Rows {
+		switch r[0].Int() {
+		case 777:
+			t.Fatalf("deleted pk 777 still present")
+		case 4242:
+			if r[1].Int() != 4242%97+1000 {
+				t.Fatalf("pk 4242: v = %v, want %d", r[1], 4242%97+1000)
+			}
+		}
+	}
+}

@@ -485,20 +485,54 @@ func (c *Ctx) selectedOIDs(partScanID int) ([]part.OID, error) {
 	return out, nil
 }
 
+// RowID field layout of EncodeRowID: the heap index in the low 24 bits,
+// the leaf OID in the next 24, the segment above them. The fields are not
+// checked on encode: a value past its field's range spills into the
+// neighbouring field, and an UPDATE or DELETE would address another leaf's
+// row. checkRowIDRange guards every RowID-bearing read instead.
+const (
+	rowIDIdxBits  = 24
+	rowIDLeafBits = 24
+	rowIDSegBits  = 15 // the segment field stops below the sign bit
+
+	rowIDMaxIdx  = 1<<rowIDIdxBits - 1
+	rowIDMaxLeaf = 1<<rowIDLeafBits - 1
+	rowIDMaxSeg  = 1<<rowIDSegBits - 1
+)
+
+// encodeRowID is EncodeRowID's unboxed form, the value of a RowID lane.
+func encodeRowID(seg int, leaf part.OID, idx int) int64 {
+	return int64(seg)<<(rowIDIdxBits+rowIDLeafBits) | int64(leaf)<<rowIDIdxBits | int64(idx)
+}
+
 // EncodeRowID packs a storage RowID into an int64 datum (the ctid
 // pseudo-column value). Segments, leaves and heap indexes each get a
-// bounded field; the simulation never approaches the limits.
+// bounded field (see rowIDIdxBits); callers stay inside the bounds by
+// checking each read with checkRowIDRange.
 func EncodeRowID(id storage.RowID) types.Datum {
-	v := int64(id.Seg)<<48 | int64(id.Leaf)<<24 | int64(id.Idx)
-	return types.NewInt(v)
+	return types.NewInt(encodeRowID(id.Seg, id.Leaf, id.Idx))
 }
 
 // DecodeRowID unpacks an EncodeRowID datum.
 func DecodeRowID(d types.Datum) storage.RowID {
 	v := d.Int()
 	return storage.RowID{
-		Seg:  int(v >> 48),
-		Leaf: part.OID((v >> 24) & 0xFFFFFF),
-		Idx:  int(v & 0xFFFFFF),
+		Seg:  int(v >> (rowIDIdxBits + rowIDLeafBits)),
+		Leaf: part.OID((v >> rowIDIdxBits) & rowIDMaxLeaf),
+		Idx:  int(v & rowIDMaxIdx),
 	}
+}
+
+// checkRowIDRange reports an error when a RowID-bearing read of heap
+// positions [0, n) of (seg, leaf) would not fit EncodeRowID's fields.
+func checkRowIDRange(seg int, leaf part.OID, n int) error {
+	switch {
+	case seg < 0 || seg > rowIDMaxSeg:
+		return fmt.Errorf("exec: segment %d exceeds the RowID segment field (max %d)", seg, rowIDMaxSeg)
+	case leaf < 0 || leaf > rowIDMaxLeaf:
+		return fmt.Errorf("exec: leaf OID %d exceeds the RowID leaf field (max %d)", leaf, rowIDMaxLeaf)
+	case n > rowIDMaxIdx+1:
+		return fmt.Errorf("exec: leaf %d on seg %d holds %d rows, which exceeds the RowID heap-index field (max %d rows)", leaf, seg, n, rowIDMaxIdx+1)
+	}
+	return nil
 }

@@ -560,6 +560,12 @@ func TestRowIDRoundTrip(t *testing.T) {
 		{Seg: 0, Leaf: 1, Idx: 0},
 		{Seg: 3, Leaf: 4095, Idx: 123456},
 		{Seg: 15, Leaf: 1 << 20, Idx: 1<<24 - 1},
+		// Field boundaries: each field at its maximum, alone and together.
+		{Seg: 0, Leaf: 0, Idx: rowIDMaxIdx},
+		{Seg: 0, Leaf: rowIDMaxLeaf, Idx: 0},
+		{Seg: rowIDMaxSeg, Leaf: 0, Idx: 0},
+		{Seg: rowIDMaxSeg, Leaf: rowIDMaxLeaf, Idx: rowIDMaxIdx},
+		{Seg: 1, Leaf: rowIDMaxLeaf - 1, Idx: rowIDMaxIdx - 1},
 	}
 	for _, id := range ids {
 		got := DecodeRowID(EncodeRowID(id))

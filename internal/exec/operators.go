@@ -30,12 +30,14 @@ var errEOF = io.EOF
 
 // ---------------------------------------------------------------- scan
 
-// withRowIDs extends rows with the encoded RowID pseudo-column. ids, when
-// non-nil, supplies each row's identity; otherwise identities are sequential
-// in the (seg, leaf) heap starting at base. The returned row headers reuse
-// hdr's backing array across batches; the datum arena behind them is
-// allocated fresh per batch (one allocation for the whole batch instead of
-// one per row) because emitted rows must stay valid after the next call.
+// withRowIDs extends rows with the encoded RowID pseudo-column, for the
+// reads that carry no lanes: index lookups and row mode. ids, when
+// non-nil, supplies each row's identity; otherwise identities are
+// sequential in the (seg, leaf) heap starting at base. The returned row
+// headers reuse hdr's backing array across batches; the datum arena behind
+// them is allocated fresh per batch (one allocation for the whole batch
+// instead of one per row) because emitted rows must stay valid after the
+// next call.
 func withRowIDs(rows []types.Row, ids []storage.RowID, seg int, leaf part.OID, base int, hdr []types.Row) []types.Row {
 	if len(rows) == 0 {
 		return hdr[:0]
@@ -73,8 +75,10 @@ func colWindow(cols []vec.View, base int, viewBuf []vec.View) []vec.View {
 // leafScanOp is the executor's one leaf reader. Scan and IndexScan read
 // one known leaf, at Open; DynamicScan and DynamicIndexScan read the leaves
 // their PartitionSelector chose, one at a time as the previous leaf drains.
-// A leaf loads through the node's index when it names one, with column lanes
-// when columnar execution is on and no RowID is needed, or as heap rows.
+// A leaf loads through the node's index when it names one; otherwise, with
+// columnar execution on, as column lanes — plus the cached row view for a
+// plain read, or, for a RowID-bearing read, no rows at all and a RowID lane
+// synthesized per batch — and as heap rows in row mode.
 type leafScanOp struct {
 	n          plan.Node // the scan node, named in errors
 	table      *catalog.Table
@@ -90,14 +94,16 @@ type leafScanOp struct {
 
 	leaves  []part.OID // selected leaves not loaded yet
 	curLeaf part.OID
-	rows    []types.Row
+	rows    []types.Row     // nil on the lane-only read
 	ids     []storage.RowID // per-row identities of an index lookup
-	cols    []vec.View      // columnar snapshot of rows (nil when disabled)
+	cols    []vec.View      // columnar snapshot of the leaf (nil when disabled)
+	size    int             // rows in the current leaf
 	pos     int
 
 	batch   Batch
 	idBuf   []types.Row // reused row headers for the WithRowID arena
 	viewBuf []vec.View  // reused per-batch column views
+	ridBuf  []int64     // reused per-batch RowID lane
 }
 
 // newLeafScan builds the leaf reader of a Scan, DynamicScan, IndexScan or
@@ -123,7 +129,7 @@ func (s *leafScanOp) Open(ctx *Ctx) error {
 	if ctx.Seg == CoordinatorSeg {
 		return fmt.Errorf("exec: %s of %s cannot run on the coordinator", opName(s.n), s.table.Name)
 	}
-	s.rows, s.pos, s.leaves = nil, 0, nil
+	s.rows, s.size, s.pos, s.leaves = nil, 0, 0, nil
 	if s.index != nil {
 		s.set = deriveIndexSet(ctx, s.rel, s.index.ColOrd, s.pred)
 	}
@@ -151,30 +157,48 @@ func (s *leafScanOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-// load reads one leaf into rows (plus ids or cols, per the read path).
+// load reads one leaf into rows, ids or cols, per the read path. A
+// RowID-bearing read fails rather than let a position or the leaf OID
+// overflow its RowID field.
 func (s *leafScanOp) load(ctx *Ctx, leaf part.OID) error {
 	var err error
-	s.curLeaf, s.pos, s.ids, s.cols = leaf, 0, nil, nil
+	s.curLeaf, s.pos, s.rows, s.ids, s.cols = leaf, 0, nil, nil, nil
 	switch {
 	case s.index != nil:
 		s.rows, s.ids, err = ctx.indexLookup(s.table, s.index.Name, leaf, s.set)
-	case columnarEnabled && !s.withRowID:
+		s.size = len(s.rows)
+	case columnarEnabled && s.withRowID:
+		s.cols, s.size, err = ctx.scanLeafLanes(s.table.OID, leaf)
+	case columnarEnabled:
 		s.cols, s.rows, err = ctx.scanLeafCols(s.table.OID, leaf)
+		s.size = len(s.rows)
 	default:
 		s.rows, err = ctx.scanLeaf(s.table.OID, leaf)
+		s.size = len(s.rows)
 	}
 	if err != nil {
 		return err
 	}
-	ctx.noteRowsScanned(int64(len(s.rows)))
+	if s.withRowID {
+		span := s.size
+		for _, id := range s.ids {
+			span = max(span, id.Idx+1)
+		}
+		if err := checkRowIDRange(ctx.Seg, leaf, span); err != nil {
+			return err
+		}
+	}
+	ctx.noteRowsScanned(int64(s.size))
 	return nil
 }
 
-// NextBatch emits up to execBatchSize rows of the current leaf as a
-// zero-copy view of its heap slice (rows are immutable, so the view
-// satisfies the ownership contract). Batches never straddle a leaf, so
-// row-ID annotation stays a single (leaf, base) arena fill. Abort polling
-// and the OpNext fault point run once per batch.
+// NextBatch emits up to execBatchSize rows of the current leaf. A columnar
+// read emits zero-copy windows onto the leaf's lane snapshot (plus, for a
+// RowID-bearing read, the RowID lane and no rows); a row read emits a view
+// of the heap's row slice (rows are immutable, so the view satisfies the
+// ownership contract), extended with RowIDs when the node asks for them.
+// Batches never straddle a leaf, so a batch's RowIDs are one (leaf, base)
+// run. Abort polling and the OpNext fault point run once per batch.
 func (s *leafScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if err := ctx.pollAbortBatch(); err != nil {
 		return nil, err
@@ -182,7 +206,7 @@ func (s *leafScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if err := ctx.hitFault(fault.OpNext); err != nil {
 		return nil, err
 	}
-	for s.pos >= len(s.rows) {
+	for s.pos >= s.size {
 		if len(s.leaves) == 0 {
 			return nil, errEOF
 		}
@@ -192,28 +216,45 @@ func (s *leafScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 			return nil, err
 		}
 	}
-	end := min(s.pos+execBatchSize, len(s.rows))
-	out := s.rows[s.pos:end]
-	var cols []vec.View
+	start, end := s.pos, min(s.pos+execBatchSize, s.size)
+	s.pos = end
+	if s.cols != nil {
+		s.viewBuf = colWindow(s.cols, start, s.viewBuf)
+		var rows []types.Row
+		if s.withRowID {
+			s.viewBuf = append(s.viewBuf, s.ridLane(ctx.Seg, start, end))
+		} else {
+			rows = s.rows[start:end]
+		}
+		s.batch.Rows, s.batch.Cols, s.batch.Sel, s.batch.n = rows, s.viewBuf, nil, end-start
+		return &s.batch, nil
+	}
+	out := s.rows[start:end]
 	if s.withRowID {
 		var ids []storage.RowID
 		if s.ids != nil {
-			ids = s.ids[s.pos:end]
+			ids = s.ids[start:end]
 		}
-		s.idBuf = withRowIDs(out, ids, ctx.Seg, s.curLeaf, s.pos, s.idBuf)
+		s.idBuf = withRowIDs(out, ids, ctx.Seg, s.curLeaf, start, s.idBuf)
 		out = s.idBuf
-	} else if s.cols != nil {
-		s.viewBuf = colWindow(s.cols, s.pos, s.viewBuf)
-		cols = s.viewBuf
 	}
-	s.pos = end
 	s.batch.setRows(out)
-	s.batch.Cols = cols
 	return &s.batch, nil
 }
 
+// ridLane returns the RowID lane of heap positions [start, end) of the
+// current leaf, in a buffer reused across batches (the lane is transient,
+// like the batch that carries it).
+func (s *leafScanOp) ridLane(seg, start, end int) vec.View {
+	s.ridBuf = s.ridBuf[:0]
+	for pos := start; pos < end; pos++ {
+		s.ridBuf = append(s.ridBuf, encodeRowID(seg, s.curLeaf, pos))
+	}
+	return vec.View{Kind: types.KindInt, Ints: s.ridBuf}
+}
+
 func (s *leafScanOp) Close(*Ctx) error {
-	s.rows, s.ids, s.cols, s.leaves = nil, nil, nil, nil
+	s.rows, s.ids, s.cols, s.leaves, s.size = nil, nil, nil, nil, 0
 	return nil
 }
 

@@ -51,6 +51,20 @@ func (c *Ctx) scanLeafCols(root part.OID, leaf part.OID) ([]vec.View, []types.Ro
 	return cols, rows, nil
 }
 
+// scanLeafLanes is scanLeafCols without the row view: the lane snapshot
+// and the leaf's row count. RowID-bearing scans read this way, so a DML
+// target scan neither rebuilds nor reads the heap's row arena.
+func (c *Ctx) scanLeafLanes(root part.OID, leaf part.OID) ([]vec.View, int, error) {
+	if err := c.hitFault(fault.SegExec); err != nil {
+		return nil, 0, c.noteSegFailure(err)
+	}
+	cols, n, err := c.Rt.Store.ScanLeafLanesAt(root, c.Seg, c.replica(), leaf)
+	if err != nil {
+		return nil, 0, c.noteSegFailure(err)
+	}
+	return cols, n, nil
+}
+
 // indexLookup is scanLeaf for secondary-index reads.
 func (c *Ctx) indexLookup(t *catalog.Table, indexName string, leaf part.OID, set types.IntervalSet) ([]types.Row, []storage.RowID, error) {
 	if err := c.hitFault(fault.SegExec); err != nil {

@@ -166,3 +166,48 @@ func TestMirrorResyncColumnIdentity(t *testing.T) {
 	assertColumnVectorsIdentical(t, st, tab)
 	assertReplicasIdentical(t, st, tab)
 }
+
+// TestScanLeafLanesSkipsRowView pins the lane-only read: the same lanes and
+// row count as ScanLeafColsAt, and the heap's row view neither built nor
+// read — only a read that asks for rows builds it.
+func TestScanLeafLanesSkipsRowView(t *testing.T) {
+	_, st, tab := newFixture(t, 2)
+	if err := st.InsertBatch(tab, batchRows(60)); err != nil {
+		t.Fatalf("InsertBatch: %v", err)
+	}
+	for seg := 0; seg < 2; seg++ {
+		for _, leaf := range LeafOIDs(tab) {
+			cs, err := st.LeafColumns(tab.OID, seg, 0, leaf)
+			if err != nil {
+				t.Fatalf("LeafColumns: %v", err)
+			}
+			lanes, n, err := st.ScanLeafLanesAt(tab.OID, seg, 0, leaf)
+			if err != nil {
+				t.Fatalf("ScanLeafLanesAt: %v", err)
+			}
+			if n != cs.Len() || len(lanes) != cs.Width() {
+				t.Fatalf("seg %d leaf %d: %d rows, %d lanes; want %d, %d", seg, leaf, n, len(lanes), cs.Len(), cs.Width())
+			}
+			if cs.HasRowView() {
+				t.Fatalf("seg %d leaf %d: the lane-only read built the row view", seg, leaf)
+			}
+			cols, rows, err := st.ScanLeafColsAt(tab.OID, seg, 0, leaf)
+			if err != nil {
+				t.Fatalf("ScanLeafColsAt: %v", err)
+			}
+			if len(rows) != n || !cs.HasRowView() {
+				t.Fatalf("seg %d leaf %d: ScanLeafColsAt gave %d rows (row view built: %v), want %d", seg, leaf, len(rows), cs.HasRowView(), n)
+			}
+			for i, row := range rows {
+				for j := range row {
+					if types.Compare(lanes[j].Datum(i), row[j]) != 0 || types.Compare(cols[j].Datum(i), row[j]) != 0 {
+						t.Fatalf("seg %d leaf %d row %d col %d: lane %v, row %v", seg, leaf, i, j, lanes[j].Datum(i), row[j])
+					}
+				}
+			}
+		}
+	}
+	if _, n, err := st.ScanLeafLanesAt(tab.OID, 0, 0, 9999); err != nil || n != 0 {
+		t.Fatalf("absent leaf: %d rows (%v), want 0", n, err)
+	}
+}

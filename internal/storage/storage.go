@@ -16,7 +16,8 @@
 // version and replaced, never mutated, on write, so handed-out rows stay
 // stable forever), and DML addresses rows by the same RowID positions,
 // applied lane-wise (SetRow, swap-delete). The executor's vectorized
-// kernels read the column vectors directly via ScanLeafColsAt.
+// kernels read the column vectors directly via ScanLeafColsAt, or via
+// ScanLeafLanesAt without the row view at all.
 //
 // # Mirrored replicas
 //
@@ -535,7 +536,7 @@ func (s *Store) ScanLeaf(root part.OID, seg int, leaf part.OID) ([]types.Row, er
 // with *DeadSegmentError, which the executor reports to the FTS as
 // failure evidence.
 func (s *Store) ScanLeafAt(root part.OID, seg, replica int, leaf part.OID) ([]types.Row, error) {
-	_, rows, err := s.scanLeafSet(root, seg, replica, leaf, false)
+	_, rows, _, err := s.scanLeafSet(root, seg, replica, leaf, false, true)
 	return rows, err
 }
 
@@ -547,46 +548,62 @@ func (s *Store) ScanLeafAt(root part.OID, seg, replica int, leaf part.OID) ([]ty
 // later writer copies the lanes rather than touching a handed-out
 // snapshot. Read-only for callers.
 func (s *Store) ScanLeafColsAt(root part.OID, seg, replica int, leaf part.OID) ([]vec.View, []types.Row, error) {
-	return s.scanLeafSet(root, seg, replica, leaf, true)
+	views, rows, _, err := s.scanLeafSet(root, seg, replica, leaf, true, true)
+	return views, rows, err
 }
 
-// scanLeafSet validates the read address and captures the leaf's row view
-// (nil when the leaf holds no rows) — plus, when withCols is set, its
-// column snapshot — under the table's read lock, so neither can race a
-// concurrent writer and both outlive the lock by the cache-generation
-// contract.
-func (s *Store) scanLeafSet(root part.OID, seg, replica int, leaf part.OID, withCols bool) ([]vec.View, []types.Row, error) {
+// ScanLeafLanesAt is the lane-only read: the leaf's column snapshot and
+// its row count, without the row view — a write invalidates that view, and
+// a reader that never needs most of the rows (the target scan of an
+// UPDATE or DELETE) should not rebuild it. The snapshot has
+// ScanLeafColsAt's lifetime and is read-only for callers.
+func (s *Store) ScanLeafLanesAt(root part.OID, seg, replica int, leaf part.OID) ([]vec.View, int, error) {
+	views, _, n, err := s.scanLeafSet(root, seg, replica, leaf, true, false)
+	return views, n, err
+}
+
+// scanLeafSet validates the read address and captures, under the table's
+// read lock, the leaf's row count plus its column snapshot (withCols) and
+// its row view (withRows; nil when the leaf holds no rows), so neither
+// can race a concurrent writer and both outlive the lock by the
+// cache-generation contract. Without withRows the row view is neither
+// built nor read.
+func (s *Store) scanLeafSet(root part.OID, seg, replica int, leaf part.OID, withCols, withRows bool) ([]vec.View, []types.Row, int, error) {
 	td, err := s.data(root)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if seg < 0 || seg >= s.segments {
-		return nil, nil, fmt.Errorf("storage: segment %d out of range", seg)
+		return nil, nil, 0, fmt.Errorf("storage: segment %d out of range", seg)
 	}
 	if replica < 0 || replica >= NumReplicas {
-		return nil, nil, fmt.Errorf("storage: replica %d out of range", replica)
+		return nil, nil, 0, fmt.Errorf("storage: replica %d out of range", replica)
 	}
 	if err := s.faults.Hit(nil, fault.StorageScan, seg); err != nil {
-		return nil, nil, fmt.Errorf("storage: table %q leaf %d on seg %d: %w", td.tab.Name, leaf, seg, err)
+		return nil, nil, 0, fmt.Errorf("storage: table %q leaf %d on seg %d: %w", td.tab.Name, leaf, seg, err)
 	}
 	if !s.ReplicaAlive(seg, replica) {
-		return nil, nil, &DeadSegmentError{Seg: seg, Replica: replica}
+		return nil, nil, 0, &DeadSegmentError{Seg: seg, Replica: replica}
 	}
 	td.mu.RLock()
 	defer td.mu.RUnlock()
 	h := td.heapsOf(replica)
 	if h == nil {
-		return nil, nil, fmt.Errorf("storage: table %q has no replica %d (mirroring disabled)", td.tab.Name, replica)
+		return nil, nil, 0, fmt.Errorf("storage: table %q has no replica %d (mirroring disabled)", td.tab.Name, replica)
 	}
 	cs := h[seg][leaf]
 	if cs == nil {
-		return nil, nil, nil
+		return nil, nil, 0, nil
 	}
 	var views []vec.View
+	var rows []types.Row
 	if withCols {
 		views = cs.ViewSnapshot()
 	}
-	return views, cs.RowView(), nil
+	if withRows {
+		rows = cs.RowView()
+	}
+	return views, rows, cs.Len(), nil
 }
 
 // LeafColumns returns one (segment, leaf, replica) column set for

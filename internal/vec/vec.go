@@ -453,6 +453,10 @@ func (cs *ColumnSet) RowView() []types.Row {
 	return built.rows // cache was invalidated again; our snapshot is fine
 }
 
+// HasRowView reports whether the set holds a built row view. Every write
+// drops it, and only a reader that asks for rows (RowView) builds it again.
+func (cs *ColumnSet) HasRowView() bool { return cs != nil && cs.view.Load() != nil }
+
 // materialize builds the row view: one datum arena filled lane-by-lane.
 func (cs *ColumnSet) materialize() []types.Row {
 	n, w := cs.n, len(cs.cols)
