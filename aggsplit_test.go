@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"partopt/internal/exec"
+	"partopt/internal/types"
 )
 
 // The semantics table of multi-stage aggregation. Orca may split a GroupBy
@@ -167,6 +168,64 @@ func TestAggregationSplitSemantics(t *testing.T) {
 			t.Errorf("%s: expected a Partial/Final split:\n%s", c.name, plan)
 		case c.shape == "single" && (split || !strings.Contains(plan, "Gather Motion\n    -> HashAggregate") && !strings.Contains(plan, "Gather Motion (from seg 0)\n    -> HashAggregate")):
 			t.Errorf("%s: expected one HashAggregate directly below the Gather:\n%s", c.name, plan)
+		}
+	}
+}
+
+// An integer SUM that leaves int64 goes on in float instead of wrapping:
+// aggAcc.addInt promotes the accumulator, as a first float input does, so
+// the typed loop, the row loop and the Final stage's combine agree. Four
+// rows of v = 4e18 sum to 1.6e19. Spread over the segments at most two per
+// segment, every Partial sum fits and the Final sum overflows; packed onto
+// one segment, that segment's Partial sum overflows.
+func TestAggregationIntSumOverflow(t *testing.T) {
+	const segs = 3
+	segOf := func(k int64) uint64 { return types.HashRow(types.Row{types.NewInt(k)}, nil) % segs }
+	var spread, packed []int64
+	perSeg := map[uint64]int{}
+	for k := int64(0); len(spread) < 4; k++ {
+		if s := segOf(k); perSeg[s] < 2 {
+			perSeg[s]++
+			spread = append(spread, k)
+		}
+	}
+	for k := int64(100); len(packed) < 4; k++ {
+		if segOf(k) == segOf(100) {
+			packed = append(packed, k)
+		}
+	}
+	defer exec.SetColumnarExec(exec.SetColumnarExec(true))
+	for _, c := range []struct {
+		name string
+		keys []int64
+	}{{"Final sum overflows", spread}, {"one Partial sum overflows", packed}} {
+		eng, err := New(segs)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		eng.MustCreateTable("big", Columns("k", TypeInt, "v", TypeInt), DistributedBy("k"))
+		for _, k := range c.keys {
+			if err := eng.Insert("big", Int(k), Int(4e18)); err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+		}
+		const q = "SELECT sum(v), avg(v) FROM big"
+		if plan, err := eng.Explain(q); err != nil || !strings.Contains(plan, "Partial HashAggregate") {
+			t.Fatalf("%s: want a Partial/Final split (%v):\n%s", c.name, err, plan)
+		}
+		for _, opt := range []OptimizerKind{Orca, LegacyPlanner} {
+			for _, columnar := range []bool{true, false} {
+				eng.SetOptimizer(opt)
+				exec.SetColumnarExec(columnar)
+				rows, err := eng.Query(q)
+				if err != nil {
+					t.Fatalf("%s (%v, columnar=%v): %v", c.name, opt, columnar, err)
+				}
+				got := renderTyped(rows)
+				if want := []string{"float:1.6e+19 float:4e+18"}; fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s (%v, columnar=%v): got %v, want %v\n%s", c.name, opt, columnar, got, want, rows.ExplainAnalyze)
+				}
+			}
 		}
 	}
 }

@@ -16,9 +16,9 @@ import (
 // aggAcc is the running state of one aggregate inside one group. Every
 // rule about what an aggregate means lives in its methods, which both the
 // row loop below and the typed loop (aggkernel.go) call: NULL inputs never
-// reach it, SUM stays an integer until the first float input, AVG divides
-// only when it finishes, and COUNT over no input is 0 where SUM, AVG, MIN
-// and MAX are NULL.
+// reach it, SUM stays an integer until the first float input or the first
+// int64 overflow, AVG divides only when it finishes, and COUNT over no input
+// is 0 where SUM, AVG, MIN and MAX are NULL.
 type aggAcc struct {
 	count   int64       // COUNT: rows (or non-NULL arguments); otherwise the non-NULL inputs folded in
 	isum    int64       // SUM/AVG while every input was an integer
@@ -30,9 +30,15 @@ type aggAcc struct {
 func (a *aggAcc) addInt(v int64) {
 	if a.isFloat {
 		a.fsum += float64(v)
-	} else {
-		a.isum += v
+		return
 	}
+	s := a.isum + v
+	if (s < a.isum) != (v < 0) {
+		// The int64 sum overflowed: go on in float, as a float input would.
+		a.fsum, a.isFloat = float64(a.isum)+float64(v), true
+		return
+	}
+	a.isum = s
 }
 
 func (a *aggAcc) addFloat(v float64) {
@@ -146,8 +152,8 @@ func (a *aggAcc) finish(kind plan.AggKind) types.Datum {
 
 type aggState struct {
 	groupVals types.Row
-	hash      uint64   // of groupVals, as the group table keys it
 	acc       []aggAcc // one per aggregate
+	tag       laneTag  // typed loop: the one-key value the group cache last resolved here
 }
 
 // ---------------------------------------------------------------- hash agg
@@ -192,13 +198,13 @@ type hashAggOp struct {
 
 	childOpen bool
 
-	env    expr.Env   // reused per row
-	keyBuf types.Row  // reused group-key probe buffer (cloned only on insert)
-	out    Batch      // reused output header for NextBatch
-	vh     *vecHasher // columnar group-key hashing (nil: scalar, or a computed key)
+	env    expr.Env  // reused per row
+	keyBuf types.Row // reused group-key probe buffer (cloned only on insert)
+	out    Batch     // reused output header for NextBatch
 
-	rowStates []*aggState // typed loop: the group of each row of the current batch
-	recent    []*aggState // typed loop: last group seen per hash slot (see resolveGroups)
+	rowStates  []*aggState                 // typed loop: the group of each row of the current batch
+	cache      *[groupCacheSlots]*aggState // typed loop: recently resolved groups (see resolveGroups)
+	hashedRows int64                       // typed loop: rows hashed because the cache could not resolve them
 
 	typedBatches, rowBatches int64 // child batches folded by each loop
 }
@@ -225,9 +231,7 @@ func (a *hashAggOp) Open(ctx *Ctx) (err error) {
 	a.keyBuf = make(types.Row, len(a.n.Groups))
 	a.keyPos = make([]int, len(a.n.Groups))
 	a.argPos = make([]int, len(a.n.Aggs))
-	groupKeys := make([]expr.Expr, len(a.n.Groups))
 	for i, g := range a.n.Groups {
-		groupKeys[i] = g.E
 		a.keyPos[i] = colPos(g.E, a.layout)
 	}
 	a.outWidth = len(a.n.Groups) + len(a.n.Aggs)
@@ -249,8 +253,6 @@ func (a *hashAggOp) Open(ctx *Ctx) (err error) {
 			pos += ag.Kind.StateWidth()
 		}
 	}
-	// The row path mixes NULL group values into the hash, so mixNulls here.
-	a.vh = newVecHasher(groupKeys, a.layout, true)
 	a.groups = map[uint64][]*aggState{}
 	a.order = nil
 	a.pos = 0
@@ -259,7 +261,7 @@ func (a *hashAggOp) Open(ctx *Ctx) (err error) {
 	a.parts = nil
 	a.part = 0
 	a.typedBatches, a.rowBatches = 0, 0
-	a.recent = nil
+	a.cache, a.hashedRows = nil, 0
 	defer func() {
 		ctx.noteAggBatches(a.n.Stage, a.typedBatches, a.rowBatches)
 		if err != nil {
@@ -419,7 +421,6 @@ func (a *hashAggOp) admit(h uint64, key types.Row, ctx *Ctx, hard bool) (*aggSta
 	}
 	a.reserved += sb
 	st := a.newState(append(types.Row(nil), key...))
-	st.hash = h
 	a.groups[h] = append(a.groups[h], st)
 	a.order = append(a.order, st)
 	return st, nil
@@ -512,7 +513,7 @@ func (a *hashAggOp) cleanup(ctx *Ctx) {
 	a.parts = nil
 	ctx.release(a.reserved)
 	a.reserved = 0
-	a.groups, a.order = nil, nil
+	a.groups, a.order, a.cache = nil, nil, nil
 }
 
 // abort is the failed-Open teardown.
