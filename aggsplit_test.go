@@ -153,7 +153,7 @@ func TestAggregationSplitSemantics(t *testing.T) {
 					continue
 				}
 				if got := renderTyped(rows); fmt.Sprint(got) != fmt.Sprint(c.want) {
-					t.Errorf("%s (%v, columnar=%v):\n got %v\nwant %v\n%s", c.name, opt, columnar, got, c.want, rows.ExplainAnalyze)
+					t.Errorf("%s (%v, columnar=%v):\n got %v\nwant %v\n%s", c.name, opt, columnar, got, c.want, rows.ExplainAnalyze())
 				}
 			}
 		}
@@ -223,7 +223,7 @@ func TestAggregationIntSumOverflow(t *testing.T) {
 				}
 				got := renderTyped(rows)
 				if want := []string{"float:1.6e+19 float:4e+18"}; fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s (%v, columnar=%v): got %v, want %v\n%s", c.name, opt, columnar, got, want, rows.ExplainAnalyze)
+					t.Errorf("%s (%v, columnar=%v): got %v, want %v\n%s", c.name, opt, columnar, got, want, rows.ExplainAnalyze())
 				}
 			}
 		}
@@ -278,13 +278,13 @@ func TestAggregationSplitSpillsInPartialStage(t *testing.T) {
 		t.Fatalf("spilling changed the answer")
 	}
 	var partialSpill int64
-	walkOpStats(rows.OpStats, func(o *OpStats) {
+	walkOpStats(rows.OpStats(), func(o *OpStats) {
 		if strings.HasPrefix(o.Label, "Partial HashAggregate") {
 			partialSpill += o.SpilledBytes
 		}
 	})
 	if partialSpill == 0 {
-		t.Fatalf("the Partial stage did not spill:\n%s", rows.ExplainAnalyze)
+		t.Fatalf("the Partial stage did not spill:\n%s", rows.ExplainAnalyze())
 	}
 	eng.SetOptimizer(LegacyPlanner)
 	rows, err = eng.Query(q)
@@ -437,12 +437,12 @@ func TestAggregationSplitObservability(t *testing.T) {
 	if rows.RowsMoved != 4 {
 		t.Errorf("RowsMoved = %d, want 4 (one state row per segment)", rows.RowsMoved)
 	}
-	if !strings.Contains(rows.ExplainAnalyze, "-> Gather Motion  (actual rows=4 loops=1") {
-		t.Errorf("Gather between the stages does not show the moved rows:\n%s", rows.ExplainAnalyze)
+	if !strings.Contains(rows.ExplainAnalyze(), "-> Gather Motion  (actual rows=4 loops=1") {
+		t.Errorf("Gather between the stages does not show the moved rows:\n%s", rows.ExplainAnalyze())
 	}
-	m := regexp.MustCompile(`aggregation: (\d+) typed / 4 row batches \(partial (\d+)/0, final 0/4\)`).FindStringSubmatch(rows.ExplainAnalyze)
+	m := regexp.MustCompile(`aggregation: (\d+) typed / 4 row batches \(partial (\d+)/0, final 0/4\)`).FindStringSubmatch(rows.ExplainAnalyze())
 	if m == nil || m[1] != m[2] || m[1] == "0" {
-		t.Fatalf("aggregation header missing or the partial stage took the row loop:\n%s", rows.ExplainAnalyze)
+		t.Fatalf("aggregation header missing or the partial stage took the row loop:\n%s", rows.ExplainAnalyze())
 	}
 	typed := eng.Obs().Counter("partopt_agg_partial_typed_batches_total").Value()
 	if fmt.Sprint(typed) != m[1] || eng.Obs().Counter("partopt_agg_final_row_batches_total").Value() != 4 {
@@ -478,9 +478,9 @@ func TestStarJoinAggregatesTyped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		m := header.FindStringSubmatch(rows.ExplainAnalyze)
+		m := header.FindStringSubmatch(rows.ExplainAnalyze())
 		if m == nil || m[1] == "0" || m[2] != "0" {
-			t.Errorf("%s: want partial N/0 with N > 0:\n%s", tc.name, rows.ExplainAnalyze)
+			t.Errorf("%s: want partial N/0 with N > 0:\n%s", tc.name, rows.ExplainAnalyze())
 		}
 		if n := built.Value() - before; n != 0 {
 			t.Errorf("%s: %d batches materialized, want 0", tc.name, n)

@@ -31,13 +31,13 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"partopt"
 	"partopt/internal/fault"
+	"partopt/internal/mem"
 	"partopt/internal/server"
 	"partopt/internal/server/doctor"
 	"partopt/internal/workload"
@@ -85,7 +85,7 @@ func serveMain(args []string) int {
 		eng.SetPlanCacheCapacity(*planCache)
 	}
 	if *memBudget != "" {
-		n, err := parseSize(*memBudget)
+		n, err := mem.ParseSize(*memBudget)
 		if err != nil {
 			logf("mppd: %v", err)
 			return 1
@@ -93,7 +93,7 @@ func serveMain(args []string) int {
 		eng.SetMemBudget(n)
 	}
 	if *workMem != "" {
-		n, err := parseSize(*workMem)
+		n, err := mem.ParseSize(*workMem)
 		if err != nil {
 			logf("mppd: %v", err)
 			return 1
@@ -213,7 +213,7 @@ func doctorMain(args []string) int {
 	th.MaxAdmissionWaiting = *maxWaiting
 	th.MaxSkewRatio = *maxSkew
 	th.MinSkewRows = *minSkewRows
-	spill, err := parseSize(*maxSpill)
+	spill, err := mem.ParseSize(*maxSpill)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mppd doctor: %v\n", err)
 		return 2
@@ -274,23 +274,4 @@ func parseChaos(spec string) (*fault.Injector, error) {
 	inj := fault.NewInjector(1)
 	inj.Arm(rule)
 	return inj, nil
-}
-
-// parseSize parses a byte count with an optional K/M/G suffix (binary
-// multiples), e.g. "64M".
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid size %q (use e.g. 512K, 64M, 1G)", s)
-	}
-	return n * mult, nil
 }

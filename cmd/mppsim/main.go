@@ -56,6 +56,8 @@ import (
 	"time"
 
 	"partopt"
+	"partopt/internal/mem"
+	"partopt/internal/server"
 	"partopt/internal/workload"
 )
 
@@ -116,12 +118,12 @@ func main() {
 		eng.SetOIDCacheCapacity(*oidCache)
 	}
 	if *memBudget != "" {
-		n, err := parseSize(*memBudget)
+		n, err := mem.ParseSize(*memBudget)
 		fatalIf(err)
 		eng.SetMemBudget(n)
 	}
 	if *workMem != "" {
-		n, err := parseSize(*workMem)
+		n, err := mem.ParseSize(*workMem)
 		fatalIf(err)
 		eng.SetWorkMem(n)
 	}
@@ -326,7 +328,7 @@ func main() {
 			var args []partopt.Value
 			if len(fields) == 2 {
 				var err error
-				if args, err = parseExecArgs(fields[1]); err != nil {
+				if args, err = server.ParseArgs(fields[1]); err != nil {
 					fmt.Println("error:", err)
 					continue
 				}
@@ -388,8 +390,8 @@ func runSelect(ctx context.Context, eng *partopt.Engine, query string, explainAn
 	start := time.Now()
 	rows, err := eng.QueryCtx(ctx, query)
 	if err != nil {
-		if explainAnalyze && rows != nil && rows.ExplainAnalyze != "" {
-			fmt.Print(rows.ExplainAnalyze) // partial actuals before the abort
+		if explainAnalyze && rows != nil {
+			fmt.Print(rows.ExplainAnalyze()) // partial actuals before the abort
 		}
 		reportQueryError(err, rows, time.Since(start))
 		return
@@ -412,44 +414,13 @@ func runPrepared(ctx context.Context, eng *partopt.Engine, st *partopt.Stmt, arg
 		return
 	}
 	if err != nil {
-		if explainAnalyze && rows != nil && rows.ExplainAnalyze != "" {
-			fmt.Print(rows.ExplainAnalyze)
+		if explainAnalyze && rows != nil {
+			fmt.Print(rows.ExplainAnalyze())
 		}
 		reportQueryError(err, rows, time.Since(start))
 		return
 	}
 	printRows(eng, rows, time.Since(start), explainAnalyze)
-}
-
-// parseExecArgs parses EXECUTE arguments: integers, floats, 'strings' and
-// YYYY-MM-DD dates, separated by commas and/or spaces.
-func parseExecArgs(s string) ([]partopt.Value, error) {
-	var out []partopt.Value
-	for _, tok := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
-		switch {
-		case strings.HasPrefix(tok, "'") && strings.HasSuffix(tok, "'") && len(tok) >= 2:
-			out = append(out, partopt.String(tok[1:len(tok)-1]))
-		case len(tok) == 10 && tok[4] == '-' && tok[7] == '-':
-			v, err := partopt.ParseDate(tok)
-			if err != nil {
-				return nil, fmt.Errorf("invalid date %q: %v", tok, err)
-			}
-			out = append(out, v)
-		case strings.ContainsAny(tok, ".eE") && !strings.HasPrefix(tok, "'"):
-			f, err := strconv.ParseFloat(tok, 64)
-			if err != nil {
-				return nil, fmt.Errorf("invalid argument %q", tok)
-			}
-			out = append(out, partopt.Float(f))
-		default:
-			n, err := strconv.ParseInt(tok, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("invalid argument %q", tok)
-			}
-			out = append(out, partopt.Int(n))
-		}
-	}
-	return out, nil
 }
 
 func printRows(eng *partopt.Engine, rows *partopt.Rows, elapsed time.Duration, explainAnalyze bool) {
@@ -477,27 +448,8 @@ func printRows(eng *partopt.Engine, rows *partopt.Rows, elapsed time.Duration, e
 	}
 	fmt.Println(")")
 	if explainAnalyze {
-		fmt.Print(rows.ExplainAnalyze)
+		fmt.Print(rows.ExplainAnalyze())
 	}
-}
-
-// parseSize parses a byte count with an optional K/M/G suffix (binary
-// multiples), e.g. "64M".
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid size %q (use e.g. 512K, 64M, 1G)", s)
-	}
-	return n * mult, nil
 }
 
 func fmtSize(n int64) string {

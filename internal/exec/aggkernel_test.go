@@ -141,6 +141,7 @@ func runAgg(t testing.TB, n *plan.HashAgg, src *laneSrc, workMem int64) aggRun {
 	}
 	stats := NewStats()
 	ctx := newCtx(&Runtime{}, 0, nil, stats, context.Background(), budget, nil)
+	ctx.pushOp(ctx.frameFor(n)) // the bare operator charges the node's frame
 	op := &hashAggOp{n: n, child: src}
 	if err := op.Open(ctx); err != nil {
 		t.Fatalf("open: %v", err)
@@ -159,9 +160,10 @@ func runAgg(t testing.TB, n *plan.HashAgg, src *laneSrc, workMem int64) aggRun {
 	if err := op.Close(ctx); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	run.typed, run.row = stats.AggBatches().Total()
-	run.hashed, run.materialized = op.hashedRows, stats.RowsMaterializedBatches()
-	run.spilled = stats.SpilledBytes() > 0
+	live := liveStats(ctx)
+	run.typed, run.row = live.AggBatches().Total()
+	run.hashed, run.materialized = op.hashedRows, live.RowsMaterializedBatches()
+	run.spilled = live.SpilledBytes() > 0
 	return run
 }
 

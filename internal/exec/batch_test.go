@@ -80,7 +80,7 @@ func batchLens(t *testing.T, mk func(*catalog.Table) plan.Node, size int) []int 
 	if err := op.Open(ctx); err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if stats.SpilledBytes() == 0 {
+	if liveStats(ctx).SpilledBytes() == 0 {
 		t.Fatalf("2KiB work_mem did not force a spill")
 	}
 	var lens []int

@@ -89,17 +89,14 @@ type Params struct {
 	OIDSets map[int]map[part.OID]bool
 }
 
-// Stats accumulates execution counters. Partition-scan accounting drives
-// the paper's Table 3 and Figure 16 reproductions.
+// Stats is a query's execution record: one merged opFrame per plan node.
+// It holds no other counter — the query-wide totals (rows scanned, rows
+// moved, partitions scanned, spill, aggregate batches) are folds over the
+// frames (see opstats.go), so every view of a query reads one record.
+// Partition-scan accounting drives the paper's Table 3 and Figure 16
+// reproductions.
 type Stats struct {
-	mu           sync.Mutex
-	partsScanned map[string]map[part.OID]bool
-	rowsScanned  int64
-	rowsMoved    int64
-	spilledBytes int64
-	spillParts   int64
-	aggBatches   AggBatches
-	rowsBuilt    int64 // batches whose lazy rows a consumer materialized
+	mu sync.Mutex
 
 	// ops is the per-operator runtime record, keyed by plan node. Keying by
 	// node identity (not a numeric id) keeps the trees of a multi-plan
@@ -119,46 +116,12 @@ type Stats struct {
 	timed bool
 }
 
-// NewStats returns an empty counter set.
-func NewStats() *Stats {
-	return &Stats{partsScanned: map[string]map[part.OID]bool{}}
-}
+// NewStats returns an empty execution record.
+func NewStats() *Stats { return &Stats{} }
 
 // EnableTiming turns on per-operator wall-clock sampling for queries run
 // with this Stats. Must be called before execution begins.
 func (s *Stats) EnableTiming() { s.timed = true }
-
-func (s *Stats) notePartScanned(table string, leaf part.OID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.partsScanned[table]
-	if m == nil {
-		m = map[part.OID]bool{}
-		s.partsScanned[table] = m
-	}
-	m[leaf] = true
-}
-
-func (s *Stats) noteRowsScanned(n int64) {
-	s.mu.Lock()
-	s.rowsScanned += n
-	s.mu.Unlock()
-}
-
-func (s *Stats) noteRowsMoved(n int64) {
-	s.mu.Lock()
-	s.rowsMoved += n
-	s.mu.Unlock()
-}
-
-// noteSpill records one operator's spill activity: encoded bytes written to
-// disk and the number of spill partitions (or sort runs) produced.
-func (s *Stats) noteSpill(bytes, parts int64) {
-	s.mu.Lock()
-	s.spilledBytes += bytes
-	s.spillParts += parts
-	s.mu.Unlock()
-}
 
 // AggBatches counts the child batches hash aggregates folded, by the loop
 // that folded them and indexed by plan.AggStage. A batch the typed loop
@@ -175,83 +138,6 @@ func (b AggBatches) Total() (typed, row int64) {
 		row += b.Row[s]
 	}
 	return typed, row
-}
-
-func (s *Stats) noteAggBatches(stage plan.AggStage, typed, row int64) {
-	s.mu.Lock()
-	s.aggBatches.Typed[stage] += typed
-	s.aggBatches.Row[stage] += row
-	s.mu.Unlock()
-}
-
-func (s *Stats) noteRowsMaterialized() {
-	s.mu.Lock()
-	s.rowsBuilt++
-	s.mu.Unlock()
-}
-
-// RowsMaterializedBatches returns how many batches a consumer had to turn
-// from column lanes back into rows (Batch.rows): the slow road behind a
-// columnar producer such as the hash join.
-func (s *Stats) RowsMaterializedBatches() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rowsBuilt
-}
-
-// AggBatches returns the query's typed-vs-row aggregate batch counters.
-func (s *Stats) AggBatches() AggBatches {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.aggBatches
-}
-
-// SpilledBytes returns the total bytes operators wrote to spill files.
-func (s *Stats) SpilledBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spilledBytes
-}
-
-// SpillParts returns the total spill partitions (and sort runs) created.
-func (s *Stats) SpillParts() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spillParts
-}
-
-// PartsScanned returns the number of distinct leaf partitions of the named
-// table that were actually opened (union over all segments).
-func (s *Stats) PartsScanned(table string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.partsScanned[table])
-}
-
-// TablesScanned lists the tables that had any partition scanned.
-func (s *Stats) TablesScanned() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.partsScanned))
-	for t := range s.partsScanned {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RowsScanned returns the total rows read from storage.
-func (s *Stats) RowsScanned() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rowsScanned
-}
-
-// RowsMoved returns the total rows transferred through Motions.
-func (s *Stats) RowsMoved() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rowsMoved
 }
 
 // oidBox is the shared-memory mailbox between PartitionSelectors
@@ -288,7 +174,8 @@ type Ctx struct {
 	primaries []int
 
 	// Per-operator instrumentation (see opstats.go). frames and cur are
-	// goroutine-local; finishOpStats flushes them into Stats exactly once.
+	// goroutine-local; finishOpStats publishes them to the registry and
+	// Stats exactly once.
 	// timed caches Stats.timed so the per-pull check is a field read.
 	frames  map[plan.Node]*opFrame
 	cur     *opFrame

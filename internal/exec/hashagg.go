@@ -263,7 +263,7 @@ func (a *hashAggOp) Open(ctx *Ctx) (err error) {
 	a.typedBatches, a.rowBatches = 0, 0
 	a.cache, a.hashedRows = nil, 0
 	defer func() {
-		ctx.noteAggBatches(a.n.Stage, a.typedBatches, a.rowBatches)
+		ctx.noteAggBatches(a.typedBatches, a.rowBatches)
 		if err != nil {
 			a.abort(ctx)
 		}

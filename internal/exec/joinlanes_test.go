@@ -262,7 +262,9 @@ func TestHashJoinMaterializedRowsStable(t *testing.T) {
 	fx := joinLaneFixture(t)
 	stats := NewStats()
 	ctx := newCtx(fx.rt, 0, nil, stats, context.Background(), nil, nil)
-	op, err := buildOp(fx.joinPlan(plan.InnerJoin, "p", "scan", nil), nil)
+	root := fx.joinPlan(plan.InnerJoin, "p", "scan", nil)
+	ctx.pushOp(ctx.frameFor(root)) // the drain below is charged to the root, as in the slice driver
+	op, err := buildOp(root, nil)
 	if err != nil {
 		t.Fatalf("buildOp: %v", err)
 	}
@@ -300,7 +302,7 @@ func TestHashJoinMaterializedRowsStable(t *testing.T) {
 	}
 	sort.Strings(rendered)
 	sameKeys(t, "materialized rows", rendered, fx.oracle(t, plan.InnerJoin, "p", nil))
-	if got := stats.RowsMaterializedBatches(); got != int64(batches) {
+	if got := liveStats(ctx).RowsMaterializedBatches(); got != int64(batches) {
 		t.Fatalf("materialized batches = %d, want %d", got, batches)
 	}
 }

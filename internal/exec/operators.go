@@ -137,7 +137,7 @@ func (s *leafScanOp) Open(ctx *Ctx) error {
 		if err := s.load(ctx, s.leaf); err != nil {
 			return err
 		}
-		ctx.notePartScanned(s.table.Name, s.leaf)
+		ctx.notePartScanned(s.leaf)
 		return nil
 	}
 	leaves, err := ctx.selectedOIDs(s.partScanID)
@@ -149,9 +149,9 @@ func (s *leafScanOp) Open(ctx *Ctx) error {
 	// partition-scan counts match the selector's decision even when a
 	// parent stops pulling early.
 	for _, leaf := range leaves {
-		ctx.notePartScanned(s.table.Name, leaf)
+		ctx.notePartScanned(leaf)
 	}
-	if f := ctx.curFrame(); f != nil && s.table.Part != nil {
+	if f := ctx.cur; f != nil && s.table.Part != nil {
 		f.partsTotal = s.table.Part.NumLeaves()
 	}
 	return nil
@@ -319,7 +319,7 @@ func (s *selectorOp) Open(ctx *Ctx) error {
 		s.staticSets[lvl] = types.WholeDomain()
 	}
 
-	if f := ctx.curFrame(); f != nil {
+	if f := ctx.cur; f != nil {
 		f.partsTotal = desc.NumLeaves()
 	}
 	if !s.anyDynamic {
@@ -441,7 +441,7 @@ func (s *selectorOp) deriveRow(ctx *Ctx, row types.Row) {
 // the selector itself (candidates = the table's leaf count, selected = the
 // union of every per-row selection).
 func (s *selectorOp) recordSelection(ctx *Ctx, oids []part.OID) {
-	f := ctx.curFrame()
+	f := ctx.cur
 	if f == nil {
 		return
 	}

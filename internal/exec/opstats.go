@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"maps"
+	"slices"
+	"sort"
 	"time"
 
 	"partopt/internal/obs"
@@ -13,23 +16,30 @@ import (
 // Every operator instance the executor builds is wrapped in a statsOp
 // decorator that records rows out and wall time, and exposes a per-instance
 // opFrame that the operator body (via the Ctx note*/reserve helpers)
-// charges storage reads, partition selections, spill activity and memory
-// reservations to. Frames are goroutine-local — one Ctx per slice instance,
-// one frame per (Ctx, plan node) — so the NextBatch hot path takes no
-// locks; a frame is merged into the query's shared Stats exactly once, when
-// the slice instance finishes (Ctx.finishOpStats), which runAttempt guarantees
-// happens before it returns. That ordering is the EXPLAIN ANALYZE abort
-// guarantee: even a cancelled query's Stats are complete (for the work
-// actually done) by the time the caller sees them.
+// charges storage reads, partition selections, spill activity, aggregate
+// batches and memory reservations to. The frame is the executor's only
+// counter: the query-wide totals (Stats.RowsScanned and friends), the
+// engine's metrics registry and EXPLAIN ANALYZE are all read from it.
+//
+// Frames are goroutine-local — one Ctx per slice instance, one frame per
+// (Ctx, plan node) — so the NextBatch hot path takes no locks and no
+// atomics. When the slice instance finishes (Ctx.finishOpStats, which
+// runAttempt guarantees happens before it returns) its frames are added to
+// the registry and merged into the query's shared Stats, exactly once. That
+// ordering is the EXPLAIN ANALYZE abort guarantee: even a cancelled query's
+// Stats are complete (for the work actually done) by the time the caller
+// sees them.
 
 // opFrame is the runtime record of one operator. A slice instance keeps one
 // frame per plan node; Stats.ops keeps one merged frame per plan node
 // (guarded by Stats.mu), built by add over every instance's frame.
 type opFrame struct {
 	started   bool
-	instances int // slice instances merged into this record; 0 on an instance frame
+	instances int // started slice instances merged into this record; 0 on an instance frame
 	rowsOut   int64
 	rowsRead  int64 // rows this operator read from storage
+	rowsMoved int64 // rows a Motion's sending side shipped
+	rowsBuilt int64 // batches whose lazy rows were built from column lanes (Batch.rows)
 	nanos     int64 // wall time inside Open+NextBatch+Close, inclusive of children
 
 	cur  int64 // current attributed reservation, bytes (instance frames only)
@@ -37,6 +47,11 @@ type opFrame struct {
 
 	spillBytes int64
 	spillParts int64
+
+	// Child batches a hash aggregate folded through the typed loop and
+	// through the row loop; the stage is the frame's *plan.HashAgg node's.
+	aggTyped int64
+	aggRow   int64
 
 	parts      map[part.OID]bool // selected/scanned partitions (partition-aware ops)
 	partsTotal int               // leaf count of the partitioned table; 0 = n/a
@@ -60,16 +75,44 @@ func (f *opFrame) add(o *opFrame) {
 	f.instances += o.instances
 	f.rowsOut += o.rowsOut
 	f.rowsRead += o.rowsRead
+	f.rowsMoved += o.rowsMoved
+	f.rowsBuilt += o.rowsBuilt
 	f.nanos += o.nanos
 	f.peak = max(f.peak, o.peak)
 	f.spillBytes += o.spillBytes
 	f.spillParts += o.spillParts
+	f.aggTyped += o.aggTyped
+	f.aggRow += o.aggRow
 	f.oidHits += o.oidHits
 	f.oidMisses += o.oidMisses
 	f.partsTotal = max(f.partsTotal, o.partsTotal)
 	for oid := range o.parts {
 		f.notePart(oid)
 	}
+}
+
+// frameTotals is the sum of a set of frames' counters: a query's totals
+// over Stats.ops, or one slice instance's over its frames.
+type frameTotals struct {
+	rowsRead, rowsMoved, rowsBuilt int64
+	spillBytes, spillParts         int64
+	agg                            AggBatches
+}
+
+func sumFrames(frames map[plan.Node]*opFrame) frameTotals {
+	var t frameTotals
+	for n, f := range frames {
+		t.rowsRead += f.rowsRead
+		t.rowsMoved += f.rowsMoved
+		t.rowsBuilt += f.rowsBuilt
+		t.spillBytes += f.spillBytes
+		t.spillParts += f.spillParts
+		if h, ok := n.(*plan.HashAgg); ok {
+			t.agg.Typed[h.Stage] += f.aggTyped
+			t.agg.Row[h.Stage] += f.aggRow
+		}
+	}
+	return t
 }
 
 // statsOp decorates an operator with instrumentation. It is inserted by
@@ -166,32 +209,37 @@ func (c *Ctx) pushOp(f *opFrame) *opFrame {
 
 func (c *Ctx) popOp(prev *opFrame) { c.cur = prev }
 
-// curFrame exposes the running operator's frame for direct recording
-// (partition counts, per-side attribution in the partition-wise join).
-func (c *Ctx) curFrame() *opFrame { return c.cur }
-
-// finishOpStats merges every frame of this slice instance into the shared
-// Stats. Called exactly once per Ctx, after the instance's operators are
-// done; idempotence guards the coordinator's defer stacking.
+// finishOpStats publishes this slice instance's frames: their totals go to
+// the engine's metrics registry (every attempt's work, retried or not) and
+// the frames merge into the shared Stats. Called exactly once per Ctx, after
+// the instance's operators are done; idempotence guards the coordinator's
+// defer stacking.
 func (c *Ctx) finishOpStats() {
-	if c.flushed || c.Stats == nil || len(c.frames) == 0 {
-		c.flushed = true
+	if c.flushed {
 		return
 	}
 	c.flushed = true
-	c.Stats.mergeFrames(c.frames)
+	if m := c.Rt.metrics(); m != nil {
+		m.publish(sumFrames(c.frames))
+	}
+	if c.Stats != nil && len(c.frames) > 0 {
+		c.Stats.mergeFrames(c.frames)
+	}
 }
 
 // mergeFrames folds one slice instance's frames into the per-node records.
-// A frame that never started still creates its node's record, so Actuals
-// reports the node as instrumented but not run.
+// Every frame's counters fold, but only a started frame counts as an
+// instance ("loops"): a Motion's sending side charges rows to the Motion's
+// frame without running the Motion's receive operator. A frame that never
+// started still creates its node's record, so Actuals reports the node as
+// instrumented but not run.
 func (s *Stats) mergeFrames(frames map[plan.Node]*opFrame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for n, f := range frames {
 		a := s.op(n)
+		a.add(f)
 		if f.started {
-			a.add(f)
 			a.instances++
 		}
 	}
@@ -212,9 +260,9 @@ func (s *Stats) op(n plan.Node) *opFrame {
 }
 
 // absorb folds another Stats into s. runWithRetry uses it to publish one
-// attempt's scratch counters (see the retry-isolation comment there) into
-// the caller's accumulated Stats; the per-node records merge through the
-// same opFrame.add as mergeFrames.
+// attempt's scratch record (see the retry-isolation comment there) into the
+// caller's accumulated Stats. The registry already counted the attempt when
+// its instances finished, so absorb touches the record only.
 func (s *Stats) absorb(o *Stats) {
 	if o == nil || s == o {
 		return
@@ -223,25 +271,6 @@ func (s *Stats) absorb(o *Stats) {
 	defer o.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for table, leaves := range o.partsScanned {
-		m := s.partsScanned[table]
-		if m == nil {
-			m = map[part.OID]bool{}
-			s.partsScanned[table] = m
-		}
-		for leaf := range leaves {
-			m[leaf] = true
-		}
-	}
-	s.rowsScanned += o.rowsScanned
-	s.rowsMoved += o.rowsMoved
-	s.spilledBytes += o.spilledBytes
-	s.spillParts += o.spillParts
-	s.rowsBuilt += o.rowsBuilt
-	for st := range o.aggBatches.Typed {
-		s.aggBatches.Typed[st] += o.aggBatches.Typed[st]
-		s.aggBatches.Row[st] += o.aggBatches.Row[st]
-	}
 	for n, oa := range o.ops {
 		s.op(n).add(oa)
 	}
@@ -273,39 +302,105 @@ func (s *Stats) Actuals(n plan.Node) (plan.Actuals, bool) {
 	}, true
 }
 
+// ---------------------------------------------------------------- query totals
+
+// The query-wide counters are folds over the merged frames.
+
+func (s *Stats) totals() frameTotals {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sumFrames(s.ops)
+}
+
+// RowsScanned returns the total rows read from storage.
+func (s *Stats) RowsScanned() int64 { return s.totals().rowsRead }
+
+// RowsMoved returns the total rows transferred through Motions.
+func (s *Stats) RowsMoved() int64 { return s.totals().rowsMoved }
+
+// SpilledBytes returns the total bytes operators wrote to spill files.
+func (s *Stats) SpilledBytes() int64 { return s.totals().spillBytes }
+
+// SpillParts returns the total spill partitions (and sort runs) created.
+func (s *Stats) SpillParts() int64 { return s.totals().spillParts }
+
+// AggBatches returns the query's typed-vs-row aggregate batch counters.
+func (s *Stats) AggBatches() AggBatches { return s.totals().agg }
+
+// RowsMaterializedBatches returns how many batches a consumer had to turn
+// from column lanes back into rows (Batch.rows): the slow road behind a
+// columnar producer such as the hash join.
+func (s *Stats) RowsMaterializedBatches() int64 { return s.totals().rowsBuilt }
+
+// scanTable names the table a leaf-scan node reads; ok is false for every
+// other node (a PartitionSelector selects partitions but scans none).
+func scanTable(n plan.Node) (string, bool) {
+	switch x := n.(type) {
+	case *plan.Scan:
+		return x.Table.Name, true
+	case *plan.DynamicScan:
+		return x.Table.Name, true
+	case *plan.IndexScan:
+		return x.Table.Name, true
+	case *plan.DynamicIndexScan:
+		return x.Table.Name, true
+	}
+	return "", false
+}
+
+// PartsScanned returns the number of distinct leaf partitions of the named
+// table that were actually opened: the union of the partitions on the
+// table's scan-node frames (over all segments).
+func (s *Stats) PartsScanned(table string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	parts := map[part.OID]bool{}
+	for n, f := range s.ops {
+		if t, ok := scanTable(n); ok && t == table {
+			maps.Copy(parts, f.parts)
+		}
+	}
+	return len(parts)
+}
+
+// TablesScanned lists the tables that had any partition scanned.
+func (s *Stats) TablesScanned() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []string
+	for n, f := range s.ops {
+		if t, ok := scanTable(n); ok && len(f.parts) > 0 && !slices.Contains(out, t) {
+			out = append(out, t)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // ---------------------------------------------------------------- Ctx note helpers
 
-// noteRowsScanned records rows read from storage: the query-wide counter,
-// the running operator's frame, and the engine-wide metrics registry.
+// The note helpers charge the running operator's frame and nothing else.
+// c.cur is nil only when a test drives a bare operator without a statsOp.
+
+// noteRowsScanned records rows read from storage.
 func (c *Ctx) noteRowsScanned(n int64) {
-	if c.Stats != nil {
-		c.Stats.noteRowsScanned(n)
-	}
 	if c.cur != nil {
 		c.cur.rowsRead += n
-	}
-	if m := c.Rt.metrics(); m != nil {
-		m.rowsScanned.Add(n)
 	}
 }
 
 // notePartScanned records one leaf partition actually opened.
-func (c *Ctx) notePartScanned(table string, leaf part.OID) {
-	if c.Stats != nil {
-		c.Stats.notePartScanned(table, leaf)
-	}
+func (c *Ctx) notePartScanned(leaf part.OID) {
 	if c.cur != nil {
 		c.cur.notePart(leaf)
 	}
 }
 
-// noteRowsMoved records one row crossing a Motion.
+// noteRowsMoved records rows shipped through a Motion; the slice driver
+// runs the send under the Motion's frame.
 func (c *Ctx) noteRowsMoved(n int64) {
-	if c.Stats != nil {
-		c.Stats.noteRowsMoved(n)
-	}
-	if m := c.Rt.metrics(); m != nil {
-		m.motionRows.Add(n)
+	if c.cur != nil {
+		c.cur.rowsMoved += n
 	}
 }
 
@@ -322,44 +417,29 @@ func (c *Ctx) noteOIDCache(hit bool) {
 	}
 }
 
-// noteSpill records one operator's spill activity.
+// noteSpill records one operator's spill activity: encoded bytes written to
+// disk and the number of spill partitions (or sort runs) produced.
 func (c *Ctx) noteSpill(bytes, parts int64) {
-	if c.Stats != nil {
-		c.Stats.noteSpill(bytes, parts)
-	}
 	if c.cur != nil {
 		c.cur.spillBytes += bytes
 		c.cur.spillParts += parts
-	}
-	if m := c.Rt.metrics(); m != nil {
-		m.spillBytes.Add(bytes)
-		m.spillParts.Add(parts)
 	}
 }
 
 // noteAggBatches records how many child batches one hash aggregate instance
 // folded through the typed loop and through the row loop.
-func (c *Ctx) noteAggBatches(stage plan.AggStage, typed, row int64) {
-	if typed == 0 && row == 0 {
-		return
-	}
-	if c.Stats != nil {
-		c.Stats.noteAggBatches(stage, typed, row)
-	}
-	if m := c.Rt.metrics(); m != nil {
-		m.aggTyped[stage].Add(typed)
-		m.aggRow[stage].Add(row)
+func (c *Ctx) noteAggBatches(typed, row int64) {
+	if c.cur != nil {
+		c.cur.aggTyped += typed
+		c.cur.aggRow += row
 	}
 }
 
 // noteRowsMaterialized records one batch whose lazy rows were built from
 // its column lanes.
 func (c *Ctx) noteRowsMaterialized() {
-	if c.Stats != nil {
-		c.Stats.noteRowsMaterialized()
-	}
-	if m := c.Rt.metrics(); m != nil {
-		m.rowsBuilt.Add(1)
+	if c.cur != nil {
+		c.cur.rowsBuilt++
 	}
 }
 
@@ -389,8 +469,9 @@ func (c *Ctx) attributeRelease(n int64) {
 
 // ---------------------------------------------------------------- engine metrics
 
-// runtimeMetrics caches the executor's obs instruments so hot paths pay one
-// pointer load instead of a registry lookup per event.
+// runtimeMetrics caches the executor's obs instruments so the lifecycle
+// hooks and the per-instance publish pay one pointer load instead of a
+// registry lookup.
 type runtimeMetrics struct {
 	started         *obs.Counter
 	finished        *obs.Counter
@@ -437,4 +518,17 @@ func (rt *Runtime) metrics() *runtimeMetrics {
 		}
 	})
 	return rt.om
+}
+
+// publish adds one slice instance's totals to the data-flow counters.
+func (m *runtimeMetrics) publish(t frameTotals) {
+	m.rowsScanned.Add(t.rowsRead)
+	m.motionRows.Add(t.rowsMoved)
+	m.spillBytes.Add(t.spillBytes)
+	m.spillParts.Add(t.spillParts)
+	m.rowsBuilt.Add(t.rowsBuilt)
+	for st := range t.agg.Typed {
+		m.aggTyped[st].Add(t.agg.Typed[st])
+		m.aggRow[st].Add(t.agg.Row[st])
+	}
 }

@@ -4,11 +4,21 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"partopt/internal/fault"
 	"partopt/internal/obs"
 	"partopt/internal/plan"
 )
+
+// liveStats is the record of a slice instance a test drives by hand: its
+// frames merged into a fresh Stats, as finishOpStats merges them when a
+// driven instance finishes.
+func liveStats(ctx *Ctx) *Stats {
+	s := NewStats()
+	s.mergeFrames(ctx.frames)
+	return s
+}
 
 // A completed query has a full per-operator record: every node started,
 // rows-out totals match the result, and storage reads attributed to the
@@ -107,12 +117,15 @@ func TestOpStatsConsistentOnCancel(t *testing.T) {
 }
 
 // The runtime's metrics registry observes query lifecycle and data-flow
-// counters.
+// counters. Its data-flow counters are the query record's totals: equal to
+// them on a clean run, and counting every attempt of a retried one, where
+// the record keeps only the final attempt.
 func TestRuntimeObsMetrics(t *testing.T) {
 	rt, tab := failFixture(t)
 	rt.Obs = obs.NewRegistry()
 
-	if _, err := Run(rt, chaosPlan(tab), nil); err != nil {
+	res, err := Run(rt, chaosPlan(tab), nil)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	snap := rt.Obs.Snapshot()
@@ -127,6 +140,12 @@ func TestRuntimeObsMetrics(t *testing.T) {
 	}
 	if snap.Counters["partopt_motion_rows_total"] == 0 {
 		t.Errorf("motion rows counter not incremented")
+	}
+	if got, want := snap.Counters["partopt_rows_scanned_total"], res.Stats.RowsScanned(); got != want {
+		t.Errorf("registry rows scanned = %d, query record %d", got, want)
+	}
+	if got, want := snap.Counters["partopt_motion_rows_total"], res.Stats.RowsMoved(); got != want {
+		t.Errorf("registry motion rows = %d, query record %d", got, want)
 	}
 	if got := snap.Gauges["partopt_queries_active"]; got != 0 {
 		t.Errorf("active gauge = %v after completion", got)
@@ -148,5 +167,41 @@ func TestRuntimeObsMetrics(t *testing.T) {
 	}
 	if got := snap.Counters["partopt_queries_finished_total"]; got != 1 {
 		t.Errorf("finished after failure = %d, want still 1", got)
+	}
+
+	// With retry on, each attempt runs into a scratch record that the final
+	// one is absorbed from. A clean run still publishes its reads once.
+	rt.Retry = RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond}
+	rt.Faults = nil
+	scannedBefore := snap.Counters["partopt_rows_scanned_total"]
+	if res, err = Run(rt, chaosPlan(tab), nil); err != nil {
+		t.Fatalf("run with retry on: %v", err)
+	}
+	snap = rt.Obs.Snapshot()
+	if delta, record := snap.Counters["partopt_rows_scanned_total"]-scannedBefore, res.Stats.RowsScanned(); delta != record {
+		t.Errorf("registry rows-scanned delta %d != query record %d with retry on", delta, record)
+	}
+
+	// A retried query: one transient failure on the first attempt, then a
+	// clean retry. The record keeps the final attempt; the registry counts
+	// the failed attempt's reads too.
+	scannedBefore = snap.Counters["partopt_rows_scanned_total"]
+	inj = fault.NewInjector(3)
+	inj.Arm(fault.Rule{Point: fault.SegExec, Kind: fault.KindTransient, Seg: 0, Once: true})
+	rt.Faults = inj
+	res, err = Run(rt, chaosPlan(tab), nil)
+	if err != nil {
+		t.Fatalf("retried run: %v", err)
+	}
+	if inj.Triggered() == 0 {
+		t.Fatalf("fault never fired")
+	}
+	snap = rt.Obs.Snapshot()
+	if got := snap.Counters["partopt_queries_retried_total"]; got != 1 {
+		t.Errorf("retried = %d, want 1", got)
+	}
+	delta, record := snap.Counters["partopt_rows_scanned_total"]-scannedBefore, res.Stats.RowsScanned()
+	if record == 0 || delta < record {
+		t.Errorf("registry rows-scanned delta %d < query record %d over a retried query", delta, record)
 	}
 }

@@ -137,7 +137,8 @@ func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) 
 // sliceSpec is one slice of the plan (a maximal Motion-free subtree) plus
 // the exchange it feeds.
 type sliceSpec struct {
-	root    plan.Node
+	motion  *plan.Motion // the Motion the slice sends through
+	root    plan.Node    // motion.Child
 	ex      *exchange
 	members []int
 }
@@ -320,7 +321,7 @@ func runAttempt(ctx context.Context, rt *Runtime, root plan.Node, params *Params
 	for _, site := range sites {
 		ex := newExchange(site.m, site.receivers, len(segs))
 		exchanges[site.m] = ex
-		slices = append(slices, &sliceSpec{root: site.m.Child, ex: ex, members: segs})
+		slices = append(slices, &sliceSpec{motion: site.m, root: site.m.Child, ex: ex, members: segs})
 	}
 
 	qctx, cancel := context.WithCancelCause(ctx)
@@ -380,6 +381,10 @@ func runAttempt(ctx context.Context, rt *Runtime, root plan.Node, params *Params
 				// exits — error, abort, panic. wg.Wait below therefore
 				// guarantees complete (if partial-work) OpStats by return.
 				defer ectx.finishOpStats()
+				// Sending runs outside every operator of the slice, so the
+				// rows it ships (and any lazy rows it builds) are charged to
+				// the sending Motion's frame.
+				ectx.pushOp(ectx.frameFor(sl.motion))
 				op, err := buildOp(sl.root, exchanges)
 				if err != nil {
 					fail(seg, slice, opName(sl.root), err)
@@ -440,6 +445,9 @@ func runAttempt(ctx context.Context, rt *Runtime, root plan.Node, params *Params
 		}
 		cctx := newCtx(rt, CoordinatorSeg, params, stats, qctx, budget, primaries)
 		defer cctx.finishOpStats() // after op.Close (LIFO), before the closure returns
+		// The result drain below runs outside every operator: charge it to
+		// the root.
+		cctx.pushOp(cctx.frameFor(root))
 		op, err := buildOp(root, exchanges)
 		if err != nil {
 			return err
@@ -526,6 +534,7 @@ func RunLocal(rt *Runtime, root plan.Node, seg int, params *Params) (*Result, er
 	defer budget.Close()
 	ctx := newCtx(rt, seg, params, stats, context.Background(), budget, rt.Store.PrimaryMap())
 	defer ctx.finishOpStats()
+	ctx.pushOp(ctx.frameFor(root)) // the result drain is charged to the root, as in runAttempt
 	op, err := buildOp(root, nil)
 	if err != nil {
 		return nil, err

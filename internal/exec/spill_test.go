@@ -282,7 +282,7 @@ func TestLimitOverSpillingSortReclaimsFiles(t *testing.T) {
 	if err := op.Open(ctx); err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if stats.SpilledBytes() == 0 {
+	if liveStats(ctx).SpilledBytes() == 0 {
 		t.Fatalf("sort under 2KiB work_mem did not spill")
 	}
 	if n := countSpillFiles(t, base); n == 0 {

@@ -238,3 +238,25 @@ func TestRowBytesCountsStrings(t *testing.T) {
 		t.Fatalf("string payload not counted: small=%d big=%d", small, big)
 	}
 }
+
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"512K", 512 << 10, true},
+		{"64M", 64 << 20, true},
+		{"1G", 1 << 30, true},
+		{"0", 0, true},
+		{"-1", 0, false},
+		{"abc", 0, false},
+		{"8589934592G", 0, false},  // 2^63 bytes: one past the int64 range
+		{"17179869184G", 0, false}, // 2^64 bytes: would wrap to 0, i.e. no budget
+	} {
+		got, err := ParseSize(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}

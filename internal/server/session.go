@@ -401,7 +401,7 @@ func (s *session) handleExecute(line string) bool {
 	var args []partopt.Value
 	if len(fields) == 2 {
 		var err error
-		if args, err = parseArgs(fields[1]); err != nil {
+		if args, err = ParseArgs(fields[1]); err != nil {
 			return s.write(errHeader(CodeProto, "%v", err), nil) == nil
 		}
 	}
@@ -427,10 +427,10 @@ func (s *session) handleExecute(line string) bool {
 	return s.writeRows(rows, time.Since(start))
 }
 
-// parseArgs parses EXECUTE arguments: integers, floats, 'strings' and
-// YYYY-MM-DD dates, separated by commas and/or spaces (the mppsim
-// grammar).
-func parseArgs(s string) ([]partopt.Value, error) {
+// ParseArgs parses EXECUTE arguments: integers, floats, 'strings' and
+// YYYY-MM-DD dates, separated by commas and/or spaces. The server and the
+// mppsim shell share it, so EXECUTE reads the same in both.
+func ParseArgs(s string) ([]partopt.Value, error) {
 	var out []partopt.Value
 	for _, tok := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
 		switch {

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"strings"
 
-	"partopt/internal/exec"
 	"partopt/internal/plan"
-	"partopt/internal/plancache"
 )
 
 // OpStats is one operator's runtime record in a query's per-operator
-// statistics tree (Rows.OpStats): the programmatic form of what EXPLAIN
+// statistics tree (Rows.OpStats()): the programmatic form of what EXPLAIN
 // ANALYZE renders. Counters are totals across every slice instance
 // ("loops") of the operator; PeakBytes is the high-water mark of any single
 // instance. On an aborted query the tree carries the partial work done
@@ -68,17 +66,30 @@ func buildOpStats(n plan.Node, src plan.ActualSource) *OpStats {
 	return o
 }
 
-// renderAnalyze produces the EXPLAIN ANALYZE text for an executed plan. An
-// Orca-compiled entry (one whose search built memo groups) leads with the
-// memo-search header "optimization: M groups, T ms"; a query that
-// aggregated adds how many input batches its hash aggregates folded off
-// typed column lanes and how many row by row (the slow road), in total and
-// per stage; the legacy planner's prep plans (which fill the main plan's
-// OID parameters) are rendered before the main tree, mirroring how they
-// execute. Cache hits replay the header of the compilation that produced
-// the entry, so hit and miss render byte-identically.
-func renderAnalyze(ent *plancache.Entry, src *exec.Stats) string {
-	node, pl := ent.Plan, ent.Legacy
+// OpStats builds the per-operator runtime tree of the executed plan (the
+// main plan, for the legacy planner's multi-plan executions) from the
+// query's record. On an aborted query it carries the partial work done
+// before the abort.
+func (r *Rows) OpStats() *OpStats {
+	if r.stats == nil {
+		return nil
+	}
+	return buildOpStats(r.ent.Plan, r.stats)
+}
+
+// ExplainAnalyze renders the executed plan with runtime actuals as EXPLAIN
+// ANALYZE text (time=0 unless the query ran through an ExplainAnalyze entry
+// point). An Orca-compiled entry leads with the memo-search header
+// "optimization: M groups, T ms", replayed on cache hits so hit and miss
+// render byte-identically; a query that aggregated adds its hash
+// aggregates' typed and row (slow road) batch counts, in total and per
+// stage; the legacy planner's prep plans render before the main tree,
+// mirroring how they execute.
+func (r *Rows) ExplainAnalyze() string {
+	if r.stats == nil {
+		return ""
+	}
+	ent, src := r.ent, r.stats
 	var b strings.Builder
 	if ent.OptGroups > 0 {
 		fmt.Fprintf(&b, "optimization: %d groups, %.3f ms\n",
@@ -96,20 +107,20 @@ func renderAnalyze(ent *plancache.Entry, src *exec.Stats) string {
 		}
 		b.WriteString(")\n")
 	}
-	if pl != nil {
-		for _, prep := range pl.Preps {
+	if ent.Legacy != nil {
+		for _, prep := range ent.Legacy.Preps {
 			b.WriteString(plan.ExplainAnalyze(prep.Plan, src))
 			b.WriteByte('\n')
 		}
 	}
-	b.WriteString(plan.ExplainAnalyze(node, src))
+	b.WriteString(plan.ExplainAnalyze(ent.Plan, src))
 	return b.String()
 }
 
 // ExplainAnalyze executes a SELECT and returns its plan annotated with
 // runtime actuals — rows, loops, wall time, partition selection, spill and
 // memory figures per operator. The query runs in full; use QueryCtx and
-// Rows.ExplainAnalyze when the data rows are also needed.
+// Rows.ExplainAnalyze() when the data rows are also needed.
 func (e *Engine) ExplainAnalyze(query string, args ...Value) (string, error) {
 	return e.ExplainAnalyzeCtx(context.Background(), query, args...)
 }
@@ -126,7 +137,7 @@ func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, query string, args ...Va
 	if rows == nil {
 		return "", err
 	}
-	return rows.ExplainAnalyze, err
+	return rows.ExplainAnalyze(), err
 }
 
 // Metrics renders the engine-wide metrics registry — query counts and

@@ -27,7 +27,7 @@ func normalizeAnalyze(s string) string {
 	return s
 }
 
-// walkOpStats visits every node of a Rows.OpStats tree.
+// walkOpStats visits every node of a Rows.OpStats() tree.
 func walkOpStats(o *OpStats, f func(*OpStats)) {
 	if o == nil {
 		return
@@ -95,14 +95,14 @@ func TestExplainAnalyzeDynamicMatchesPartsScanned(t *testing.T) {
 
 	// The rendered tree carries the exact line for the dynamic scan.
 	wantLine := "Partitions selected: 3 (out of 24)"
-	if !strings.Contains(rows.ExplainAnalyze, wantLine) {
-		t.Errorf("tree lacks %q:\n%s", wantLine, rows.ExplainAnalyze)
+	if !strings.Contains(rows.ExplainAnalyze(), wantLine) {
+		t.Errorf("tree lacks %q:\n%s", wantLine, rows.ExplainAnalyze())
 	}
 
 	// And the programmatic tree agrees: the DynamicScan node's selection
 	// count equals the Rows counter, out of all 24 leaves.
 	var dyn *OpStats
-	walkOpStats(rows.OpStats, func(o *OpStats) {
+	walkOpStats(rows.OpStats(), func(o *OpStats) {
 		if strings.HasPrefix(o.Label, "DynamicScan") {
 			dyn = o
 		}
@@ -124,13 +124,13 @@ func TestExplainAnalyzeDynamicMatchesPartsScanned(t *testing.T) {
 	if got := rows.PartsScanned["orders_fk"]; got != 24 {
 		t.Fatalf("legacy PartsScanned = %d, want 24", got)
 	}
-	if !strings.Contains(rows.ExplainAnalyze, "Append(24 children)") {
-		t.Errorf("legacy tree lacks the 24-child Append:\n%s", rows.ExplainAnalyze)
+	if !strings.Contains(rows.ExplainAnalyze(), "Append(24 children)") {
+		t.Errorf("legacy tree lacks the 24-child Append:\n%s", rows.ExplainAnalyze())
 	}
 	// The legacy planner attaches no cost estimates; the renderer must not
 	// fabricate "(rows=0 cost=0)" annotations for those nodes.
-	if strings.Contains(rows.ExplainAnalyze, "rows=0 cost=0") {
-		t.Errorf("legacy tree shows zero estimates for unannotated nodes:\n%s", rows.ExplainAnalyze)
+	if strings.Contains(rows.ExplainAnalyze(), "rows=0 cost=0") {
+		t.Errorf("legacy tree shows zero estimates for unannotated nodes:\n%s", rows.ExplainAnalyze())
 	}
 }
 
@@ -168,14 +168,14 @@ Project (date_id, n, total)  (actual rows=24 loops=1 time=T)
                Partitions selected: 24 (out of 24)
                Rows read from storage: 240
 `
-	got := aggRe.ReplaceAllString(normalizeAnalyze(rows.ExplainAnalyze), "aggregation: A typed / B row batches")
+	got := aggRe.ReplaceAllString(normalizeAnalyze(rows.ExplainAnalyze()), "aggregation: A typed / B row batches")
 	if got != want {
 		t.Errorf("golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 
 	// Per-operator spill figures sum to the query-wide counters.
 	var spillBytes, spillParts int64
-	walkOpStats(rows.OpStats, func(o *OpStats) {
+	walkOpStats(rows.OpStats(), func(o *OpStats) {
 		spillBytes += o.SpilledBytes
 		spillParts += o.SpillParts
 	})
@@ -200,19 +200,19 @@ func TestCancelledQueryPartialStatsConsistent(t *testing.T) {
 	if rows == nil {
 		t.Fatalf("cancelled query returned nil Rows — partial stats lost")
 	}
-	if rows.OpStats == nil || rows.ExplainAnalyze == "" {
+	if rows.OpStats() == nil || rows.ExplainAnalyze() == "" {
 		t.Fatalf("cancelled query lost its OpStats tree / rendered plan")
 	}
 
 	// Leaf reads recorded per operator must equal the query-wide counter:
 	// every slice instance flushed its frames before Rows was built.
 	var read int64
-	walkOpStats(rows.OpStats, func(o *OpStats) { read += o.RowsRead })
+	walkOpStats(rows.OpStats(), func(o *OpStats) { read += o.RowsRead })
 	if read != rows.RowsScanned {
 		t.Errorf("OpStats rows read %d != Rows.RowsScanned %d", read, rows.RowsScanned)
 	}
 	var spilled int64
-	walkOpStats(rows.OpStats, func(o *OpStats) { spilled += o.SpilledBytes })
+	walkOpStats(rows.OpStats(), func(o *OpStats) { spilled += o.SpilledBytes })
 	if spilled != rows.SpilledBytes {
 		t.Errorf("OpStats spill %d != Rows.SpilledBytes %d", spilled, rows.SpilledBytes)
 	}

@@ -312,16 +312,10 @@ type Rows struct {
 	SpillParts   int64 // spill partitions and sort runs created
 	PlanSize     int   // serialized plan bytes (the Figure 18 metric)
 
-	// OpStats is the per-operator runtime tree of the executed plan (the
-	// main plan, for the legacy planner's multi-plan executions). On an
-	// aborted query it carries the partial work done before the abort.
-	OpStats *OpStats
-	// ExplainAnalyze is the plan annotated with runtime actuals, rendered
-	// as EXPLAIN ANALYZE text. Per-operator wall time is sampled only when
-	// the query ran through an ExplainAnalyze entry point; plain queries
-	// carry the full tree with time=0 (clock reads on every batch pull
-	// would tax queries that never render the figure).
-	ExplainAnalyze string
+	// The executed plan and its execution record; OpStats and
+	// ExplainAnalyze render from them on demand.
+	ent   *plancache.Entry
+	stats *exec.Stats
 }
 
 // Query parses, plans and executes a SELECT, binding args to $1, $2, ...
@@ -473,44 +467,38 @@ func (e *Engine) plan(bound *sql.Bound) (plan.Node, *legacy.Planned, orca.OptSta
 // timed turns on per-operator wall-clock sampling (the EXPLAIN ANALYZE
 // entry points pass true; plain queries skip the clock reads).
 func (e *Engine) executeEntry(ctx context.Context, ent *plancache.Entry, vals []types.Datum, timed bool) (*Rows, error) {
-	node, pl := ent.Plan, ent.Legacy
 	params := &exec.Params{Vals: vals}
-
 	stats := exec.NewStats()
 	if timed {
 		stats.EnableTiming()
 	}
+	var res *exec.Result
+	var err error
+	if ent.Legacy != nil {
+		res, err = legacy.ExecuteIntoCtx(ctx, e.rt, ent.Legacy, params, stats)
+	} else {
+		res, err = exec.RunIntoCtx(ctx, e.rt, ent.Plan, params, stats)
+	}
+
+	// On error the counters are partial: what the cluster did before the
+	// abort.
 	out := &Rows{
 		Columns:      ent.Columns,
 		PartsScanned: map[string]int{},
+		RowsScanned:  stats.RowsScanned(),
+		RowsMoved:    stats.RowsMoved(),
+		SpilledBytes: stats.SpilledBytes(),
+		SpillParts:   stats.SpillParts(),
 		PlanSize:     ent.PlanSize,
+		ent:          ent,
+		stats:        stats,
 	}
-	fill := func() {
-		out.RowsScanned = stats.RowsScanned()
-		out.RowsMoved = stats.RowsMoved()
-		out.SpilledBytes = stats.SpilledBytes()
-		out.SpillParts = stats.SpillParts()
-		for _, tname := range stats.TablesScanned() {
-			out.PartsScanned[tname] = stats.PartsScanned(tname)
-		}
-		out.OpStats = buildOpStats(node, stats)
-		out.ExplainAnalyze = renderAnalyze(ent, stats)
-	}
-
-	var res *exec.Result
-	var err error
-	if pl != nil {
-		res, err = legacy.ExecuteIntoCtx(ctx, e.rt, pl, params, stats)
-	} else {
-		res, err = exec.RunIntoCtx(ctx, e.rt, node, params, stats)
+	for _, tname := range stats.TablesScanned() {
+		out.PartsScanned[tname] = stats.PartsScanned(tname)
 	}
 	if err != nil {
-		// Partial stats: what the cluster did before the abort.
-		fill()
 		return out, err
 	}
-
-	fill()
 	out.Data = fromRows(res.Rows)
 	return out, nil
 }

@@ -120,7 +120,7 @@ func TestCacheHitExplainAnalyzeMatchesCold(t *testing.T) {
 	norm := func(s string) string {
 		return oidRe.ReplaceAllString(normalizeAnalyze(s), "OID cache: H hit(s), M miss(es)")
 	}
-	if got, want := norm(warm.ExplainAnalyze), norm(cold.ExplainAnalyze); got != want {
+	if got, want := norm(warm.ExplainAnalyze()), norm(cold.ExplainAnalyze()); got != want {
 		t.Errorf("cache-hit EXPLAIN ANALYZE differs from cold run:\n--- cold ---\n%s\n--- hit ---\n%s", want, got)
 	}
 }

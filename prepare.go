@@ -288,7 +288,7 @@ func (s *Stmt) ExplainAnalyze(args ...Value) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return rows.ExplainAnalyze, nil
+	return rows.ExplainAnalyze(), nil
 }
 
 // CacheStats is a point-in-time view of one of the engine's caches.
