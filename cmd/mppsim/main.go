@@ -403,8 +403,7 @@ func runSelect(ctx context.Context, eng *partopt.Engine, query string, explainAn
 // DML on the statement's own report.
 func runPrepared(ctx context.Context, eng *partopt.Engine, st *partopt.Stmt, args []partopt.Value, explainAnalyze bool) {
 	start := time.Now()
-	rows, err := st.QueryCtx(ctx, args...)
-	if err != nil && strings.Contains(err.Error(), "use Exec") {
+	if !st.IsQuery() {
 		n, err := st.ExecCtx(ctx, args...)
 		if err != nil {
 			reportQueryError(err, nil, time.Since(start))
@@ -413,6 +412,7 @@ func runPrepared(ctx context.Context, eng *partopt.Engine, st *partopt.Stmt, arg
 		fmt.Printf("EXECUTE %d  (%v)\n", n, time.Since(start).Round(time.Microsecond))
 		return
 	}
+	rows, err := st.QueryCtx(ctx, args...)
 	if err != nil {
 		if explainAnalyze && rows != nil {
 			fmt.Print(rows.ExplainAnalyze())

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"strings"
 
 	"partopt/internal/expr"
 	"partopt/internal/types"
@@ -46,71 +47,20 @@ func SetColumnarExec(on bool) bool {
 // row-at-a-time path for the batch instead. Never visible outside exec.
 var errVecFallback = errors.New("exec: vectorized kernel fallback")
 
-// ---------------------------------------------------------------- bitmask helpers
-
-func bitGet(m []uint64, i int) bool { return m[i>>6]&(1<<uint(i&63)) != 0 }
-func bitSet(m []uint64, i int)      { m[i>>6] |= 1 << uint(i&63) }
-
-func clearWords(m []uint64) {
-	for i := range m {
-		m[i] = 0
-	}
-}
-
-// growWords returns a zeroed []uint64 with at least w words, reusing buf.
-func growWords(buf []uint64, w int) []uint64 {
-	if cap(buf) < w {
-		return make([]uint64, w)
-	}
-	buf = buf[:w]
-	clearWords(buf)
-	return buf
-}
-
 // ---------------------------------------------------------------- predicate compiler
 
-// vpNode is one node of a compiled vectorized predicate. eval fills res
-// and nul (row-qualification and NULL bitmasks over the batch's k-space,
-// with the invariant res&nul == 0) or reports errVecFallback when the
-// batch's lanes don't support a typed loop.
+// vpNode is one node of a compiled vectorized predicate in negation normal
+// form. sel appends to out, in order, the slots of cand where the node is
+// TRUE and returns the extended slice. Slots are batch positions
+// 0..b.Len()-1; a nil cand offers every slot, so a caller never passes an
+// empty, non-nil cand. A filter keeps only TRUE rows, and with NOT pushed
+// down to the leaves a NULL is dropped exactly like a FALSE, so no node
+// tracks NULLs. Callers pass out empty; it may share storage with cand (a
+// conjunction narrows in place), which is safe because a node reads cand[j]
+// before it writes out[j] or any earlier slot. sel reports errVecFallback
+// when the batch's lanes don't support a typed loop.
 type vpNode interface {
-	eval(b *Batch, n int, res, nul []uint64) error
-}
-
-// vecPred is a compiled predicate plus its reusable evaluation buffers.
-type vecPred struct {
-	root vpNode
-	res  []uint64
-	nul  []uint64
-}
-
-// compileVecPred compiles a predicate into typed vector loops. It returns
-// nil when the shape is not supported (arithmetic, nested subexpressions
-// beyond Col/Const/Param operands, unresolvable columns) — the caller then
-// keeps the row path. Params are bound at compile time (per Open), exactly
-// like the row path reads them per evaluation.
-func compileVecPred(e expr.Expr, layout expr.Layout, params []types.Datum) *vecPred {
-	if e == nil {
-		return nil
-	}
-	root := compileVP(e, layout, params)
-	if root == nil {
-		return nil
-	}
-	return &vecPred{root: root}
-}
-
-// eval runs the compiled predicate over a columnar batch and returns the
-// qualification bitmask over k = 0..b.Len()-1.
-func (p *vecPred) eval(b *Batch) ([]uint64, error) {
-	n := b.Len()
-	w := (n + 63) >> 6
-	p.res = growWords(p.res, w)
-	p.nul = growWords(p.nul, w)
-	if err := p.root.eval(b, n, p.res, p.nul); err != nil {
-		return nil, err
-	}
-	return p.res, nil
+	sel(b *Batch, cand, out []int32) ([]int32, error)
 }
 
 // operand is a compile-time resolved comparison operand.
@@ -139,7 +89,20 @@ func resolveOperand(e expr.Expr, layout expr.Layout, params []types.Datum) (oper
 	return operand{}, false
 }
 
-func compileVP(e expr.Expr, layout expr.Layout, params []types.Datum) vpNode {
+// compileVP compiles a predicate (negated when neg is set) into typed
+// vector loops in negation normal form. It returns nil when the shape is
+// not supported (arithmetic, nested subexpressions beyond Col/Const/Param
+// operands, unresolvable columns) — the caller then keeps the row path.
+// Params are bound at compile time (per Open), exactly like the row path
+// reads them per evaluation.
+//
+// NOT is pushed to the leaves: a negated comparison takes the complement
+// operator (c op k fails exactly where c op.Negate() k holds, since both
+// read the one types.Compare result), AND and OR swap (De Morgan holds in
+// three-valued logic), IS NULL toggles, IN becomes NOT IN and a bare bool
+// column selects false. A leaf and its complement are NULL on the same
+// rows, so the rewrite keeps exactly the rows the row path keeps.
+func compileVP(e expr.Expr, layout expr.Layout, params []types.Datum, neg bool) vpNode {
 	switch x := e.(type) {
 	case *expr.Cmp:
 		l, lok := resolveOperand(x.L, layout, params)
@@ -147,38 +110,26 @@ func compileVP(e expr.Expr, layout expr.Layout, params []types.Datum) vpNode {
 		if !lok || !rok {
 			return nil
 		}
+		op := x.Op
+		if neg {
+			op = op.Negate()
+		}
 		switch {
 		case l.isCol && r.isCol:
-			return &vpCmpCol{op: x.Op, lpos: l.pos, rpos: r.pos}
+			return &vpCmpCol{op: op, lpos: l.pos, rpos: r.pos}
 		case l.isCol:
-			return &vpCmpConst{op: x.Op, pos: l.pos, val: r.val}
+			return &vpCmpConst{op: op, pos: l.pos, val: r.val}
 		case r.isCol:
-			return &vpCmpConst{op: x.Op.Flip(), pos: r.pos, val: l.val}
+			return &vpCmpConst{op: op.Flip(), pos: r.pos, val: l.val}
 		default:
 			return nil // const-const: leave to the row path
 		}
 	case *expr.And:
-		kids := make([]vpNode, len(x.Args))
-		for i, a := range x.Args {
-			if kids[i] = compileVP(a, layout, params); kids[i] == nil {
-				return nil
-			}
-		}
-		return &vpBool{kids: kids, and: true}
+		return compileJunction(x.Args, !neg, layout, params, neg)
 	case *expr.Or:
-		kids := make([]vpNode, len(x.Args))
-		for i, a := range x.Args {
-			if kids[i] = compileVP(a, layout, params); kids[i] == nil {
-				return nil
-			}
-		}
-		return &vpBool{kids: kids, and: false}
+		return compileJunction(x.Args, neg, layout, params, neg)
 	case *expr.Not:
-		kid := compileVP(x.Arg, layout, params)
-		if kid == nil {
-			return nil
-		}
-		return &vpNot{kid: kid}
+		return compileVP(x.Arg, layout, params, !neg)
 	case *expr.IsNull:
 		col, ok := x.Arg.(*expr.Col)
 		if !ok {
@@ -188,7 +139,7 @@ func compileVP(e expr.Expr, layout expr.Layout, params []types.Datum) vpNode {
 		if !ok || pos < 0 {
 			return nil
 		}
-		return &vpIsNull{pos: pos, negate: x.Negate}
+		return &vpIsNull{pos: pos, negate: x.Negate != neg}
 	case *expr.InList:
 		col, ok := x.Arg.(*expr.Col)
 		if !ok {
@@ -211,16 +162,32 @@ func compileVP(e expr.Expr, layout expr.Layout, params []types.Datum) vpNode {
 			}
 			vals = append(vals, op.val)
 		}
-		return &vpIn{pos: pos, vals: vals, hasNull: hasNull}
+		return &vpIn{pos: pos, vals: vals, hasNull: hasNull, not: neg}
 	case *expr.Col:
 		// Bare boolean column as predicate.
 		pos, ok := layout[x.ID]
 		if !ok || pos < 0 {
 			return nil
 		}
-		return &vpBoolCol{pos: pos}
+		return &vpBoolCol{pos: pos, want: !neg}
 	}
 	return nil
+}
+
+// compileJunction compiles args, each negated when neg is set, under a
+// conjunction (and) or a disjunction — the caller has already swapped the
+// two for a negated junction.
+func compileJunction(args []expr.Expr, and bool, layout expr.Layout, params []types.Datum, neg bool) vpNode {
+	kids := make([]vpNode, len(args))
+	for i, a := range args {
+		if kids[i] = compileVP(a, layout, params, neg); kids[i] == nil {
+			return nil
+		}
+	}
+	if and {
+		return vpAnd(kids)
+	}
+	return &vpOr{kids: kids}
 }
 
 // opMatch translates a types.Compare result through a comparison operator —
@@ -251,12 +218,21 @@ func batchView(b *Batch, pos int) *vec.View {
 	return &b.Cols[pos]
 }
 
-// selRow maps output slot k to its window row.
+// selRow maps output slot k to its window row. It also maps a candidate
+// index j to its slot, with cand in place of sel.
 func selRow(sel []int32, k int) int {
 	if sel == nil {
 		return k
 	}
 	return int(sel[k])
+}
+
+// candLen is the number of slots cand offers out of a batch of n.
+func candLen(cand []int32, n int) int {
+	if cand == nil {
+		return n
+	}
+	return len(cand)
 }
 
 // ---------------------------------------------------------------- cmp col/const
@@ -267,113 +243,78 @@ type vpCmpConst struct {
 	val types.Datum
 }
 
-func (c *vpCmpConst) eval(b *Batch, n int, res, nul []uint64) error {
+func (c *vpCmpConst) sel(b *Batch, cand, out []int32) ([]int32, error) {
 	v := batchView(b, c.pos)
 	if v == nil || v.Mixed {
-		return errVecFallback
+		return out, errVecFallback
 	}
 	if c.val.IsNull() {
-		// NULL comparand: every comparison is NULL.
-		for k := 0; k < n; k++ {
-			bitSet(nul, k)
-		}
-		return nil
+		return out, nil // NULL comparand: every comparison is NULL
 	}
-	sel := b.Sel
+	sel, m := b.Sel, candLen(cand, b.Len())
 	ck := c.val.Kind()
 	switch v.Kind {
 	case types.KindInt, types.KindDate:
 		switch {
 		case ck == v.Kind:
 			cv := c.val.Int()
-			for k := 0; k < n; k++ {
-				i := selRow(sel, k)
-				if v.Null(i) {
-					bitSet(nul, k)
-					continue
-				}
-				if opMatch(c.op, types.CompareInt64(v.Ints[v.Base+i], cv)) {
-					bitSet(res, k)
+			for j := 0; j < m; j++ {
+				k := selRow(cand, j)
+				if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, types.CompareInt64(v.Ints[v.Base+i], cv)) {
+					out = append(out, int32(k))
 				}
 			}
 		case ck == types.KindFloat || ck == types.KindInt || ck == types.KindDate:
 			cf := c.val.Float()
-			for k := 0; k < n; k++ {
-				i := selRow(sel, k)
-				if v.Null(i) {
-					bitSet(nul, k)
-					continue
-				}
-				if opMatch(c.op, types.CompareFloat64(float64(v.Ints[v.Base+i]), cf)) {
-					bitSet(res, k)
+			for j := 0; j < m; j++ {
+				k := selRow(cand, j)
+				if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, types.CompareFloat64(float64(v.Ints[v.Base+i]), cf)) {
+					out = append(out, int32(k))
 				}
 			}
 		default:
-			return errVecFallback
+			return out, errVecFallback
 		}
 	case types.KindFloat:
 		if ck != types.KindFloat && ck != types.KindInt && ck != types.KindDate {
-			return errVecFallback
+			return out, errVecFallback
 		}
 		cf := c.val.Float()
-		for k := 0; k < n; k++ {
-			i := selRow(sel, k)
-			if v.Null(i) {
-				bitSet(nul, k)
-				continue
-			}
-			if opMatch(c.op, types.CompareFloat64(v.Flts[v.Base+i], cf)) {
-				bitSet(res, k)
+		for j := 0; j < m; j++ {
+			k := selRow(cand, j)
+			if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, types.CompareFloat64(v.Flts[v.Base+i], cf)) {
+				out = append(out, int32(k))
 			}
 		}
 	case types.KindString:
 		if ck != types.KindString {
-			return errVecFallback
+			return out, errVecFallback
 		}
 		cs := c.val.Str()
-		for k := 0; k < n; k++ {
-			i := selRow(sel, k)
-			if v.Null(i) {
-				bitSet(nul, k)
-				continue
-			}
-			s := v.Strs[v.Base+i]
-			cc := 0
-			switch {
-			case s < cs:
-				cc = -1
-			case s > cs:
-				cc = 1
-			}
-			if opMatch(c.op, cc) {
-				bitSet(res, k)
+		for j := 0; j < m; j++ {
+			k := selRow(cand, j)
+			if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, strings.Compare(v.Strs[v.Base+i], cs)) {
+				out = append(out, int32(k))
 			}
 		}
 	case types.KindBool:
 		if ck != types.KindBool {
-			return errVecFallback
+			return out, errVecFallback
 		}
 		cv := int64(0)
 		if c.val.Bool() {
 			cv = 1
 		}
-		for k := 0; k < n; k++ {
-			i := selRow(sel, k)
-			if v.Null(i) {
-				bitSet(nul, k)
-				continue
-			}
-			if opMatch(c.op, types.CompareInt64(v.Ints[v.Base+i], cv)) {
-				bitSet(res, k)
+		for j := 0; j < m; j++ {
+			k := selRow(cand, j)
+			if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, types.CompareInt64(v.Ints[v.Base+i], cv)) {
+				out = append(out, int32(k))
 			}
 		}
 	default:
-		// Declared-NULL lane: every value is NULL.
-		for k := 0; k < n; k++ {
-			bitSet(nul, k)
-		}
+		// Declared-NULL lane: every comparison is NULL.
 	}
-	return nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------- cmp col/col
@@ -384,32 +325,29 @@ type vpCmpCol struct {
 	rpos int
 }
 
-func (c *vpCmpCol) eval(b *Batch, n int, res, nul []uint64) error {
+func (c *vpCmpCol) sel(b *Batch, cand, out []int32) ([]int32, error) {
 	l := batchView(b, c.lpos)
 	r := batchView(b, c.rpos)
 	if l == nil || r == nil || l.Mixed || r.Mixed {
-		return errVecFallback
+		return out, errVecFallback
 	}
-	sel := b.Sel
+	sel, m := b.Sel, candLen(cand, b.Len())
 	intKind := func(k types.Kind) bool { return k == types.KindInt || k == types.KindDate }
 	numKind := func(k types.Kind) bool { return intKind(k) || k == types.KindFloat }
 	switch {
-	case l.Kind == r.Kind && intKind(l.Kind):
-		for k := 0; k < n; k++ {
-			i := selRow(sel, k)
-			if l.Null(i) || r.Null(i) {
-				bitSet(nul, k)
-				continue
-			}
-			if opMatch(c.op, types.CompareInt64(l.Ints[l.Base+i], r.Ints[r.Base+i])) {
-				bitSet(res, k)
+	case l.Kind == r.Kind && (intKind(l.Kind) || l.Kind == types.KindBool):
+		for j := 0; j < m; j++ {
+			k := selRow(cand, j)
+			if i := selRow(sel, k); !l.Null(i) && !r.Null(i) &&
+				opMatch(c.op, types.CompareInt64(l.Ints[l.Base+i], r.Ints[r.Base+i])) {
+				out = append(out, int32(k))
 			}
 		}
 	case numKind(l.Kind) && numKind(r.Kind):
-		for k := 0; k < n; k++ {
+		for j := 0; j < m; j++ {
+			k := selRow(cand, j)
 			i := selRow(sel, k)
 			if l.Null(i) || r.Null(i) {
-				bitSet(nul, k)
 				continue
 			}
 			var lf, rf float64
@@ -424,105 +362,85 @@ func (c *vpCmpCol) eval(b *Batch, n int, res, nul []uint64) error {
 				rf = float64(r.Ints[r.Base+i])
 			}
 			if opMatch(c.op, types.CompareFloat64(lf, rf)) {
-				bitSet(res, k)
+				out = append(out, int32(k))
 			}
 		}
 	case l.Kind == types.KindString && r.Kind == types.KindString:
-		for k := 0; k < n; k++ {
-			i := selRow(sel, k)
-			if l.Null(i) || r.Null(i) {
-				bitSet(nul, k)
-				continue
-			}
-			ls, rs := l.Strs[l.Base+i], r.Strs[r.Base+i]
-			cc := 0
-			switch {
-			case ls < rs:
-				cc = -1
-			case ls > rs:
-				cc = 1
-			}
-			if opMatch(c.op, cc) {
-				bitSet(res, k)
-			}
-		}
-	case l.Kind == types.KindBool && r.Kind == types.KindBool:
-		for k := 0; k < n; k++ {
-			i := selRow(sel, k)
-			if l.Null(i) || r.Null(i) {
-				bitSet(nul, k)
-				continue
-			}
-			if opMatch(c.op, types.CompareInt64(l.Ints[l.Base+i], r.Ints[r.Base+i])) {
-				bitSet(res, k)
+		for j := 0; j < m; j++ {
+			k := selRow(cand, j)
+			if i := selRow(sel, k); !l.Null(i) && !r.Null(i) &&
+				opMatch(c.op, strings.Compare(l.Strs[l.Base+i], r.Strs[r.Base+i])) {
+				out = append(out, int32(k))
 			}
 		}
 	default:
-		return errVecFallback
+		return out, errVecFallback
 	}
-	return nil
+	return out, nil
 }
 
-// ---------------------------------------------------------------- boolean algebra
+// ---------------------------------------------------------------- AND / OR
 
-// vpBool is an n-ary Kleene AND/OR over child masks. The bitwise identities
-// (with the res&nul == 0 invariant):
-//
-//	AND: out.res = Πres;  false where any child is false; NULL elsewhere
-//	OR:  out.res = Σres;  out.nul = (Σnul) &^ out.res
-type vpBool struct {
+// vpAnd narrows: each conjunct reads only the survivors of the previous
+// one, in place, and the chain stops once none are left.
+type vpAnd []vpNode
+
+func (v vpAnd) sel(b *Batch, cand, out []int32) ([]int32, error) {
+	out, err := v[0].sel(b, cand, out)
+	for _, kid := range v[1:] {
+		if err != nil || len(out) == 0 {
+			break
+		}
+		out, err = kid.sel(b, out, out[:0])
+	}
+	return out, err
+}
+
+// vpOr offers each disjunct only the candidates no earlier disjunct kept;
+// the kept slots are then the candidates left out of rest.
+type vpOr struct {
 	kids []vpNode
-	and  bool
-	kres []uint64
-	knul []uint64
+	rest []int32 // reused: candidates no disjunct has kept yet
+	hit  []int32 // reused: one disjunct's kept slots
 }
 
-func (v *vpBool) eval(b *Batch, n int, res, nul []uint64) error {
-	w := len(res)
-	if err := v.kids[0].eval(b, n, res, nul); err != nil {
-		return err
+func (v *vpOr) sel(b *Batch, cand, out []int32) ([]int32, error) {
+	m := candLen(cand, b.Len())
+	rest := v.rest[:0]
+	for j := 0; j < m; j++ {
+		rest = append(rest, int32(selRow(cand, j)))
 	}
-	v.kres = growWords(v.kres, w)
-	v.knul = growWords(v.knul, w)
-	for _, kid := range v.kids[1:] {
-		clearWords(v.kres)
-		clearWords(v.knul)
-		if err := kid.eval(b, n, v.kres, v.knul); err != nil {
-			return err
+	for _, kid := range v.kids {
+		if len(rest) == 0 {
+			break
 		}
-		if v.and {
-			for i := 0; i < w; i++ {
-				aRes, aNul := res[i], nul[i]
-				bRes, bNul := v.kres[i], v.knul[i]
-				isFalse := (^aRes & ^aNul) | (^bRes & ^bNul)
-				res[i] = aRes & bRes
-				nul[i] = (aNul | bNul) &^ isFalse
-			}
-		} else {
-			for i := 0; i < w; i++ {
-				r := res[i] | v.kres[i]
-				res[i] = r
-				nul[i] = (nul[i] | v.knul[i]) &^ r
-			}
+		hit, err := kid.sel(b, rest, v.hit[:0])
+		v.hit = hit
+		if err != nil {
+			return out, err
 		}
+		// hit is an ordered subset of rest: drop it from rest in one pass.
+		w := 0
+		for _, k := range rest {
+			if len(hit) > 0 && hit[0] == k {
+				hit = hit[1:]
+				continue
+			}
+			rest[w] = k
+			w++
+		}
+		rest = rest[:w]
 	}
-	return nil
-}
-
-type vpNot struct {
-	kid vpNode
-}
-
-func (v *vpNot) eval(b *Batch, n int, res, nul []uint64) error {
-	if err := v.kid.eval(b, n, res, nul); err != nil {
-		return err
+	v.rest = rest
+	for j := 0; j < m; j++ {
+		k := int32(selRow(cand, j))
+		if len(rest) > 0 && rest[0] == k {
+			rest = rest[1:]
+			continue
+		}
+		out = append(out, k)
 	}
-	// NOT true = false, NOT false = true, NOT NULL = NULL. Bits past n pick
-	// up garbage from the complement; consumers never read them.
-	for i := range res {
-		res[i] = ^res[i] &^ nul[i]
-	}
-	return nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------- IS NULL / IN / bool col
@@ -532,34 +450,42 @@ type vpIsNull struct {
 	negate bool
 }
 
-func (v *vpIsNull) eval(b *Batch, n int, res, nul []uint64) error {
+func (v *vpIsNull) sel(b *Batch, cand, out []int32) ([]int32, error) {
 	cv := batchView(b, v.pos)
 	if cv == nil {
-		return errVecFallback
+		return out, errVecFallback
 	}
-	for k := 0; k < n; k++ {
+	for j, m := 0, candLen(cand, b.Len()); j < m; j++ {
+		k := selRow(cand, j)
 		if cv.Null(selRow(b.Sel, k)) != v.negate {
-			bitSet(res, k)
+			out = append(out, int32(k))
 		}
 	}
-	return nil
+	return out, nil
 }
 
+// vpIn is IN, or NOT IN under not. x IN (...) is TRUE when a non-NULL x
+// equals an item; x NOT IN (...) is TRUE when a non-NULL x equals no item
+// and the list holds no NULL.
 type vpIn struct {
 	pos     int
 	vals    []types.Datum // non-NULL list items
 	hasNull bool
+	not     bool
 }
 
-func (v *vpIn) eval(b *Batch, n int, res, nul []uint64) error {
+func (v *vpIn) sel(b *Batch, cand, out []int32) ([]int32, error) {
 	cv := batchView(b, v.pos)
 	if cv == nil {
-		return errVecFallback
+		return out, errVecFallback
 	}
-	for k := 0; k < n; k++ {
+	if v.not && v.hasNull {
+		return out, nil
+	}
+	for j, m := 0, candLen(cand, b.Len()); j < m; j++ {
+		k := selRow(cand, j)
 		i := selRow(b.Sel, k)
 		if cv.Null(i) {
-			bitSet(nul, k)
 			continue
 		}
 		d := cv.Datum(i)
@@ -570,38 +496,34 @@ func (v *vpIn) eval(b *Batch, n int, res, nul []uint64) error {
 				break
 			}
 		}
-		switch {
-		case matched:
-			bitSet(res, k)
-		case v.hasNull:
-			bitSet(nul, k)
+		if matched != v.not {
+			out = append(out, int32(k))
 		}
 	}
-	return nil
+	return out, nil
 }
 
+// vpBoolCol is a bare bool column: it selects want, which is false under
+// NOT.
 type vpBoolCol struct {
-	pos int
+	pos  int
+	want bool
 }
 
-func (v *vpBoolCol) eval(b *Batch, n int, res, nul []uint64) error {
+func (v *vpBoolCol) sel(b *Batch, cand, out []int32) ([]int32, error) {
 	cv := batchView(b, v.pos)
 	if cv == nil || cv.Mixed || cv.Kind != types.KindBool {
 		// A non-bool predicate column errors in EvalPred; let the row path
 		// produce the identical error.
-		return errVecFallback
+		return out, errVecFallback
 	}
-	for k := 0; k < n; k++ {
-		i := selRow(b.Sel, k)
-		if cv.Null(i) {
-			bitSet(nul, k)
-			continue
-		}
-		if cv.Ints[cv.Base+i] != 0 {
-			bitSet(res, k)
+	for j, m := 0, candLen(cand, b.Len()); j < m; j++ {
+		k := selRow(cand, j)
+		if i := selRow(b.Sel, k); !cv.Null(i) && (cv.Ints[cv.Base+i] != 0) == v.want {
+			out = append(out, int32(k))
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------- columnar hashing

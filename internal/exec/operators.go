@@ -585,8 +585,8 @@ type filterOp struct {
 	env    expr.Env // reused per row
 	out    Batch    // reused output header (qualifying rows by reference)
 
-	vp     *vecPred // compiled vectorized predicate (nil: row path only)
-	selBuf []int32  // reused selection vector for columnar output
+	vp   vpNode  // compiled vectorized predicate (nil: row path only)
+	keep []int32 // reused: the kept slots, then (mapped in place) out.Sel
 }
 
 func (f *filterOp) Open(ctx *Ctx) error {
@@ -594,7 +594,7 @@ func (f *filterOp) Open(ctx *Ctx) error {
 	f.env = expr.Env{Layout: f.layout, Params: ctx.Params.Vals}
 	f.vp = nil
 	if columnarEnabled {
-		f.vp = compileVecPred(f.n.Pred, f.layout, ctx.Params.Vals)
+		f.vp = compileVP(f.n.Pred, f.layout, ctx.Params.Vals, false)
 	}
 	return f.child.Open(ctx)
 }
@@ -602,10 +602,11 @@ func (f *filterOp) Open(ctx *Ctx) error {
 // NextBatch evaluates the predicate over whole child batches, collecting
 // qualifying rows (by reference) into a reused output batch. Child batches
 // are pulled until the output is non-empty or the input ends. Columnar
-// batches run the compiled vector predicate, producing a selection vector
-// over the child's column window instead of touching any datum (a child
-// batch with lazy rows stays lazy); the kernel refuses batches it cannot
-// type (errVecFallback) and the row loop runs.
+// batches run the compiled vector predicate, which narrows the batch's
+// slots to the kept ones; mapped through the child's Sel they become the
+// output's selection vector over the same column window, and no datum is
+// touched (a child batch with lazy rows stays lazy). The kernel refuses
+// batches it cannot type (errVecFallback) and the row loop runs.
 func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	f.out.reset()
 	for f.out.Len() == 0 {
@@ -617,19 +618,17 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 			return nil, err
 		}
 		if f.vp != nil && cb.Cols != nil {
-			res, verr := f.vp.eval(cb)
+			keep, verr := f.vp.sel(cb, nil, f.keep[:0])
+			f.keep = keep
 			if verr == nil {
-				f.selBuf = f.selBuf[:0]
-				for k := 0; k < cb.Len(); k++ {
-					if bitGet(res, k) {
-						if cb.Rows != nil {
-							f.out.Rows = append(f.out.Rows, cb.Rows[k])
-						}
-						f.selBuf = append(f.selBuf, int32(selRow(cb.Sel, k)))
+				for j, k := range keep {
+					if cb.Rows != nil {
+						f.out.Rows = append(f.out.Rows, cb.Rows[k])
 					}
+					keep[j] = int32(selRow(cb.Sel, int(k)))
 				}
-				if len(f.selBuf) > 0 {
-					f.out.Cols, f.out.Sel, f.out.n = cb.Cols, f.selBuf, len(f.selBuf)
+				if len(keep) > 0 {
+					f.out.Cols, f.out.Sel, f.out.n = cb.Cols, keep, len(keep)
 					if cb.Rows == nil {
 						f.out.Rows = nil
 					}

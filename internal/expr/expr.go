@@ -119,6 +119,12 @@ func (o CmpOp) Flip() CmpOp {
 	return o
 }
 
+// Negate returns the complement operator: a op b is FALSE exactly where
+// a op.Negate() b is TRUE, and both are NULL on the same rows.
+func (o CmpOp) Negate() CmpOp {
+	return [...]CmpOp{EQ: NE, NE: EQ, LT: GE, LE: GT, GT: LE, GE: LT}[o]
+}
+
 // Cmp is a binary comparison.
 type Cmp struct {
 	Op   CmpOp

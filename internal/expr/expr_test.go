@@ -128,6 +128,15 @@ func TestCmpFlip(t *testing.T) {
 	}
 }
 
+func TestCmpNegate(t *testing.T) {
+	cases := map[CmpOp]CmpOp{EQ: NE, NE: EQ, LT: GE, LE: GT, GT: LE, GE: LT}
+	for op, want := range cases {
+		if op.Negate() != want {
+			t.Errorf("%v.Negate() = %v, want %v", op, op.Negate(), want)
+		}
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	e := Conj(
 		NewCmp(GE, colA, intc(10)),

@@ -180,6 +180,13 @@ func TestPrepareExecuteLifecycle(t *testing.T) {
 	if r := send(t, c, "PREPARE broken AS SELECT FROM"); !r.IsErr() || r.Code != CodeParse {
 		t.Fatalf("PREPARE bad SQL = %q", r.Header)
 	}
+	// A prepared DML statement runs through EXECUTE and reports its count.
+	if r := send(t, c, "PREPARE del AS DELETE FROM orders WHERE id = $1"); r.IsErr() {
+		t.Fatalf("PREPARE DELETE = %q", r.Header)
+	}
+	if r := send(t, c, "EXECUTE del 7"); r.Header != "OK 1" {
+		t.Fatalf("EXECUTE DELETE = %q", r.Header)
+	}
 }
 
 // Two sessions preparing the same statement text share one cached plan:

@@ -411,15 +411,15 @@ func (s *session) handleExecute(line string) bool {
 	}
 	ctx, stop := s.queryCtx()
 	start := time.Now()
-	rows, err := st.QueryCtx(ctx, args...)
-	if err != nil && strings.Contains(err.Error(), "use Exec") {
-		n, derr := st.ExecCtx(ctx, args...)
+	if !st.IsQuery() {
+		n, err := st.ExecCtx(ctx, args...)
 		stop()
-		if derr != nil {
-			return s.writeQueryError(derr, nil)
+		if err != nil {
+			return s.writeQueryError(err, nil)
 		}
 		return s.write(fmt.Sprintf("OK %d", n), nil) == nil
 	}
+	rows, err := st.QueryCtx(ctx, args...)
 	stop()
 	if err != nil {
 		return s.writeQueryError(err, rows)

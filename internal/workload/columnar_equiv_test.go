@@ -73,8 +73,22 @@ func TestColumnarRowFuzzEquivalence(t *testing.T) {
 			lo := rnd.Intn(days)
 			q := fmt.Sprintf("SELECT date_id, amount FROM %s WHERE date_id BETWEEN %d AND %d",
 				fact, lo, lo+rnd.Intn(days-lo))
-			if rnd.Intn(2) == 0 {
-				q += fmt.Sprintf(" AND quantity > %d", rnd.Intn(10))
+			k := rnd.Intn(10)
+			switch rnd.Intn(8) {
+			case 0, 1:
+				q += fmt.Sprintf(" AND quantity > %d", k)
+			case 2:
+				q += fmt.Sprintf(" AND (quantity > %d OR amount < %d)", k, 40*k)
+			case 3:
+				q += fmt.Sprintf(" AND NOT (quantity < %d AND amount >= %d)", k, 40*k)
+			case 4:
+				q += fmt.Sprintf(" AND quantity NOT IN (%d, %d)", k, k+2)
+			case 5:
+				q += fmt.Sprintf(" AND quantity IN (%d, NULL, %d)", k, k+3)
+			case 6:
+				q += fmt.Sprintf(" AND (quantity NOT IN (%d, NULL) OR amount < %d)", k, 40*k)
+			case 7:
+				q += []string{" AND amount IS NOT NULL", " AND NOT (quantity IS NULL)", " OR cust_id IS NULL"}[rnd.Intn(3)]
 			}
 			return q
 		case 2: // inner join + agg

@@ -145,7 +145,7 @@ func (e *Engine) compileBound(bound *sql.Bound) (*plancache.Entry, error) {
 // wall-clock sampling for the EXPLAIN ANALYZE entry points.
 func (e *Engine) queryPrepared(ctx context.Context, p *prepared, args []Value, timed bool) (*Rows, error) {
 	if p.kind != kindSelect {
-		return nil, fmt.Errorf("partopt: use Exec for UPDATE statements")
+		return nil, fmt.Errorf("partopt: use Exec for INSERT, UPDATE and DELETE statements")
 	}
 	start := time.Now()
 	ent, useNorm, hit, err := e.lookupOrCompile(p)
@@ -260,6 +260,10 @@ func (s *Stmt) NumParams() int {
 	}
 	return -1
 }
+
+// IsQuery reports whether the statement is a SELECT, run with Query;
+// INSERT, UPDATE and DELETE run with Exec.
+func (s *Stmt) IsQuery() bool { return s.p.kind == kindSelect }
 
 // Query executes a prepared SELECT.
 func (s *Stmt) Query(args ...Value) (*Rows, error) {
