@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"partopt/internal/exec"
 	"partopt/internal/types"
 )
 
@@ -139,22 +138,16 @@ func TestAggregationSplitSemantics(t *testing.T) {
 		{"NULL-extended side, scalar", "SELECT count(f.id), sum(f.v), min(f.s), count(*) FROM dim d LEFT JOIN facts f ON d.k = f.k WHERE d.k = 3", "",
 			[]string{"int:0 NULL NULL int:1"}},
 	}
-	// Each planner runs with column lanes on (the typed accumulate loop) and
-	// off (the row loop): the two loops share aggAcc and must not differ.
-	defer exec.SetColumnarExec(exec.SetColumnarExec(true))
 	for _, c := range cases {
 		for _, opt := range []OptimizerKind{Orca, LegacyPlanner} {
-			for _, columnar := range []bool{true, false} {
-				eng.SetOptimizer(opt)
-				exec.SetColumnarExec(columnar)
-				rows, err := eng.Query(c.q)
-				if err != nil {
-					t.Errorf("%s (%v, columnar=%v): %v", c.name, opt, columnar, err)
-					continue
-				}
-				if got := renderTyped(rows); fmt.Sprint(got) != fmt.Sprint(c.want) {
-					t.Errorf("%s (%v, columnar=%v):\n got %v\nwant %v\n%s", c.name, opt, columnar, got, c.want, rows.ExplainAnalyze())
-				}
+			eng.SetOptimizer(opt)
+			rows, err := eng.Query(c.q)
+			if err != nil {
+				t.Errorf("%s (%v): %v", c.name, opt, err)
+				continue
+			}
+			if got := renderTyped(rows); fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("%s (%v):\n got %v\nwant %v\n%s", c.name, opt, got, c.want, rows.ExplainAnalyze())
 			}
 		}
 		eng.SetOptimizer(Orca)
@@ -194,7 +187,6 @@ func TestAggregationIntSumOverflow(t *testing.T) {
 			packed = append(packed, k)
 		}
 	}
-	defer exec.SetColumnarExec(exec.SetColumnarExec(true))
 	for _, c := range []struct {
 		name string
 		keys []int64
@@ -214,18 +206,53 @@ func TestAggregationIntSumOverflow(t *testing.T) {
 			t.Fatalf("%s: want a Partial/Final split (%v):\n%s", c.name, err, plan)
 		}
 		for _, opt := range []OptimizerKind{Orca, LegacyPlanner} {
-			for _, columnar := range []bool{true, false} {
-				eng.SetOptimizer(opt)
-				exec.SetColumnarExec(columnar)
-				rows, err := eng.Query(q)
-				if err != nil {
-					t.Fatalf("%s (%v, columnar=%v): %v", c.name, opt, columnar, err)
-				}
-				got := renderTyped(rows)
-				if want := []string{"float:1.6e+19 float:4e+18"}; fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s (%v, columnar=%v): got %v, want %v\n%s", c.name, opt, columnar, got, want, rows.ExplainAnalyze())
-				}
+			eng.SetOptimizer(opt)
+			rows, err := eng.Query(q)
+			if err != nil {
+				t.Fatalf("%s (%v): %v", c.name, opt, err)
 			}
+			got := renderTyped(rows)
+			if want := []string{"float:1.6e+19 float:4e+18"}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s (%v): got %v, want %v\n%s", c.name, opt, got, want, rows.ExplainAnalyze())
+			}
+		}
+	}
+}
+
+// Integer arithmetic that leaves int64 fails the query, as in PostgreSQL,
+// under both optimizers, instead of wrapping: v * 3 over v = 4e18 would
+// wrap to -6446744073709551616. Results on the near side of the edge
+// still come back.
+func TestIntArithmeticOverflow(t *testing.T) {
+	eng, err := New(3)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	eng.MustCreateTable("big", Columns("k", TypeInt, "v", TypeInt), DistributedBy("k"))
+	for k := int64(0); k < 4; k++ {
+		if err := eng.Insert("big", Int(k), Int(4e18)); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+	}
+	for _, opt := range []OptimizerKind{Orca, LegacyPlanner} {
+		eng.SetOptimizer(opt)
+		for _, q := range []string{
+			"SELECT v * 3 FROM big",
+			"SELECT v + v + v FROM big",
+			"SELECT 0 - v - v - v FROM big",
+			"SELECT count(*) FROM big WHERE v * 3 > 0",
+			"SELECT k, sum(v * 3) FROM big GROUP BY k",
+		} {
+			if _, err := eng.Query(q); err == nil || !strings.Contains(err.Error(), "bigint out of range") {
+				t.Errorf("%v: %s: err %v, want bigint out of range", opt, q, err)
+			}
+		}
+		rows, err := eng.Query("SELECT v * 2, v + v - v FROM big WHERE k = 1")
+		if err != nil {
+			t.Fatalf("%v: in range: %v", opt, err)
+		}
+		if got, want := renderTyped(rows), []string{"int:8000000000000000000 int:4000000000000000000"}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%v: in range: got %v, want %v", opt, got, want)
 		}
 	}
 }
@@ -330,25 +357,32 @@ func loadStar(t *testing.T, eng *Engine) {
 	t.Helper()
 	eng.MustCreateTable("sales", Columns("sale_id", TypeInt, "date_id", TypeInt, "k1", TypeInt, "amount", TypeFloat),
 		DistributedBy("sale_id"), PartitionByRangeInt("date_id", 0, 240, 24))
-	sales := make([][]Value, 4800)
-	for i := range sales {
-		sales[i] = []Value{Int(int64(i)), Int(int64(i % 240)), Int(int64(i % 200)), Float(float64(i % 97))}
-	}
 	eng.MustCreateTable("date_dim", Columns("date_id", TypeInt, "month", TypeInt, "moy", TypeInt), Replicated())
-	dates := make([][]Value, 240)
-	for i := range dates {
-		dates[i] = []Value{Int(int64(i)), Int(int64(1 + i/10)), Int(int64(1 + (i/10)%12))}
-	}
 	eng.MustCreateTable("dim1", Columns("k", TypeInt, "tag", TypeString), Replicated())
-	dim := make([][]Value, 200)
-	for i := range dim {
-		dim[i] = []Value{Int(int64(i)), String(fmt.Sprintf("t%d", i%5))}
-	}
+	sales, dates, dim := starRows()
 	for table, rows := range map[string][][]Value{"sales": sales, "date_dim": dates, "dim1": dim} {
 		if err := eng.InsertRows(table, rows); err != nil {
 			t.Fatalf("load %s: %v", table, err)
 		}
 	}
+}
+
+// starRows is loadStar's data: sales (sale_id, date_id, k1, amount),
+// date_dim (date_id, month, moy) and dim1 (k, tag).
+func starRows() (sales, dates, dim [][]Value) {
+	sales = make([][]Value, 4800)
+	for i := range sales {
+		sales[i] = []Value{Int(int64(i)), Int(int64(i % 240)), Int(int64(i % 200)), Float(float64(i % 97))}
+	}
+	dates = make([][]Value, 240)
+	for i := range dates {
+		dates[i] = []Value{Int(int64(i)), Int(int64(1 + i/10)), Int(int64(1 + (i/10)%12))}
+	}
+	dim = make([][]Value, 200)
+	for i := range dim {
+		dim[i] = []Value{Int(int64(i)), String(fmt.Sprintf("t%d", i%5))}
+	}
+	return sales, dates, dim
 }
 
 // EXPLAIN goldens for the shapes the benchmark's workloads run, at reduced
@@ -453,7 +487,8 @@ func TestAggregationSplitObservability(t *testing.T) {
 // The five star_dpe template shapes aggregate above their joins off typed
 // lanes: the hash join emits column lanes, every Partial aggregate batch
 // takes the typed loop, and no batch is ever turned back into rows. The
-// answers equal the row-at-a-time run's.
+// answers equal count(*) and sum(amount) computed in Go from loadStar's
+// rows.
 func TestStarJoinAggregatesTyped(t *testing.T) {
 	eng, err := New(4)
 	if err != nil {
@@ -463,12 +498,73 @@ func TestStarJoinAggregatesTyped(t *testing.T) {
 	if err := eng.Analyze(); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	templates := []struct{ name, q string }{
-		{"join_month", "SELECT count(*), sum(s.amount) FROM date_dim d, sales s WHERE d.date_id = s.date_id AND d.month = 3"},
-		{"in_subquery", "SELECT count(*), sum(amount) FROM sales WHERE date_id IN (SELECT date_id FROM date_dim WHERE month BETWEEN 3 AND 5)"},
-		{"two_dims", "SELECT count(*), sum(s.amount) FROM date_dim d, dim1 a, sales s WHERE d.date_id = s.date_id AND a.k = s.k1 AND a.tag = 't1' AND d.month = 3"},
-		{"group_moy", "SELECT d.moy, count(*), sum(s.amount) FROM date_dim d, sales s WHERE d.date_id = s.date_id AND d.month BETWEEN 3 AND 8 GROUP BY d.moy"},
-		{"left_join", "SELECT count(*), sum(s.amount) FROM date_dim d LEFT JOIN sales s ON d.date_id = s.date_id WHERE d.month = 3"},
+	sales, dates, dim := starRows()
+	month, moy, tag := map[int64]int64{}, map[int64]int64{}, map[int64]string{}
+	for _, d := range dates {
+		month[d[0].Int()], moy[d[0].Int()] = d[1].Int(), d[2].Int()
+	}
+	for _, a := range dim {
+		tag[a[0].Int()] = a[1].Str()
+	}
+	// fold returns count(*) and sum(amount) over the sales rows keep
+	// accepts, grouped by group's value (or once, under a nil group).
+	fold := func(keep func(dateID, k1 int64) bool, group func(dateID int64) int64) [][]Value {
+		type acc struct {
+			n   int64
+			sum float64
+		}
+		accs := map[int64]*acc{}
+		for _, s := range sales {
+			dateID := s[1].Int()
+			if !keep(dateID, s[2].Int()) {
+				continue
+			}
+			var g int64
+			if group != nil {
+				g = group(dateID)
+			}
+			if accs[g] == nil {
+				accs[g] = &acc{}
+			}
+			accs[g].n++
+			accs[g].sum += s[3].Float()
+		}
+		var out [][]Value
+		for g, a := range accs {
+			row := []Value{Int(a.n), Float(a.sum)}
+			if group != nil {
+				row = append([]Value{Int(g)}, row...)
+			}
+			out = append(out, row)
+		}
+		return out
+	}
+	// The left join preserves every March date; a date without sales adds
+	// one NULL-extended row to count(*) and nothing to the sum.
+	hasSales := map[int64]bool{}
+	for _, s := range sales {
+		hasSales[s[1].Int()] = true
+	}
+	leftJoin := fold(func(d, _ int64) bool { return month[d] == 3 }, nil)
+	for d, m := range month {
+		if m == 3 && !hasSales[d] {
+			leftJoin[0][0] = Int(leftJoin[0][0].Int() + 1)
+		}
+	}
+	templates := []struct {
+		name, q string
+		want    [][]Value
+	}{
+		{"join_month", "SELECT count(*), sum(s.amount) FROM date_dim d, sales s WHERE d.date_id = s.date_id AND d.month = 3",
+			fold(func(d, _ int64) bool { return month[d] == 3 }, nil)},
+		{"in_subquery", "SELECT count(*), sum(amount) FROM sales WHERE date_id IN (SELECT date_id FROM date_dim WHERE month BETWEEN 3 AND 5)",
+			fold(func(d, _ int64) bool { return month[d] >= 3 && month[d] <= 5 }, nil)},
+		{"two_dims", "SELECT count(*), sum(s.amount) FROM date_dim d, dim1 a, sales s WHERE d.date_id = s.date_id AND a.k = s.k1 AND a.tag = 't1' AND d.month = 3",
+			fold(func(d, k1 int64) bool { return month[d] == 3 && tag[k1] == "t1" }, nil)},
+		{"group_moy", "SELECT d.moy, count(*), sum(s.amount) FROM date_dim d, sales s WHERE d.date_id = s.date_id AND d.month BETWEEN 3 AND 8 GROUP BY d.moy",
+			fold(func(d, _ int64) bool { return month[d] >= 3 && month[d] <= 8 }, func(d int64) int64 { return moy[d] })},
+		{"left_join", "SELECT count(*), sum(s.amount) FROM date_dim d LEFT JOIN sales s ON d.date_id = s.date_id WHERE d.month = 3",
+			leftJoin},
 	}
 	header := regexp.MustCompile(`aggregation: \d+ typed / \d+ row batches \(partial (\d+)/(\d+),`)
 	built := eng.Obs().Counter("partopt_exec_rows_materialized_batches_total")
@@ -485,14 +581,8 @@ func TestStarJoinAggregatesTyped(t *testing.T) {
 		if n := built.Value() - before; n != 0 {
 			t.Errorf("%s: %d batches materialized, want 0", tc.name, n)
 		}
-		prev := exec.SetColumnarExec(false)
-		want, err := eng.Query(tc.q)
-		exec.SetColumnarExec(prev)
-		if err != nil {
-			t.Fatalf("%s row mode: %v", tc.name, err)
-		}
-		if got, w := renderTyped(rows), renderTyped(want); strings.Join(got, "|") != strings.Join(w, "|") {
-			t.Errorf("%s: lanes %v, rows %v", tc.name, got, w)
+		if got, want := renderTyped(rows), renderTyped(&Rows{Data: tc.want}); len(want) == 0 || strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("%s: got %v, want %v", tc.name, got, want)
 		}
 	}
 	// The counter does count: a join whose rows a Motion ships is

@@ -24,7 +24,8 @@
 //
 // PREPARE <name> AS <statement> compiles a named prepared statement and
 // EXECUTE <name> [arg, ...] runs it, binding arguments to $1, $2, ...
-// (integers, floats, 'strings' and YYYY-MM-DD dates). Repeated EXECUTEs
+// (integers, floats, YYYY-MM-DD dates, NULL and 'strings', which may hold
+// commas and spaces; a doubled quote is a literal one). Repeated EXECUTEs
 // are served from the plan cache, whose size --plan-cache controls
 // (0 disables caching).
 //

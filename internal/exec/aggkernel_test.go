@@ -18,15 +18,16 @@ import (
 
 // The typed accumulate loop against the row loop. A hashAggOp reads a
 // laneSrc: chunks of column lanes, each cut into batches of execBatchSize
-// rows that carry lanes and no rows. With columnar execution off the same
-// source emits plain row batches, so every row takes the row loop: that run
-// is the oracle.
+// rows that carry lanes and no rows. With rows set the same source emits
+// plain row batches, so every row takes the row loop: that run is the
+// oracle.
 
 // laneSrc emits each chunk as windows of execBatchSize rows. keep, when
-// set, drops rows through a selection vector.
+// set, drops rows through a selection vector; rows emits row-only batches.
 type laneSrc struct {
 	chunks []*vec.ColumnSet
 	keep   func(types.Row) bool
+	rows   bool
 	c, pos int
 	out    Batch
 	sel    []int32
@@ -45,7 +46,7 @@ func (s *laneSrc) NextBatch(*Ctx) (*Batch, error) {
 		lo, hi := s.pos, min(s.pos+execBatchSize, cs.Len())
 		s.pos = hi
 		n, rows, sel := hi-lo, []types.Row(nil), []int32(nil)
-		if s.keep != nil || !columnarEnabled {
+		if s.keep != nil || s.rows {
 			rows = cs.RowView()[lo:hi]
 		}
 		if s.keep != nil {
@@ -62,7 +63,7 @@ func (s *laneSrc) NextBatch(*Ctx) (*Batch, error) {
 		if n == 0 {
 			continue
 		}
-		if !columnarEnabled {
+		if s.rows {
 			s.out.setRows(rows)
 			return &s.out, nil
 		}
@@ -267,17 +268,15 @@ func TestHashAggTypedGroupsMatchRowLoop(t *testing.T) {
 		{name: "two keys, int and float lanes", keys: 2, chunks: []*vec.ColumnSet{threes(types.KindInt, 0), threes(types.KindFloat, 40)}},
 		{name: "budget denied mid-batch", keys: 1, workMem: 4 << 10, chunks: []*vec.ColumnSet{keyChunk(types.KindInt, 0, n, func(i int) types.Datum { return i64(i % 97) })}},
 	}
-	defer SetColumnarExec(SetColumnarExec(true))
 	for _, c := range cases {
 		for _, stage := range []plan.AggStage{plan.AggSingle, plan.AggPartial} {
 			for _, bs := range []int{1, 7, 1024} {
 				name := fmt.Sprintf("%s/stage=%d/batch=%d", c.name, stage, bs)
 				func() {
 					defer SetBatchSize(SetBatchSize(bs))
+					rowSrc := &laneSrc{chunks: c.chunks, keep: c.keep, rows: true}
+					want := runAgg(t, groupAgg(t, stage, c.keys, false), rowSrc, c.workMem)
 					src := &laneSrc{chunks: c.chunks, keep: c.keep}
-					SetColumnarExec(false)
-					want := runAgg(t, groupAgg(t, stage, c.keys, false), src, c.workMem)
-					SetColumnarExec(true)
 					got := runAgg(t, groupAgg(t, stage, c.keys, false), src, c.workMem)
 					if g, w := rendered(got.rows), rendered(want.rows); fmt.Sprint(g) != fmt.Sprint(w) {
 						t.Errorf("%s: typed loop differs from the row loop\n got %v\nwant %v", name, g, w)
@@ -309,7 +308,6 @@ func TestHashAggGroupCacheHashesOnlyOnMiss(t *testing.T) {
 		{"25 int keys", types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i%25 + 1)) }},
 		{"5 string keys", types.KindString, func(i int) types.Datum { return types.NewString(fmt.Sprint("s", i%5)) }},
 	}
-	defer SetColumnarExec(SetColumnarExec(true))
 	for _, c := range cases {
 		src := &laneSrc{chunks: []*vec.ColumnSet{keyChunk(c.kind, 0, rows, c.key)}}
 		run := runAgg(t, groupAgg(t, plan.AggPartial, 1, false), src, 0)
@@ -338,7 +336,6 @@ func BenchmarkHashAggGroups(b *testing.B) {
 		{"int-100000", 1, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i % 100_000)) }},
 		{"two-keys-20", 2, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i / 4 % 5)) }},
 	}
-	defer SetColumnarExec(SetColumnarExec(true))
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			src := &laneSrc{chunks: []*vec.ColumnSet{keyChunk(c.kind, 0, rows, c.key)}}

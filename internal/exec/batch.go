@@ -26,8 +26,7 @@ import (
 //     stable like any other rows — and counts the batch as materialized.
 //     Plain scans fill Rows (zero-copy); a RowID-bearing heap scan (the
 //     target of an UPDATE or DELETE) leaves them lazy and carries the
-//     RowID as one more int lane. With columnar execution off every batch
-//     carries Rows.
+//     RowID as one more int lane.
 //   - The length is explicit: Len reports it whether or not Rows is built.
 //   - The Batch itself (the *Batch, its Rows slice header, Cols, Sel and the
 //     lanes behind Cols that an operator assembled itself) is transient: it

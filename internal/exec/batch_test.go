@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"partopt/internal/catalog"
+	"partopt/internal/expr"
 	"partopt/internal/fault"
 	"partopt/internal/mem"
 	"partopt/internal/plan"
@@ -192,5 +193,103 @@ func TestBatchedOperatorsHonorFaults(t *testing.T) {
 				t.Fatalf("fault provenance lost: %v", err)
 			}
 		})
+	}
+}
+
+// batchSrc emits one prepared batch, then EOF.
+type batchSrc struct {
+	b    *Batch
+	done bool
+}
+
+func (s *batchSrc) Open(*Ctx) error  { s.done = false; return nil }
+func (s *batchSrc) Close(*Ctx) error { return nil }
+
+func (s *batchSrc) NextBatch(*Ctx) (*Batch, error) {
+	if s.done {
+		return nil, errEOF
+	}
+	s.done = true
+	return s.b, nil
+}
+
+// A projection that reorders a subset of its input's columns, over the
+// three batch shapes it meets: a scan batch (rows and lanes), a lazy batch
+// narrowed by Sel (a hash join's output once a filter has qualified it)
+// and a row-only batch. Each output's rows, and its lanes when it has
+// them, equal expr.Eval of the projected columns over the input rows, and
+// the lazy input comes out lazy.
+func TestProjectPermutesLanes(t *testing.T) {
+	child := aggInput(t)
+	proj := plan.NewProject([]plan.ProjCol{
+		{E: tcol(1, 3, "f"), Name: "f", Out: expr.ColID{Rel: 9, Ord: 0}},
+		{E: tcol(1, 0, "k"), Name: "k", Out: expr.ColID{Rel: 9, Ord: 1}},
+	}, child)
+	var data []types.Row
+	for i := 0; i < 20; i++ {
+		f := types.NewFloat(float64(i) / 4)
+		if i%5 == 0 {
+			f = types.Null
+		}
+		data = append(data, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 3)), types.NewInt(int64(i * 10)), f})
+	}
+	cs := laneChunk([]types.Kind{types.KindInt, types.KindInt, types.KindInt, types.KindFloat}, data)
+	sel := []int32{1, 4, 5, 11, 19}
+	var selected []types.Row
+	for _, k := range sel {
+		selected = append(selected, data[k])
+	}
+	inputs := []struct {
+		name string
+		b    Batch
+		src  []types.Row // the input's rows, in batch order
+		lazy bool
+	}{
+		{"scan rows and lanes", Batch{Rows: cs.RowView(), Cols: cs.ViewSnapshot(), n: len(data)}, data, false},
+		{"lazy with Sel", Batch{Cols: cs.ViewSnapshot(), Sel: sel, n: len(sel)}, selected, true},
+		{"row-only", Batch{Rows: data, n: len(data)}, data, false},
+	}
+	env := expr.Env{Layout: child.Layout()}
+	for _, in := range inputs {
+		ctx := newCtx(&Runtime{}, 0, nil, NewStats(), context.Background(), nil, nil)
+		op := &projectOp{n: proj, child: &batchSrc{b: &in.b}}
+		if err := op.Open(ctx); err != nil {
+			t.Fatalf("%s: open: %v", in.name, err)
+		}
+		out, err := op.NextBatch(ctx)
+		if err != nil {
+			t.Fatalf("%s: next batch: %v", in.name, err)
+		}
+		if in.lazy && out.Rows != nil {
+			t.Errorf("%s: output rows were built", in.name)
+		}
+		if (out.Cols != nil) != (in.b.Cols != nil) {
+			t.Errorf("%s: output carries lanes %v, input %v", in.name, out.Cols != nil, in.b.Cols != nil)
+		}
+		if out.Len() != len(in.src) {
+			t.Fatalf("%s: %d rows, want %d", in.name, out.Len(), len(in.src))
+		}
+		rows := out.rows(ctx)
+		for k, src := range in.src {
+			env.Row = src
+			for j, c := range proj.Cols {
+				want, err := expr.Eval(c.E, &env)
+				if err != nil {
+					t.Fatalf("%s: eval: %v", in.name, err)
+				}
+				got := []types.Datum{rows[k][j]}
+				if out.Cols != nil {
+					got = append(got, out.Cols[j].Datum(selRow(out.Sel, k)))
+				}
+				for _, g := range got {
+					if g.IsNull() != want.IsNull() || !want.IsNull() && types.Compare(g, want) != 0 {
+						t.Errorf("%s: row %d col %d = %v, want %v", in.name, k, j, g, want)
+					}
+				}
+			}
+		}
+		if err := op.Close(ctx); err != nil {
+			t.Fatalf("%s: close: %v", in.name, err)
+		}
 	}
 }

@@ -9,11 +9,13 @@ import (
 	"partopt/internal/vec"
 )
 
-// Columnar execution: batches flowing out of scans carry zero-copy column
-// views (Batch.Cols/Sel), the hash join emits lanes of its own, and the hot
-// kernels — filter predicates, join / agg / motion hashing, join key checks
-// — run as tight typed loops over those vectors instead of per-datum
-// expr.Eval dispatch.
+// Columnar execution: batches flowing out of heap scans carry zero-copy
+// column views (Batch.Cols/Sel), the hash join emits lanes of its own, and
+// the hot kernels — filter predicates, join / agg / motion hashing, join
+// key checks — run as tight typed loops over those vectors instead of
+// per-datum expr.Eval dispatch. Batches with no lanes (Motion receivers,
+// sort, aggregate output, index reads) take each operator's row loop,
+// which is also the reference the kernels are tested against.
 //
 // Two rules keep this invisible to everything else:
 //
@@ -21,26 +23,12 @@ import (
 //     lanes they are materialized from on demand (Batch.rows, counted per
 //     batch), and Batch.Len is explicit. Row-only operators, the stats
 //     layer (EXPLAIN ANALYZE actuals count Len) and the spill paths see
-//     exactly the rows they saw before.
+//     the same rows whichever representation the producer chose.
 //  2. Every vectorized kernel is bit-compatible with its row twin — the
 //     same types.Compare ordering (including NaN and cross-kind numeric
 //     rules) and the same types.HashDatum mixing — or it refuses the batch
 //     (errVecFallback) and the row path runs instead. Refusal is always
 //     safe because of rule 1.
-
-// columnarEnabled gates every columnar fast path: scans emitting column
-// views, the vectorized filter, projection passthrough, and columnar
-// hashing. It is a package variable so equivalence sweeps can run the same
-// queries in both modes; the engine never flips it mid-query.
-var columnarEnabled = true
-
-// SetColumnarExec enables or disables columnar execution (test hook). It
-// returns the previous value so tests can restore it.
-func SetColumnarExec(on bool) bool {
-	prev := columnarEnabled
-	columnarEnabled = on
-	return prev
-}
 
 // errVecFallback signals that a compiled vector kernel cannot handle this
 // particular batch (mixed lane, incomparable kinds); the caller runs the
@@ -540,9 +528,9 @@ type vecHasher struct {
 }
 
 // newVecHasher resolves keys to column positions; nil if any key is not a
-// plain column (or columnar execution is off).
+// plain column.
 func newVecHasher(keys []expr.Expr, layout expr.Layout, mixNulls bool) *vecHasher {
-	if !columnarEnabled || len(keys) == 0 {
+	if len(keys) == 0 {
 		return nil
 	}
 	pos := make([]int, len(keys))

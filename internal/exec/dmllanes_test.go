@@ -53,34 +53,27 @@ func TestRowIDRangeGuard(t *testing.T) {
 }
 
 // TestRowIDScanRejectsUnencodableLeaf drives the guard through the leaf
-// reader, in both read modes: a RowID-bearing scan of a leaf OID the
-// encoding cannot hold fails instead of emitting wrapped RowIDs, while the
-// same scan without RowIDs reads the (absent) leaf as empty.
+// reader: a RowID-bearing scan of a leaf OID the encoding cannot hold fails
+// instead of emitting wrapped RowIDs, while the same scan without RowIDs
+// reads the (absent) leaf as empty.
 func TestRowIDScanRejectsUnencodableLeaf(t *testing.T) {
-	defer SetColumnarExec(SetColumnarExec(true))
 	rt, cat := fixture(t, 1)
-	tt := cat.MustTable("T")
-	for _, columnar := range []bool{true, false} {
-		SetColumnarExec(columnar)
-		scan := plan.NewScan(tt, 1)
-		scan.Leaf = rowIDMaxLeaf + 1
-		if res, err := RunLocal(rt, scan, 0, nil); err != nil || len(res.Rows) != 0 {
-			t.Fatalf("columnar=%v: plain scan: %v rows (%v), want 0", columnar, len(res.Rows), err)
-		}
-		scan.WithRowID = true
-		if _, err := RunLocal(rt, scan, 0, nil); err == nil || !strings.Contains(err.Error(), "RowID leaf field") {
-			t.Fatalf("columnar=%v: RowID scan of leaf %d: err %v, want the RowID leaf-field error", columnar, scan.Leaf, err)
-		}
+	scan := plan.NewScan(cat.MustTable("T"), 1)
+	scan.Leaf = rowIDMaxLeaf + 1
+	if res, err := RunLocal(rt, scan, 0, nil); err != nil || len(res.Rows) != 0 {
+		t.Fatalf("plain scan: %v rows (%v), want 0", len(res.Rows), err)
+	}
+	scan.WithRowID = true
+	if _, err := RunLocal(rt, scan, 0, nil); err == nil || !strings.Contains(err.Error(), "RowID leaf field") {
+		t.Fatalf("RowID scan of leaf %d: err %v, want the RowID leaf-field error", scan.Leaf, err)
 	}
 }
 
-// TestRowIDLaneMatchesRowPath compares the RowID-bearing scan's two read
-// paths batch by batch: the columnar one leaves Rows lazy and carries the
-// RowID as an int lane at the layout's RowID position, and its rows, once
-// built, equal the row path's (heap columns plus EncodeRowID of the
-// position).
+// TestRowIDLaneMatchesRowPath checks the RowID-bearing scan batch by batch:
+// it leaves Rows lazy and carries the RowID as an int lane at the layout's
+// RowID position, and its rows, once built, equal the heap's rows as
+// storage returns them, each extended with EncodeRowID of its position.
 func TestRowIDLaneMatchesRowPath(t *testing.T) {
-	defer SetColumnarExec(SetColumnarExec(true))
 	defer SetBatchSize(SetBatchSize(7))
 	rt, cat := fixture(t, 2)
 	tt := cat.MustTable("T")
@@ -89,45 +82,45 @@ func TestRowIDLaneMatchesRowPath(t *testing.T) {
 	scan.WithRowID = true
 	ridPos := scan.Layout()[expr.ColID{Rel: 1, Ord: plan.RowIDOrd}]
 
-	read := func(columnar bool) []types.Row {
-		SetColumnarExec(columnar)
-		ctx := newCtx(rt, 1, nil, NewStats(), context.Background(), rt.Gov.NewBudget(), rt.Store.PrimaryMap())
-		op := newLeafScan(scan)
-		if err := op.Open(ctx); err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		defer op.Close(ctx)
-		var out []types.Row
-		for {
-			b, err := op.NextBatch(ctx)
-			if err == errEOF {
-				return out
-			}
-			if err != nil {
-				t.Fatalf("NextBatch: %v", err)
-			}
-			if columnar {
-				if b.Rows != nil || len(b.Cols) != ridPos+1 {
-					t.Fatalf("columnar RowID batch: rows built=%v, %d lanes; want lazy rows and %d lanes", b.Rows != nil, len(b.Cols), ridPos+1)
-				}
-				if rid := b.Cols[ridPos]; rid.Kind != types.KindInt || rid.Mixed {
-					t.Fatalf("RowID lane kind %v (mixed %v), want int", rid.Kind, rid.Mixed)
-				}
-			}
-			out = append(out, b.rows(ctx)...)
-		}
+	ctx := newCtx(rt, 1, nil, NewStats(), context.Background(), rt.Gov.NewBudget(), rt.Store.PrimaryMap())
+	op := newLeafScan(scan)
+	if err := op.Open(ctx); err != nil {
+		t.Fatalf("Open: %v", err)
 	}
-	lanes, rows := read(true), read(false)
-	if len(rows) == 0 || len(lanes) != len(rows) {
-		t.Fatalf("columnar read %d rows, row read %d", len(lanes), len(rows))
-	}
-	for i := range rows {
-		if id := DecodeRowID(rows[i][ridPos]); id != (storage.RowID{Seg: 1, Leaf: scan.Leaf, Idx: i}) {
-			t.Fatalf("row %d: RowID %+v", i, id)
+	defer op.Close(ctx)
+	var got []types.Row
+	for {
+		b, err := op.NextBatch(ctx)
+		if err == errEOF {
+			break
 		}
-		for j := range rows[i] {
-			if types.Compare(lanes[i][j], rows[i][j]) != 0 {
-				t.Fatalf("row %d col %d: columnar %v, row %v", i, j, lanes[i][j], rows[i][j])
+		if err != nil {
+			t.Fatalf("NextBatch: %v", err)
+		}
+		if b.Rows != nil || len(b.Cols) != ridPos+1 {
+			t.Fatalf("RowID batch: rows built=%v, %d lanes; want lazy rows and %d lanes", b.Rows != nil, len(b.Cols), ridPos+1)
+		}
+		if rid := b.Cols[ridPos]; rid.Kind != types.KindInt || rid.Mixed {
+			t.Fatalf("RowID lane kind %v (mixed %v), want int", rid.Kind, rid.Mixed)
+		}
+		got = append(got, b.rows(ctx)...)
+	}
+
+	heap, err := rt.Store.ScanLeafAt(tt.OID, 1, rt.Store.Primary(1), scan.Leaf)
+	if err != nil {
+		t.Fatalf("ScanLeafAt: %v", err)
+	}
+	if len(heap) == 0 || len(got) != len(heap) {
+		t.Fatalf("scan read %d rows, heap holds %d", len(got), len(heap))
+	}
+	for i, row := range heap {
+		want := append(append(types.Row(nil), row...), EncodeRowID(storage.RowID{Seg: 1, Leaf: scan.Leaf, Idx: i}))
+		if len(got[i]) != len(want) || ridPos != len(row) {
+			t.Fatalf("row %d: width %d (RowID at %d), want %d", i, len(got[i]), ridPos, len(want))
+		}
+		for j := range want {
+			if types.Compare(got[i][j], want[j]) != 0 {
+				t.Fatalf("row %d col %d: scan %v, heap %v", i, j, got[i][j], want[j])
 			}
 		}
 	}
@@ -138,7 +131,6 @@ func TestRowIDLaneMatchesRowPath(t *testing.T) {
 // materialize rows for at most one batch per segment holding the match,
 // and no segment's target scan builds (or reads) the leaf's row view.
 func TestDMLTargetScanBuildsOnlyMatchedRows(t *testing.T) {
-	defer SetColumnarExec(SetColumnarExec(true))
 	defer SetBatchSize(SetBatchSize(DefaultBatchSize))
 	const segs, perSeg = 4, 10_000
 	cat := catalog.New()

@@ -34,8 +34,7 @@ const spillFanout = 8
 // column into reused lanes (vec.Lane), leaving Batch.Rows lazy, so an
 // aggregate above the join folds the lanes without a joined row ever
 // being built. A semi join forwards the probe batch itself, narrowed to
-// the matched rows by Sel. With columnar execution off the join emits
-// rows, each batch in one exactly-sized arena.
+// the matched rows by Sel.
 //
 // Outer joins NULL-extend the non-preserved side. RightOuterJoin (probe
 // preserved) emits every probe row: a probe row with no surviving match —
@@ -151,8 +150,8 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 	j.pb, j.pk = nil, 0
 	j.pairK, j.pairB, j.pairAt = j.pairK[:0], j.pairB[:0], 0
 	switch w := j.bw + j.pw; {
-	case !columnarEnabled || j.n.Type == plan.SemiJoin:
-		j.lanes, j.cols = nil, nil // rows, or the probe batch itself
+	case j.n.Type == plan.SemiJoin:
+		j.lanes, j.cols = nil, nil // the probe batch itself
 	case len(j.lanes) != w:
 		j.lanes, j.cols = make([]vec.Lane, w), make([]vec.View, w)
 	}
@@ -638,7 +637,7 @@ func (j *hashJoinOp) keysEqual(brow types.Row, k int) (bool, error) {
 
 // emit hands out up to a batch of pending matches: a semi join's as the
 // narrowed probe batch, others gathered into the output lanes with Rows
-// left lazy, or — columnar execution off — as rows in one fresh arena.
+// left lazy.
 func (j *hashJoinOp) emit() *Batch {
 	end := min(j.pairAt+execBatchSize, len(j.pairK))
 	ks, bs := j.pairK[j.pairAt:end], j.pairB[j.pairAt:end]
@@ -653,19 +652,6 @@ func (j *hashJoinOp) emit() *Batch {
 	}
 	j.out.reset()
 	j.out.n = len(ks)
-	if j.lanes == nil {
-		w := j.bw + j.pw
-		arena := make([]types.Datum, len(ks)*w)
-		for p, brow := range bs {
-			dst := arena[p*w : (p+1)*w : (p+1)*w]
-			copy(dst, brow) // a nil build row leaves NULLs
-			if k := ks[p]; k >= 0 {
-				copy(dst[j.bw:], j.probeRow(int(k)))
-			}
-			j.out.Rows = append(j.out.Rows, dst)
-		}
-		return &j.out
-	}
 	for c := 0; c < j.bw; c++ {
 		j.lanes[c].Reset()
 		j.lanes[c].AppendColumn(bs, c)

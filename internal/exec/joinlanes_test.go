@@ -190,10 +190,10 @@ func sameKeys(t *testing.T, what string, got, want []string) {
 var laneJoinTypes = []plan.JoinType{plan.InnerJoin, plan.SemiJoin, plan.LeftOuterJoin, plan.RightOuterJoin}
 
 // Every join type over every probe representation, with and without a
-// residual, at batch sizes 1, 7 and 1024, lanes on and off, equals the
-// oracle.
+// residual, at batch sizes 1, 7 and 1024, equals the nested-loop oracle.
+// The "rows" shape feeds a row-only probe, so the join's row key path runs
+// too.
 func TestHashJoinLanesMatchOracle(t *testing.T) {
-	defer SetColumnarExec(SetColumnarExec(true))
 	fx := joinLaneFixture(t)
 	for _, probe := range []string{"p", "f", "m"} {
 		for _, shape := range []string{"scan", "rows", "lazy"} {
@@ -201,17 +201,14 @@ func TestHashJoinLanesMatchOracle(t *testing.T) {
 				for _, residual := range []expr.Expr{nil, laneResidual()} {
 					want := fx.oracle(t, jt, probe, residual)
 					for _, bs := range []int{1, 7, DefaultBatchSize} {
-						for _, columnar := range []bool{true, false} {
-							name := fmt.Sprintf("%s/%s/%v/residual=%v/batch=%d/columnar=%v", probe, shape, jt, residual != nil, bs, columnar)
-							prevBS := SetBatchSize(bs)
-							SetColumnarExec(columnar)
-							res, err := RunLocal(fx.rt, fx.joinPlan(jt, probe, shape, residual), 0, nil)
-							SetBatchSize(prevBS)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							sameKeys(t, name, rowKeys(res.Rows), want)
+						name := fmt.Sprintf("%s/%s/%v/residual=%v/batch=%d", probe, shape, jt, residual != nil, bs)
+						prevBS := SetBatchSize(bs)
+						res, err := RunLocal(fx.rt, fx.joinPlan(jt, probe, shape, residual), 0, nil)
+						SetBatchSize(prevBS)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
 						}
+						sameKeys(t, name, rowKeys(res.Rows), want)
 					}
 				}
 			}
@@ -222,32 +219,28 @@ func TestHashJoinLanesMatchOracle(t *testing.T) {
 // The same joins under a 256-byte work_mem spill (Grace partitions, probe
 // partitions read back as rows) and still equal the oracle.
 func TestHashJoinLanesSpill(t *testing.T) {
-	defer SetColumnarExec(SetColumnarExec(true))
 	fx := joinLaneFixture(t)
 	for _, probe := range []string{"p", "f", "m"} {
 		for _, jt := range laneJoinTypes {
 			for _, residual := range []expr.Expr{nil, laneResidual()} {
 				want := fx.oracle(t, jt, probe, residual)
-				for _, columnar := range []bool{true, false} {
-					name := fmt.Sprintf("%s/%v/residual=%v/columnar=%v", probe, jt, residual != nil, columnar)
-					SetColumnarExec(columnar)
-					base := t.TempDir()
-					gov := mem.NewGovernor(mem.Config{WorkMem: 256, BaseDir: base})
-					fx.rt.Gov = gov
-					res, err := RunLocal(fx.rt, fx.joinPlan(jt, probe, "scan", residual), 0, nil)
-					fx.rt.Gov = nil
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if res.Stats.SpilledBytes() == 0 {
-						t.Fatalf("%s: 256-byte work_mem did not spill", name)
-					}
-					sameKeys(t, name, rowKeys(res.Rows), want)
-					if used := gov.Used(); used != 0 {
-						t.Fatalf("%s: governor still holds %d bytes", name, used)
-					}
-					assertNoSpillLeak(t, base)
+				name := fmt.Sprintf("%s/%v/residual=%v", probe, jt, residual != nil)
+				base := t.TempDir()
+				gov := mem.NewGovernor(mem.Config{WorkMem: 256, BaseDir: base})
+				fx.rt.Gov = gov
+				res, err := RunLocal(fx.rt, fx.joinPlan(jt, probe, "scan", residual), 0, nil)
+				fx.rt.Gov = nil
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
+				if res.Stats.SpilledBytes() == 0 {
+					t.Fatalf("%s: 256-byte work_mem did not spill", name)
+				}
+				sameKeys(t, name, rowKeys(res.Rows), want)
+				if used := gov.Used(); used != 0 {
+					t.Fatalf("%s: governor still holds %d bytes", name, used)
+				}
+				assertNoSpillLeak(t, base)
 			}
 		}
 	}
@@ -257,7 +250,6 @@ func TestHashJoinLanesSpill(t *testing.T) {
 // NextBatch refills the join's lanes, not the materialized rows, and every
 // materialization is counted.
 func TestHashJoinMaterializedRowsStable(t *testing.T) {
-	defer SetColumnarExec(SetColumnarExec(true))
 	defer SetBatchSize(SetBatchSize(2))
 	fx := joinLaneFixture(t)
 	stats := NewStats()

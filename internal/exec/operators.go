@@ -31,14 +31,12 @@ var errEOF = io.EOF
 // ---------------------------------------------------------------- scan
 
 // withRowIDs extends rows with the encoded RowID pseudo-column, for the
-// reads that carry no lanes: index lookups and row mode. ids, when
-// non-nil, supplies each row's identity; otherwise identities are
-// sequential in the (seg, leaf) heap starting at base. The returned row
-// headers reuse hdr's backing array across batches; the datum arena behind
-// them is allocated fresh per batch (one allocation for the whole batch
-// instead of one per row) because emitted rows must stay valid after the
-// next call.
-func withRowIDs(rows []types.Row, ids []storage.RowID, seg int, leaf part.OID, base int, hdr []types.Row) []types.Row {
+// one read that carries no lanes: an index lookup, which supplies each
+// row's identity in ids. The returned row headers reuse hdr's backing
+// array across batches; the datum arena behind them is allocated fresh per
+// batch (one allocation for the whole batch instead of one per row)
+// because emitted rows must stay valid after the next call.
+func withRowIDs(rows []types.Row, ids []storage.RowID, hdr []types.Row) []types.Row {
 	if len(rows) == 0 {
 		return hdr[:0]
 	}
@@ -48,11 +46,7 @@ func withRowIDs(rows []types.Row, ids []storage.RowID, seg int, leaf part.OID, b
 	for i, row := range rows {
 		dst := arena[i*(w+1) : (i+1)*(w+1) : (i+1)*(w+1)]
 		copy(dst, row)
-		if ids != nil {
-			dst[w] = EncodeRowID(ids[i])
-		} else {
-			dst[w] = EncodeRowID(storage.RowID{Seg: seg, Leaf: leaf, Idx: base + i})
-		}
+		dst[w] = EncodeRowID(ids[i])
 		hdr = append(hdr, dst)
 	}
 	return hdr
@@ -75,10 +69,10 @@ func colWindow(cols []vec.View, base int, viewBuf []vec.View) []vec.View {
 // leafScanOp is the executor's one leaf reader. Scan and IndexScan read
 // one known leaf, at Open; DynamicScan and DynamicIndexScan read the leaves
 // their PartitionSelector chose, one at a time as the previous leaf drains.
-// A leaf loads through the node's index when it names one; otherwise, with
-// columnar execution on, as column lanes — plus the cached row view for a
-// plain read, or, for a RowID-bearing read, no rows at all and a RowID lane
-// synthesized per batch — and as heap rows in row mode.
+// A leaf loads through the node's index when it names one; otherwise as
+// column lanes — plus the cached row view for a plain read, or, for a
+// RowID-bearing read, no rows at all and a RowID lane synthesized per
+// batch.
 type leafScanOp struct {
 	n          plan.Node // the scan node, named in errors
 	table      *catalog.Table
@@ -96,7 +90,7 @@ type leafScanOp struct {
 	curLeaf part.OID
 	rows    []types.Row     // nil on the lane-only read
 	ids     []storage.RowID // per-row identities of an index lookup
-	cols    []vec.View      // columnar snapshot of the leaf (nil when disabled)
+	cols    []vec.View      // columnar snapshot of the leaf (nil on an index read)
 	size    int             // rows in the current leaf
 	pos     int
 
@@ -167,13 +161,10 @@ func (s *leafScanOp) load(ctx *Ctx, leaf part.OID) error {
 	case s.index != nil:
 		s.rows, s.ids, err = ctx.indexLookup(s.table, s.index.Name, leaf, s.set)
 		s.size = len(s.rows)
-	case columnarEnabled && s.withRowID:
+	case s.withRowID:
 		s.cols, s.size, err = ctx.scanLeafLanes(s.table.OID, leaf)
-	case columnarEnabled:
-		s.cols, s.rows, err = ctx.scanLeafCols(s.table.OID, leaf)
-		s.size = len(s.rows)
 	default:
-		s.rows, err = ctx.scanLeaf(s.table.OID, leaf)
+		s.cols, s.rows, err = ctx.scanLeafCols(s.table.OID, leaf)
 		s.size = len(s.rows)
 	}
 	if err != nil {
@@ -192,13 +183,14 @@ func (s *leafScanOp) load(ctx *Ctx, leaf part.OID) error {
 	return nil
 }
 
-// NextBatch emits up to execBatchSize rows of the current leaf. A columnar
+// NextBatch emits up to execBatchSize rows of the current leaf. A heap
 // read emits zero-copy windows onto the leaf's lane snapshot (plus, for a
-// RowID-bearing read, the RowID lane and no rows); a row read emits a view
-// of the heap's row slice (rows are immutable, so the view satisfies the
-// ownership contract), extended with RowIDs when the node asks for them.
-// Batches never straddle a leaf, so a batch's RowIDs are one (leaf, base)
-// run. Abort polling and the OpNext fault point run once per batch.
+// RowID-bearing read, the RowID lane and no rows); an index read emits a
+// view of the looked-up rows (rows are immutable, so the view satisfies
+// the ownership contract), extended with their RowIDs when the node asks
+// for them. Batches never straddle a leaf, so a heap batch's RowIDs are
+// one (leaf, base) run. Abort polling and the OpNext fault point run once
+// per batch.
 func (s *leafScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if err := ctx.pollAbortBatch(); err != nil {
 		return nil, err
@@ -231,11 +223,7 @@ func (s *leafScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	}
 	out := s.rows[start:end]
 	if s.withRowID {
-		var ids []storage.RowID
-		if s.ids != nil {
-			ids = s.ids[start:end]
-		}
-		s.idBuf = withRowIDs(out, ids, ctx.Seg, s.curLeaf, start, s.idBuf)
+		s.idBuf = withRowIDs(out, s.ids[start:end], s.idBuf)
 		out = s.idBuf
 	}
 	s.batch.setRows(out)
@@ -592,10 +580,7 @@ type filterOp struct {
 func (f *filterOp) Open(ctx *Ctx) error {
 	f.layout = f.n.Child.Layout()
 	f.env = expr.Env{Layout: f.layout, Params: ctx.Params.Vals}
-	f.vp = nil
-	if columnarEnabled {
-		f.vp = compileVP(f.n.Pred, f.layout, ctx.Params.Vals, false)
-	}
+	f.vp = compileVP(f.n.Pred, f.layout, ctx.Params.Vals, false)
 	return f.child.Open(ctx)
 }
 
@@ -675,9 +660,7 @@ func (p *projectOp) Open(ctx *Ctx) error {
 	p.layout = p.n.Child.Layout()
 	p.env = expr.Env{Layout: p.layout, Params: ctx.Params.Vals}
 	p.colPos, p.identity = nil, false
-	if columnarEnabled {
-		p.compileFastPath()
-	}
+	p.compileFastPath()
 	return p.child.Open(ctx)
 }
 

@@ -23,21 +23,9 @@ import (
 // is what makes the error retryable — the coordinator's retry loop then
 // re-snapshots the primary map and the next attempt reads the mirrors.
 
-// scanLeaf reads one (segment × leaf) heap through this instance's replica.
-func (c *Ctx) scanLeaf(root part.OID, leaf part.OID) ([]types.Row, error) {
-	if err := c.hitFault(fault.SegExec); err != nil {
-		return nil, c.noteSegFailure(err)
-	}
-	rows, err := c.Rt.Store.ScanLeafAt(root, c.Seg, c.replica(), leaf)
-	if err != nil {
-		return nil, c.noteSegFailure(err)
-	}
-	return rows, nil
-}
-
-// scanLeafCols is scanLeaf's columnar twin: it additionally returns lane
-// view snapshots of the leaf's columns so the scan can emit zero-copy
-// column windows. The returned rows are the set's cached row view; both
+// scanLeafCols reads one (segment × leaf) heap through this instance's
+// replica: lane view snapshots of the leaf's columns, so the scan can emit
+// zero-copy column windows, and the set's cached row view. Both
 // snapshots are stable against concurrent writers (storage copies lanes on
 // the next write rather than mutating what it handed out).
 func (c *Ctx) scanLeafCols(root part.OID, leaf part.OID) ([]vec.View, []types.Row, error) {
@@ -65,7 +53,7 @@ func (c *Ctx) scanLeafLanes(root part.OID, leaf part.OID) ([]vec.View, int, erro
 	return cols, n, nil
 }
 
-// indexLookup is scanLeaf for secondary-index reads.
+// indexLookup is scanLeafCols for secondary-index reads.
 func (c *Ctx) indexLookup(t *catalog.Table, indexName string, leaf part.OID, set types.IntervalSet) ([]types.Row, []storage.RowID, error) {
 	if err := c.hitFault(fault.SegExec); err != nil {
 		return nil, nil, c.noteSegFailure(err)

@@ -270,7 +270,6 @@ func BenchmarkFilterKernels(b *testing.B) {
 		data[i] = types.Row{types.NewInt(int64(1 + i*7%50)), types.NewDate(int64(i * 13 % 365)), types.NewFloat(float64(i) / 4)}
 	}
 	src := &laneSrc{chunks: []*vec.ColumnSet{laneChunk([]types.Kind{types.KindInt, types.KindDate, types.KindFloat}, data)}}
-	defer SetColumnarExec(SetColumnarExec(true))
 	defer SetBatchSize(SetBatchSize(DefaultBatchSize))
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

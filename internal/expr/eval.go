@@ -1,7 +1,9 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"partopt/internal/types"
 )
@@ -194,6 +196,10 @@ func Eval(e Expr, env *Env) (types.Datum, error) {
 	return types.Null, fmt.Errorf("expr: cannot evaluate %T", e)
 }
 
+// errIntRange is the error of an integer result that leaves int64: it
+// fails, as in PostgreSQL, rather than wrap.
+var errIntRange = errors.New("expr: bigint out of range")
+
 func evalArith(op ArithOp, l, r types.Datum) (types.Datum, error) {
 	bothInt := (l.Kind() == types.KindInt || l.Kind() == types.KindDate) &&
 		(r.Kind() == types.KindInt || r.Kind() == types.KindDate)
@@ -201,14 +207,26 @@ func evalArith(op ArithOp, l, r types.Datum) (types.Datum, error) {
 		a, b := l.Int(), r.Int()
 		switch op {
 		case Add:
-			return types.NewInt(a + b), nil
+			if s := a + b; (a^s)&(b^s) >= 0 {
+				return types.NewInt(s), nil
+			}
+			return types.Null, errIntRange
 		case Sub:
-			return types.NewInt(a - b), nil
+			if s := a - b; (a^b)&(a^s) >= 0 {
+				return types.NewInt(s), nil
+			}
+			return types.Null, errIntRange
 		case Mul:
-			return types.NewInt(a * b), nil
+			if p := a * b; a == 0 || p/a == b && !(a == -1 && b == math.MinInt64) {
+				return types.NewInt(p), nil
+			}
+			return types.Null, errIntRange
 		case Div:
 			if b == 0 {
 				return types.Null, fmt.Errorf("expr: division by zero")
+			}
+			if a == math.MinInt64 && b == -1 {
+				return types.Null, errIntRange
 			}
 			return types.NewInt(a / b), nil
 		case Mod:

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -135,6 +136,47 @@ func TestEvalArith(t *testing.T) {
 	v, err = Eval(&Arith{Op: Add, L: colA, R: NewConst(types.Null)}, e)
 	if err != nil || !v.IsNull() {
 		t.Errorf("10 + NULL = %v, want NULL", v)
+	}
+}
+
+// TestEvalArithIntRange checks the int64 edges: a result that leaves
+// int64 fails as "bigint out of range" instead of wrapping, and results
+// on the edge itself still succeed.
+func TestEvalArithIntRange(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	for _, c := range []struct {
+		a    int64
+		op   ArithOp
+		b    int64
+		want int64
+		err  bool
+	}{
+		{a: maxI, op: Add, b: 1, err: true},
+		{a: minI, op: Add, b: -1, err: true},
+		{a: maxI, op: Add, b: 0, want: maxI},
+		{a: minI, op: Add, b: maxI, want: -1},
+		{a: minI, op: Sub, b: 1, err: true},
+		{a: maxI, op: Sub, b: -1, err: true},
+		{a: 0, op: Sub, b: minI, err: true},
+		{a: -1, op: Sub, b: maxI, want: minI},
+		{a: 4e18, op: Mul, b: 3, err: true},
+		{a: maxI, op: Mul, b: 2, err: true},
+		{a: minI, op: Mul, b: -1, err: true},
+		{a: -1, op: Mul, b: minI, err: true},
+		{a: minI, op: Mul, b: 1, want: minI},
+		{a: maxI, op: Mul, b: -1, want: -maxI},
+		{a: 0, op: Mul, b: minI, want: 0},
+		{a: minI, op: Div, b: -1, err: true},
+		{a: minI, op: Div, b: 1, want: minI},
+		{a: minI, op: Mod, b: -1, want: 0},
+	} {
+		v, err := Eval(&Arith{Op: c.op, L: intc(c.a), R: intc(c.b)}, env())
+		switch {
+		case c.err && (err == nil || !strings.Contains(err.Error(), "bigint out of range")):
+			t.Errorf("%d %v %d = %v (%v), want bigint out of range", c.a, c.op, c.b, v, err)
+		case !c.err && (err != nil || v.Int() != c.want):
+			t.Errorf("%d %v %d = %v (%v), want %d", c.a, c.op, c.b, v, err, c.want)
+		}
 	}
 }
 

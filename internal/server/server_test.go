@@ -143,6 +143,52 @@ func TestSessionBasics(t *testing.T) {
 	}
 }
 
+// TestParseArgs pins EXECUTE's argument syntax: a quoted string runs to its
+// closing quote (separators included, a doubled quote a literal one), NULL
+// in any case is the NULL value, and an unterminated quote or a bare word
+// is an error.
+func TestParseArgs(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want []partopt.Value // nil with err set: must fail
+		err  bool
+	}{
+		{in: "'New York'", want: []partopt.Value{partopt.String("New York")}},
+		{in: "'a,b'", want: []partopt.Value{partopt.String("a,b")}},
+		{in: "'it''s'", want: []partopt.Value{partopt.String("it's")}},
+		{in: "''", want: []partopt.Value{partopt.String("")}},
+		{in: "null", want: []partopt.Value{partopt.Null}},
+		{in: "2013-05-05", want: []partopt.Value{partopt.Date(2013, 5, 5)}},
+		{in: "-3", want: []partopt.Value{partopt.Int(-3)}},
+		{in: "1.5e3", want: []partopt.Value{partopt.Float(1500)}},
+		{in: "7, 'a b',NULL  2.5", want: []partopt.Value{partopt.Int(7), partopt.String("a b"), partopt.Null, partopt.Float(2.5)}},
+		{in: "'x", err: true},
+		{in: "'x' extra", err: true},
+		{in: "'x'y", err: true},
+	} {
+		got, err := ParseArgs(c.in)
+		if c.err {
+			if err == nil {
+				t.Errorf("ParseArgs(%q) = %v, want an error", c.in, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseArgs(%q): %v", c.in, err)
+			continue
+		}
+		if len(got) != len(c.want) {
+			t.Errorf("ParseArgs(%q) = %v, want %v", c.in, got, c.want)
+			continue
+		}
+		for i := range got {
+			if got[i].IsNull() != c.want[i].IsNull() || got[i].Type() != c.want[i].Type() || got[i].String() != c.want[i].String() {
+				t.Errorf("ParseArgs(%q)[%d] = %v, want %v", c.in, i, got[i], c.want[i])
+			}
+		}
+	}
+}
+
 func TestPrepareExecuteLifecycle(t *testing.T) {
 	srv := startServer(t, testEngine(t), Config{MaxPrepared: 2})
 	c := dial(t, srv)

@@ -427,34 +427,76 @@ func (s *session) handleExecute(line string) bool {
 	return s.writeRows(rows, time.Since(start))
 }
 
-// ParseArgs parses EXECUTE arguments: integers, floats, 'strings' and
-// YYYY-MM-DD dates, separated by commas and/or spaces. The server and the
+// ParseArgs parses EXECUTE arguments: integers, floats, 'strings',
+// YYYY-MM-DD dates and NULL (any case), separated by commas and/or spaces.
+// A quoted string runs to its closing quote, so it may hold separators,
+// and a doubled quote inside it is one literal quote. The server and the
 // mppsim shell share it, so EXECUTE reads the same in both.
 func ParseArgs(s string) ([]partopt.Value, error) {
+	isSep := func(c byte) bool { return c == ',' || c == ' ' || c == '\t' }
 	var out []partopt.Value
-	for _, tok := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
-		switch {
-		case strings.HasPrefix(tok, "'") && strings.HasSuffix(tok, "'") && len(tok) >= 2:
-			out = append(out, partopt.String(tok[1:len(tok)-1]))
-		case len(tok) == 10 && tok[4] == '-' && tok[7] == '-':
-			v, err := partopt.ParseDate(tok)
-			if err != nil {
-				return nil, fmt.Errorf("invalid date %q: %v", tok, err)
-			}
-			out = append(out, v)
-		case strings.ContainsAny(tok, ".eE"):
-			f, err := strconv.ParseFloat(tok, 64)
-			if err != nil {
-				return nil, fmt.Errorf("invalid argument %q", tok)
-			}
-			out = append(out, partopt.Float(f))
-		default:
-			n, err := strconv.ParseInt(tok, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("invalid argument %q", tok)
-			}
-			out = append(out, partopt.Int(n))
+	for i := 0; i < len(s); {
+		if isSep(s[i]) {
+			i++
+			continue
 		}
+		j := i
+		if s[i] == '\'' {
+			var b strings.Builder
+			for j = i + 1; ; j++ {
+				if j == len(s) {
+					return nil, fmt.Errorf("unterminated string %s", s[i:])
+				}
+				if s[j] == '\'' {
+					if j+1 == len(s) || s[j+1] != '\'' {
+						break
+					}
+					j++ // '' is one literal quote
+				}
+				b.WriteByte(s[j])
+			}
+			j++ // past the closing quote
+			if j < len(s) && !isSep(s[j]) {
+				return nil, fmt.Errorf("invalid argument %q", s[i:])
+			}
+			out = append(out, partopt.String(b.String()))
+			i = j
+			continue
+		}
+		for j < len(s) && !isSep(s[j]) {
+			j++
+		}
+		v, err := parseArg(s[i:j])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+		i = j
 	}
 	return out, nil
+}
+
+// parseArg parses one unquoted EXECUTE argument.
+func parseArg(tok string) (partopt.Value, error) {
+	switch {
+	case strings.EqualFold(tok, "NULL"):
+		return partopt.Null, nil
+	case len(tok) == 10 && tok[4] == '-' && tok[7] == '-':
+		v, err := partopt.ParseDate(tok)
+		if err != nil {
+			return partopt.Null, fmt.Errorf("invalid date %q: %v", tok, err)
+		}
+		return v, nil
+	case strings.ContainsAny(tok, ".eE"):
+		f, err := strconv.ParseFloat(tok, 64)
+		if err != nil {
+			return partopt.Null, fmt.Errorf("invalid argument %q", tok)
+		}
+		return partopt.Float(f), nil
+	}
+	n, err := strconv.ParseInt(tok, 10, 64)
+	if err != nil {
+		return partopt.Null, fmt.Errorf("invalid argument %q", tok)
+	}
+	return partopt.Int(n), nil
 }

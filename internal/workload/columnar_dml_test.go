@@ -3,19 +3,20 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"partopt"
 	"partopt/internal/exec"
 )
 
-// Columnar-vs-row equivalence for DML. With columnar execution on, the
-// target scan of an UPDATE or DELETE reads lanes, carries the RowID as one
-// more lane, qualifies rows with the vector filter and builds rows only for
-// the matches; with it off, the scan emits heap rows extended by the RowID.
-// Two mirrored engines run the same seeded statement stream, one per mode,
-// and must agree on every affected-row count and on the whole table after
-// every statement.
+// Optimizer equivalence for DML. The target scan of an UPDATE or DELETE
+// reads lanes, carries the RowID as one more lane, qualifies rows with the
+// vector filter and builds rows only for the matches. Two mirrored engines
+// run the same seeded statement stream, one always under Orca (whose
+// target is a DynamicScan) and one always under the legacy planner (an
+// Append of per-leaf Scans), and must agree on every affected-row count
+// and on the whole table after every statement.
 
 // dmlEquivEngine builds one side of the differential: a partitioned target
 // table t with NULLs, a float column whose lanes are degraded to mixed by
@@ -125,36 +126,35 @@ func dmlEquivStream(rnd *rand.Rand, n int) []string {
 }
 
 func TestColumnarDMLEquivalence(t *testing.T) {
-	defer exec.SetColumnarExec(exec.SetColumnarExec(true))
 	for _, bs := range []int{1, 7, exec.DefaultBatchSize} {
 		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
 			defer exec.SetBatchSize(exec.SetBatchSize(bs))
-			engs := [2]*partopt.Engine{dmlEquivEngine(t), dmlEquivEngine(t)} // columnar, row
-			modes := [2]bool{true, false}
+			engs := [2]*partopt.Engine{dmlEquivEngine(t), dmlEquivEngine(t)}
+			opts := [2]partopt.OptimizerKind{partopt.Orca, partopt.LegacyPlanner}
+			targets := [2]string{"DynamicScan", "Append"}
+			for side, eng := range engs {
+				eng.SetOptimizer(opts[side])
+				plan, err := eng.Explain("DELETE FROM t WHERE b < 600")
+				if err != nil || !strings.Contains(plan, targets[side]) {
+					t.Fatalf("%v: want a %s target (%v):\n%s", opts[side], targets[side], err, plan)
+				}
+			}
 			rnd := rand.New(rand.NewSource(int64(2014 + bs)))
 			for i, stmt := range dmlEquivStream(rnd, 40) {
-				// Both optimizers: Orca's target is a DynamicScan, the
-				// legacy planner's an Append of per-leaf Scans.
-				opt := partopt.Orca
-				if i%3 == 2 {
-					opt = partopt.LegacyPlanner
-				}
 				var affected [2]int64
 				var tables [2]*partopt.Rows
 				for side, eng := range engs {
-					exec.SetColumnarExec(modes[side])
-					eng.SetOptimizer(opt)
 					n, err := eng.Exec(stmt)
 					if err != nil {
-						t.Fatalf("stmt %d (columnar=%v): %v\n%s", i, modes[side], err, stmt)
+						t.Fatalf("stmt %d (%v): %v\n%s", i, opts[side], err, stmt)
 					}
 					affected[side] = n
 					if tables[side], err = eng.Query("SELECT a, b, c, f, s FROM t"); err != nil {
-						t.Fatalf("stmt %d (columnar=%v): table scan: %v", i, modes[side], err)
+						t.Fatalf("stmt %d (%v): table scan: %v", i, opts[side], err)
 					}
 				}
 				if affected[0] != affected[1] {
-					t.Fatalf("stmt %d: affected rows columnar=%d row=%d\n%s", i, affected[0], affected[1], stmt)
+					t.Fatalf("stmt %d: affected rows orca=%d planner=%d\n%s", i, affected[0], affected[1], stmt)
 				}
 				assertSameData(t, fmt.Sprintf("stmt %d table (%s)", i, stmt), tables[1], tables[0], false)
 			}

@@ -6,51 +6,185 @@ import (
 	"testing"
 
 	"partopt"
-	"partopt/internal/exec"
 )
 
-// Columnar-vs-row equivalence: columnar execution is an execution detail,
-// exactly like batch size. The same query run with the vectorized kernels
-// on and off must produce identical row multisets, identical
-// partition-selection and scan counters, and the same spill decision. The
-// sweep reuses the fuzzer's query shapes — including the outer joins whose
-// NULL-key handling is the subtlest part of the hashing contract — plus
-// prepared, parameterized statements that exercise the plan cache.
+// Ground truth for the vectorized kernels. A fact's rows are read once with
+// an unfiltered SELECT; the expected answer of each filtered or aggregated
+// query is then computed in Go from those rows, so the check does not rest
+// on a second execution path that shares the planner, storage, Motion and
+// aggregation with the first. Filters use SQL's three-valued logic: a row
+// qualifies only where the predicate is TRUE, never where it is NULL.
 
-// runBothModes executes one query with columnar execution on and off and
-// requires identical results and identical observable counters.
-func runBothModes(t *testing.T, eng *partopt.Engine, name, sql string) {
+// factRow is one fact row as the ground-truth reads see it.
+type factRow struct{ dateID, quantity, amount, custID partopt.Value }
+
+// readFacts returns every row of fact, read with an unfiltered SELECT.
+func readFacts(t *testing.T, eng *partopt.Engine, fact string) []factRow {
 	t.Helper()
-	exec.SetColumnarExec(true)
-	col, err := eng.Query(sql)
+	rows, err := eng.Query("SELECT date_id, quantity, amount, cust_id FROM " + fact)
 	if err != nil {
-		t.Fatalf("%s (columnar): %v\n%s", name, err, sql)
+		t.Fatalf("read %s: %v", fact, err)
 	}
-	exec.SetColumnarExec(false)
-	row, err := eng.Query(sql)
-	if err != nil {
-		t.Fatalf("%s (row): %v\n%s", name, err, sql)
+	out := make([]factRow, len(rows.Data))
+	for i, r := range rows.Data {
+		out[i] = factRow{r[0], r[1], r[2], r[3]}
 	}
-	assertSameData(t, name, col, row, false)
-	if row.RowsScanned != col.RowsScanned {
-		t.Fatalf("%s: RowsScanned columnar=%d row=%d", name, col.RowsScanned, row.RowsScanned)
-	}
-	if len(row.PartsScanned) != len(col.PartsScanned) {
-		t.Fatalf("%s: PartsScanned tables columnar=%d row=%d", name, len(col.PartsScanned), len(row.PartsScanned))
-	}
-	for tab, n := range col.PartsScanned {
-		if row.PartsScanned[tab] != n {
-			t.Fatalf("%s: PartsScanned[%s] columnar=%d row=%d", name, tab, n, row.PartsScanned[tab])
-		}
-	}
-	if (row.SpilledBytes > 0) != (col.SpilledBytes > 0) || row.SpillParts != col.SpillParts {
-		t.Fatalf("%s: spill decision differs: columnar bytes=%d parts=%d, row bytes=%d parts=%d",
-			name, col.SpilledBytes, col.SpillParts, row.SpilledBytes, row.SpillParts)
-	}
+	return out
 }
 
+// tri is a SQL truth value: FALSE, TRUE or NULL (unknown).
+type tri int8
+
+const (
+	triFalse tri = iota
+	triTrue
+	triNull
+)
+
+func and3(a, b tri) tri {
+	switch {
+	case a == triFalse || b == triFalse:
+		return triFalse
+	case a == triNull || b == triNull:
+		return triNull
+	}
+	return triTrue
+}
+
+func or3(a, b tri) tri {
+	switch {
+	case a == triTrue || b == triTrue:
+		return triTrue
+	case a == triNull || b == triNull:
+		return triNull
+	}
+	return triFalse
+}
+
+func not3(a tri) tri {
+	switch a {
+	case triTrue:
+		return triFalse
+	case triFalse:
+		return triTrue
+	}
+	return triNull
+}
+
+func truth(b bool) tri {
+	if b {
+		return triTrue
+	}
+	return triFalse
+}
+
+// cmp3 compares a numeric value with k under op; a NULL value is unknown.
+func cmp3(v partopt.Value, op string, k float64) tri {
+	if v.IsNull() {
+		return triNull
+	}
+	x := v.Float()
+	switch op {
+	case "<":
+		return truth(x < k)
+	case "<=":
+		return truth(x <= k)
+	case ">":
+		return truth(x > k)
+	case ">=":
+		return truth(x >= k)
+	}
+	panic("cmp3: operator " + op)
+}
+
+// in3 is v IN (items), a nil item being a NULL: TRUE on a match, otherwise
+// NULL when v or any item is NULL, otherwise FALSE.
+func in3(v partopt.Value, items ...*int64) tri {
+	if v.IsNull() {
+		return triNull
+	}
+	res := triFalse
+	for _, it := range items {
+		switch {
+		case it == nil:
+			res = triNull
+		case v.Int() == *it:
+			return triTrue
+		}
+	}
+	return res
+}
+
+func isNull3(v partopt.Value) tri { return truth(v.IsNull()) }
+
+// factFilter is one generated WHERE clause and its Go twin.
+type factFilter struct {
+	sql  string
+	pred func(r factRow) tri
+}
+
+// genFactFilter draws a date range and, by variant (0..7), the extra
+// conjunct or disjunct: > ; OR ; NOT(AND) ; NOT IN ; IN with a NULL item ;
+// NOT IN with a NULL item under OR ; IS [NOT] NULL (sub picks which).
+func genFactFilter(rnd *rand.Rand, days, variant, sub int) factFilter {
+	lo := rnd.Intn(days)
+	hi := lo + rnd.Intn(days-lo)
+	k := int64(rnd.Intn(10))
+	fk, amt := float64(k), float64(40*k)
+	k2, k3 := k+2, k+3
+	base := func(r factRow) tri {
+		return and3(cmp3(r.dateID, ">=", float64(lo)), cmp3(r.dateID, "<=", float64(hi)))
+	}
+	sql := fmt.Sprintf("date_id BETWEEN %d AND %d", lo, hi)
+	var extra string
+	var pred func(r factRow) tri
+	switch variant {
+	case 0, 1:
+		extra = fmt.Sprintf(" AND quantity > %d", k)
+		pred = func(r factRow) tri { return and3(base(r), cmp3(r.quantity, ">", fk)) }
+	case 2:
+		extra = fmt.Sprintf(" AND (quantity > %d OR amount < %d)", k, 40*k)
+		pred = func(r factRow) tri {
+			return and3(base(r), or3(cmp3(r.quantity, ">", fk), cmp3(r.amount, "<", amt)))
+		}
+	case 3:
+		extra = fmt.Sprintf(" AND NOT (quantity < %d AND amount >= %d)", k, 40*k)
+		pred = func(r factRow) tri {
+			return and3(base(r), not3(and3(cmp3(r.quantity, "<", fk), cmp3(r.amount, ">=", amt))))
+		}
+	case 4:
+		extra = fmt.Sprintf(" AND quantity NOT IN (%d, %d)", k, k2)
+		pred = func(r factRow) tri { return and3(base(r), not3(in3(r.quantity, &k, &k2))) }
+	case 5:
+		extra = fmt.Sprintf(" AND quantity IN (%d, NULL, %d)", k, k3)
+		pred = func(r factRow) tri { return and3(base(r), in3(r.quantity, &k, nil, &k3)) }
+	case 6:
+		extra = fmt.Sprintf(" AND (quantity NOT IN (%d, NULL) OR amount < %d)", k, 40*k)
+		pred = func(r factRow) tri {
+			return and3(base(r), or3(not3(in3(r.quantity, &k, nil)), cmp3(r.amount, "<", amt)))
+		}
+	default:
+		switch sub % 3 {
+		case 0:
+			extra = " AND amount IS NOT NULL"
+			pred = func(r factRow) tri { return and3(base(r), not3(isNull3(r.amount))) }
+		case 1:
+			extra = " AND NOT (quantity IS NULL)"
+			pred = func(r factRow) tri { return and3(base(r), not3(isNull3(r.quantity))) }
+		default: // AND binds tighter: (BETWEEN) OR cust_id IS NULL
+			extra = " OR cust_id IS NULL"
+			pred = func(r factRow) tri { return or3(base(r), isNull3(r.custID)) }
+		}
+	}
+	return factFilter{sql: sql + extra, pred: pred}
+}
+
+// TestColumnarRowFuzzEquivalence runs generated filters over every fact —
+// each variant of genFactFilter eight times — and requires the (date_id,
+// amount) multiset the Go predicate keeps, under Orca, under Orca with
+// partition selection off, and under the legacy planner. The join,
+// grouped and outer-join shapes run in TestFuzzOptimizersAgree.
 func TestColumnarRowFuzzEquivalence(t *testing.T) {
-	defer exec.SetColumnarExec(exec.SetColumnarExec(true))
 	eng, err := partopt.New(3)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -61,60 +195,54 @@ func TestColumnarRowFuzzEquivalence(t *testing.T) {
 	if err := BuildStar(eng, cfg); err != nil {
 		t.Fatalf("BuildStar: %v", err)
 	}
-	days := cfg.Days()
+	facts := map[string][]factRow{}
+	for _, fact := range FactTables {
+		facts[fact] = readFacts(t, eng, fact)
+	}
+	configs := []struct {
+		name  string
+		setup func()
+	}{
+		{"orca", func() { eng.SetOptimizer(partopt.Orca); eng.SetPartitionSelection(true) }},
+		{"orca, selection off", func() { eng.SetOptimizer(partopt.Orca); eng.SetPartitionSelection(false) }},
+		{"planner", func() { eng.SetOptimizer(partopt.LegacyPlanner); eng.SetPartitionSelection(true) }},
+	}
+	defer configs[0].setup()
 
 	rnd := rand.New(rand.NewSource(20140622))
-	genQuery := func() string {
+	const filters = 64
+	empty := 0
+	for i := 0; i < filters; i++ {
 		fact := FactTables[rnd.Intn(len(FactTables))]
-		switch rnd.Intn(6) {
-		case 0: // full scan, sliced by a LIMIT-free projection
-			return fmt.Sprintf("SELECT date_id, quantity, amount FROM %s", fact)
-		case 1: // filter
-			lo := rnd.Intn(days)
-			q := fmt.Sprintf("SELECT date_id, amount FROM %s WHERE date_id BETWEEN %d AND %d",
-				fact, lo, lo+rnd.Intn(days-lo))
-			k := rnd.Intn(10)
-			switch rnd.Intn(8) {
-			case 0, 1:
-				q += fmt.Sprintf(" AND quantity > %d", k)
-			case 2:
-				q += fmt.Sprintf(" AND (quantity > %d OR amount < %d)", k, 40*k)
-			case 3:
-				q += fmt.Sprintf(" AND NOT (quantity < %d AND amount >= %d)", k, 40*k)
-			case 4:
-				q += fmt.Sprintf(" AND quantity NOT IN (%d, %d)", k, k+2)
-			case 5:
-				q += fmt.Sprintf(" AND quantity IN (%d, NULL, %d)", k, k+3)
-			case 6:
-				q += fmt.Sprintf(" AND (quantity NOT IN (%d, NULL) OR amount < %d)", k, 40*k)
-			case 7:
-				q += []string{" AND amount IS NOT NULL", " AND NOT (quantity IS NULL)", " OR cust_id IS NULL"}[rnd.Intn(3)]
+		f := genFactFilter(rnd, cfg.Days(), i%8, i/8)
+		want := &partopt.Rows{}
+		for _, r := range facts[fact] {
+			if f.pred(r) == triTrue {
+				want.Data = append(want.Data, []partopt.Value{r.dateID, r.amount})
 			}
-			return q
-		case 2: // inner join + agg
-			return fmt.Sprintf("SELECT %s FROM date_dim d, %s f WHERE d.date_id = f.date_id AND d.moy = %d",
-				randAgg2(rnd), fact, 1+rnd.Intn(12))
-		case 3: // grouped agg
-			return fmt.Sprintf("SELECT quantity, %s FROM %s WHERE date_id < %d GROUP BY quantity",
-				randAggs(rnd, ""), fact, 1+rnd.Intn(days))
-		case 4: // outer join, dimension preserved
-			return fmt.Sprintf("SELECT %s FROM date_dim d LEFT JOIN %s f ON d.date_id = f.date_id WHERE d.dow = %d",
-				randAgg2(rnd), fact, rnd.Intn(7))
-		default: // outer join, fact preserved, extra ON predicate
-			return fmt.Sprintf("SELECT %s FROM %s f LEFT JOIN date_dim d ON d.date_id = f.date_id AND d.moy = %d",
-				randAgg2(rnd), fact, 1+rnd.Intn(12))
+		}
+		if len(want.Data) == 0 {
+			empty++
+		}
+		q := fmt.Sprintf("SELECT date_id, amount FROM %s WHERE %s", fact, f.sql)
+		for _, c := range configs {
+			c.setup()
+			got, err := eng.Query(q)
+			if err != nil {
+				t.Fatalf("filter %d (%s): %v\n%s", i, c.name, err, q)
+			}
+			assertSameData(t, fmt.Sprintf("filter %d (%s): %s", i, c.name, q), want, got, false)
 		}
 	}
-
-	for i := 0; i < 60; i++ {
-		runBothModes(t, eng, fmt.Sprintf("fuzz-%d", i), genQuery())
+	if empty > filters/4 {
+		t.Fatalf("%d of %d filters keep no row; the reference checks too little", empty, filters)
 	}
 }
 
-// Prepared statements share a cached plan across executions; the cached
-// shape must answer identically in both modes and for every binding.
+// Prepared statements share a cached plan across executions; every binding
+// of the cached shape must equal the per-date_id count and sum computed
+// from the fact's rows.
 func TestColumnarPreparedEquivalence(t *testing.T) {
-	defer exec.SetColumnarExec(exec.SetColumnarExec(true))
 	eng, err := partopt.New(3)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -124,34 +252,38 @@ func TestColumnarPreparedEquivalence(t *testing.T) {
 	if err := BuildStar(eng, cfg); err != nil {
 		t.Fatalf("BuildStar: %v", err)
 	}
+	sales := readFacts(t, eng, "store_sales")
 
 	stmt, err := eng.Prepare("SELECT date_id, count(*), sum(amount) FROM store_sales WHERE date_id BETWEEN $1 AND $2 GROUP BY date_id")
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
 	for _, bind := range [][2]int64{{0, 30}, {10, 80}, {40, 41}, {0, 0}} {
-		exec.SetColumnarExec(true)
-		col, err := stmt.Query(partopt.Int(bind[0]), partopt.Int(bind[1]))
+		count, sum := map[int64]int64{}, map[int64]float64{}
+		for _, r := range sales {
+			if d := r.dateID.Int(); d >= bind[0] && d <= bind[1] {
+				count[d]++
+				sum[d] += r.amount.Float()
+			}
+		}
+		want := &partopt.Rows{}
+		for d, n := range count {
+			want.Data = append(want.Data, []partopt.Value{partopt.Int(d), partopt.Int(n), partopt.Float(sum[d])})
+		}
+		got, err := stmt.Query(partopt.Int(bind[0]), partopt.Int(bind[1]))
 		if err != nil {
-			t.Fatalf("prepared (columnar) %v: %v", bind, err)
+			t.Fatalf("prepared %v: %v", bind, err)
 		}
-		exec.SetColumnarExec(false)
-		row, err := stmt.Query(partopt.Int(bind[0]), partopt.Int(bind[1]))
-		if err != nil {
-			t.Fatalf("prepared (row) %v: %v", bind, err)
+		if len(want.Data) == 0 {
+			t.Fatalf("prepared %v: the reference holds no rows", bind)
 		}
-		assertSameData(t, fmt.Sprintf("prepared-%v", bind), col, row, false)
-		if row.RowsScanned != col.RowsScanned {
-			t.Fatalf("prepared %v: RowsScanned columnar=%d row=%d", bind, col.RowsScanned, row.RowsScanned)
-		}
+		assertSameData(t, fmt.Sprintf("prepared-%v", bind), want, got, false)
 	}
 }
 
-// The spill decision must not see the execution mode: a budget that forces
-// the row kernels to spill forces the vectorized kernels to spill too, and
-// both answer correctly.
+// A budget that forces the aggregate to spill must not change its answer:
+// the spilled run equals the unbudgeted one, and it did spill.
 func TestColumnarSpillEquivalence(t *testing.T) {
-	defer exec.SetColumnarExec(exec.SetColumnarExec(true))
 	budget := spillBudget(t)
 	eng, err := partopt.New(4)
 	if err != nil {
@@ -164,29 +296,18 @@ func TestColumnarSpillEquivalence(t *testing.T) {
 	}
 	const sql = `SELECT date_id, count(*) AS n, sum(amount) AS total FROM store_sales GROUP BY date_id`
 
-	exec.SetColumnarExec(true)
 	golden, err := eng.Query(sql)
 	if err != nil {
 		t.Fatalf("unbudgeted: %v", err)
 	}
-
 	eng.SetSpillDir(t.TempDir())
 	eng.SetWorkMem(budget)
-	var spilled [2]*partopt.Rows
-	for i, on := range []bool{true, false} {
-		exec.SetColumnarExec(on)
-		rows, err := eng.Query(sql)
-		if err != nil {
-			t.Fatalf("budgeted (columnar=%v): %v", on, err)
-		}
-		if rows.SpilledBytes == 0 || rows.SpillParts == 0 {
-			t.Fatalf("work_mem=%d did not spill (columnar=%v): bytes=%d parts=%d",
-				budget, on, rows.SpilledBytes, rows.SpillParts)
-		}
-		assertSameData(t, fmt.Sprintf("spill-columnar=%v", on), golden, rows, false)
-		spilled[i] = rows
+	rows, err := eng.Query(sql)
+	if err != nil {
+		t.Fatalf("budgeted: %v", err)
 	}
-	if spilled[0].SpillParts != spilled[1].SpillParts {
-		t.Fatalf("spill parts differ: columnar=%d row=%d", spilled[0].SpillParts, spilled[1].SpillParts)
+	if rows.SpilledBytes == 0 || rows.SpillParts == 0 {
+		t.Fatalf("work_mem=%d did not spill: bytes=%d parts=%d", budget, rows.SpilledBytes, rows.SpillParts)
 	}
+	assertSameData(t, "spill", golden, rows, false)
 }
