@@ -74,7 +74,7 @@ func batchLens(t *testing.T, mk func(*catalog.Table) plan.Node, size int) []int 
 	defer budget.Close()
 	stats := NewStats()
 	ctx := newCtx(rt, 0, nil, stats, context.Background(), budget, nil)
-	op, err := buildOp(mk(tab), nil)
+	op, err := buildOp(mk(tab), nil, nil)
 	if err != nil {
 		t.Fatalf("buildOp: %v", err)
 	}

@@ -33,8 +33,10 @@ const spillFanout = 8
 // build row of each output row. The output is then gathered column by
 // column into reused lanes (vec.Lane), leaving Batch.Rows lazy, so an
 // aggregate above the join folds the lanes without a joined row ever
-// being built. A semi join forwards the probe batch itself, narrowed to
-// the matched rows by Sel.
+// being built. Only the columns some ancestor reads are gathered (live,
+// from deriveJoinMasks); the build table still holds full rows. A semi
+// join forwards the probe batch itself, narrowed to the matched rows by
+// Sel.
 //
 // Outer joins NULL-extend the non-preserved side. RightOuterJoin (probe
 // preserved) emits every probe row: a probe row with no surviving match —
@@ -104,6 +106,10 @@ type hashJoinOp struct {
 	resEnv   expr.Env  // build ++ probe env (residual predicate)
 	resRow   types.Row // scratch joined row the residual reads
 	probeTmp types.Row // scratch probe row built from lanes
+
+	// live marks the output positions some ancestor reads (see
+	// deriveJoinMasks); nil: every position. emit gathers only these.
+	live []bool
 
 	// Output assembly, reused across batches.
 	lanes []vec.Lane
@@ -637,7 +643,8 @@ func (j *hashJoinOp) keysEqual(brow types.Row, k int) (bool, error) {
 
 // emit hands out up to a batch of pending matches: a semi join's as the
 // narrowed probe batch, others gathered into the output lanes with Rows
-// left lazy.
+// left lazy. Only the live positions are gathered; a dead one is a zero
+// view, which reads as NULL.
 func (j *hashJoinOp) emit() *Batch {
 	end := min(j.pairAt+execBatchSize, len(j.pairK))
 	ks, bs := j.pairK[j.pairAt:end], j.pairB[j.pairAt:end]
@@ -653,8 +660,10 @@ func (j *hashJoinOp) emit() *Batch {
 	j.out.reset()
 	j.out.n = len(ks)
 	for c := 0; c < j.bw; c++ {
-		j.lanes[c].Reset()
-		j.lanes[c].AppendColumn(bs, c)
+		if j.isLive(c) {
+			j.lanes[c].Reset()
+			j.lanes[c].AppendColumn(bs, c)
+		}
 	}
 	if pb := j.pb; pb != nil && pb.Cols != nil {
 		j.win = j.win[:0]
@@ -665,8 +674,10 @@ func (j *hashJoinOp) emit() *Batch {
 			j.win = append(j.win, k)
 		}
 		for c := 0; c < j.pw; c++ {
-			j.lanes[j.bw+c].Reset()
-			j.lanes[j.bw+c].AppendView(&pb.Cols[c], j.win)
+			if j.isLive(j.bw + c) {
+				j.lanes[j.bw+c].Reset()
+				j.lanes[j.bw+c].AppendView(&pb.Cols[c], j.win)
+			}
 		}
 	} else {
 		j.rowsK = j.rowsK[:0]
@@ -678,16 +689,25 @@ func (j *hashJoinOp) emit() *Batch {
 			j.rowsK = append(j.rowsK, row)
 		}
 		for c := 0; c < j.pw; c++ {
-			j.lanes[j.bw+c].Reset()
-			j.lanes[j.bw+c].AppendColumn(j.rowsK, c)
+			if j.isLive(j.bw + c) {
+				j.lanes[j.bw+c].Reset()
+				j.lanes[j.bw+c].AppendColumn(j.rowsK, c)
+			}
 		}
 	}
 	for c := range j.lanes {
-		j.cols[c] = j.lanes[c].View()
+		if j.isLive(c) {
+			j.cols[c] = j.lanes[c].View()
+		} else {
+			j.cols[c] = vec.View{} // reads as NULL; nothing above reads it
+		}
 	}
 	j.out.Rows, j.out.Cols = nil, j.cols
 	return &j.out
 }
+
+// isLive reports whether output position c is gathered.
+func (j *hashJoinOp) isLive(c int) bool { return j.live == nil || j.live[c] }
 
 // narrow hands out the probe batch narrowed to the slots ks: the probe's
 // own lanes under a selection vector, and its row headers when it has

@@ -256,7 +256,7 @@ func TestHashJoinMaterializedRowsStable(t *testing.T) {
 	ctx := newCtx(fx.rt, 0, nil, stats, context.Background(), nil, nil)
 	root := fx.joinPlan(plan.InnerJoin, "p", "scan", nil)
 	ctx.pushOp(ctx.frameFor(root)) // the drain below is charged to the root, as in the slice driver
-	op, err := buildOp(root, nil)
+	op, err := buildOp(root, nil, nil)
 	if err != nil {
 		t.Fatalf("buildOp: %v", err)
 	}
@@ -350,4 +350,60 @@ func TestHashJoinKeysEqual(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkHashJoinEmit runs count(*), sum(x) over a join of 1024-row
+// probe batches — five probe columns against a four-column build side,
+// every probe row matching one build row — and reports ns per probe row.
+// The aggregate reads one of the join's nine output columns, so emit
+// gathers that one; the answer is checked on every run.
+func BenchmarkHashJoinEmit(b *testing.B) {
+	const rows, keys = 100_000, 100
+	cat := catalog.New()
+	st := storage.NewStore(1)
+	mk := func(name string, cols []catalog.Column, data []types.Row) *catalog.Table {
+		tab, err := cat.CreateTable(name, cols, catalog.Hashed(0))
+		if err != nil {
+			b.Fatalf("create %s: %v", name, err)
+		}
+		st.CreateTable(tab)
+		if err := st.InsertBatch(tab, data); err != nil {
+			b.Fatalf("insert %s: %v", name, err)
+		}
+		return tab
+	}
+	i, f, s := types.NewInt, types.NewFloat, types.NewString
+	var bData, pData []types.Row
+	for k := int64(0); k < keys; k++ {
+		bData = append(bData, types.Row{i(k), i(k * 3), s(fmt.Sprint("dim-", k)), f(float64(k) / 2)})
+	}
+	var sum float64
+	for r := int64(0); r < rows; r++ {
+		x := float64(r % 1000)
+		sum += x
+		pData = append(pData, types.Row{i(r), i(r % keys), f(x), s(fmt.Sprint("row-", r%50)), types.NewDate(r % 365)})
+	}
+	build := mk("b", []catalog.Column{{Name: "k", Kind: types.KindInt}, {Name: "a", Kind: types.KindInt},
+		{Name: "name", Kind: types.KindString}, {Name: "w", Kind: types.KindFloat}}, bData)
+	probe := mk("p", []catalog.Column{{Name: "id", Kind: types.KindInt}, {Name: "k", Kind: types.KindInt},
+		{Name: "x", Kind: types.KindFloat}, {Name: "note", Kind: types.KindString}, {Name: "day", Kind: types.KindDate}}, pData)
+	join := plan.NewHashJoin(plan.InnerJoin, []expr.Expr{tcol(1, 0, "k")}, []expr.Expr{tcol(2, 1, "k")}, nil,
+		plan.NewScan(build, 1), plan.NewScan(probe, 2), nil)
+	root := plan.NewHashAgg(nil, []plan.AggSpec{
+		{Kind: plan.AggCount, Out: expr.ColID{Rel: 9, Ord: 0}},
+		{Kind: plan.AggSum, Arg: tcol(2, 2, "x"), Out: expr.ColID{Rel: 9, Ord: 1}},
+	}, join)
+	rt := &Runtime{Store: st}
+	defer SetBatchSize(SetBatchSize(DefaultBatchSize))
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		res, err := RunLocal(rt, root, 0, nil)
+		if err != nil {
+			b.Fatalf("run: %v", err)
+		}
+		if got := res.Rows[0]; got[0].Int() != rows || got[1].Float() != sum {
+			b.Fatalf("count, sum = %v, want %d, %v", got, rows, sum)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }

@@ -24,9 +24,10 @@ type Result struct {
 // buildOp instantiates the operator tree for one slice instance, wrapping
 // every operator in a statsOp so per-node runtime instrumentation is always
 // on. Motion nodes become receive leaves wired to their exchange; the
-// sending side is driven by the child slice's runner.
-func buildOp(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) {
-	inner, err := buildOpRaw(n, exch)
+// sending side is driven by the child slice's runner. Each hash join gets
+// its mask from live (nil: every join emits all its columns).
+func buildOp(n plan.Node, exch map[*plan.Motion]*exchange, live joinMasks) (Operator, error) {
+	inner, err := buildOpRaw(n, exch, live)
 	if err != nil {
 		return nil, err
 	}
@@ -35,14 +36,14 @@ func buildOp(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) {
 
 // buildOpRaw constructs the bare operator for one plan node; children are
 // built through buildOp, so they carry their own instrumentation.
-func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) {
+func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange, live joinMasks) (Operator, error) {
 	switch x := n.(type) {
 	case *plan.Scan, *plan.DynamicScan, *plan.IndexScan, *plan.DynamicIndexScan:
 		return newLeafScan(n), nil
 	case *plan.PartitionSelector:
 		var child Operator
 		if x.Child != nil {
-			c, err := buildOp(x.Child, exch)
+			c, err := buildOp(x.Child, exch, live)
 			if err != nil {
 				return nil, err
 			}
@@ -52,7 +53,7 @@ func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) 
 	case *plan.Sequence:
 		kids := make([]Operator, len(x.Kids))
 		for i, k := range x.Kids {
-			op, err := buildOp(k, exch)
+			op, err := buildOp(k, exch, live)
 			if err != nil {
 				return nil, err
 			}
@@ -62,7 +63,7 @@ func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) 
 	case *plan.Append:
 		kids := make([]Operator, len(x.Kids))
 		for i, k := range x.Kids {
-			op, err := buildOp(k, exch)
+			op, err := buildOp(k, exch, live)
 			if err != nil {
 				return nil, err
 			}
@@ -70,41 +71,41 @@ func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) 
 		}
 		return &appendOp{n: x, kids: kids}, nil
 	case *plan.Filter:
-		child, err := buildOp(x.Child, exch)
+		child, err := buildOp(x.Child, exch, live)
 		if err != nil {
 			return nil, err
 		}
 		return &filterOp{n: x, child: child}, nil
 	case *plan.Project:
-		child, err := buildOp(x.Child, exch)
+		child, err := buildOp(x.Child, exch, live)
 		if err != nil {
 			return nil, err
 		}
 		return &projectOp{n: x, child: child}, nil
 	case *plan.HashJoin:
-		build, err := buildOp(x.Build, exch)
+		build, err := buildOp(x.Build, exch, live)
 		if err != nil {
 			return nil, err
 		}
-		probe, err := buildOp(x.Probe, exch)
+		probe, err := buildOp(x.Probe, exch, live)
 		if err != nil {
 			return nil, err
 		}
-		return &hashJoinOp{n: x, build: build, probe: probe}, nil
+		return &hashJoinOp{n: x, build: build, probe: probe, live: live[x]}, nil
 	case *plan.HashAgg:
-		child, err := buildOp(x.Child, exch)
+		child, err := buildOp(x.Child, exch, live)
 		if err != nil {
 			return nil, err
 		}
 		return &hashAggOp{n: x, child: child}, nil
 	case *plan.Update:
-		child, err := buildOp(x.Child, exch)
+		child, err := buildOp(x.Child, exch, live)
 		if err != nil {
 			return nil, err
 		}
 		return &updateOp{n: x, child: child}, nil
 	case *plan.Delete:
-		child, err := buildOp(x.Child, exch)
+		child, err := buildOp(x.Child, exch, live)
 		if err != nil {
 			return nil, err
 		}
@@ -112,13 +113,13 @@ func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange) (Operator, error) 
 	case *plan.PartitionWiseJoin:
 		return &pwJoinOp{n: x}, nil
 	case *plan.Sort:
-		child, err := buildOp(x.Child, exch)
+		child, err := buildOp(x.Child, exch, live)
 		if err != nil {
 			return nil, err
 		}
 		return &sortOp{n: x, child: child}, nil
 	case *plan.Limit:
-		child, err := buildOp(x.Child, exch)
+		child, err := buildOp(x.Child, exch, live)
 		if err != nil {
 			return nil, err
 		}
@@ -316,6 +317,9 @@ func runAttempt(ctx context.Context, rt *Runtime, root plan.Node, params *Params
 	if err := cut(root, []int{CoordinatorSeg}); err != nil {
 		return nil, err
 	}
+	// Which columns each join must gather is a property of the whole plan,
+	// derived once and read by every slice instance.
+	live := deriveJoinMasks(root)
 	exchanges := map[*plan.Motion]*exchange{}
 	slices := make([]*sliceSpec, 0, len(sites))
 	for _, site := range sites {
@@ -385,7 +389,7 @@ func runAttempt(ctx context.Context, rt *Runtime, root plan.Node, params *Params
 				// rows it ships (and any lazy rows it builds) are charged to
 				// the sending Motion's frame.
 				ectx.pushOp(ectx.frameFor(sl.motion))
-				op, err := buildOp(sl.root, exchanges)
+				op, err := buildOp(sl.root, exchanges, live)
 				if err != nil {
 					fail(seg, slice, opName(sl.root), err)
 					return
@@ -448,7 +452,7 @@ func runAttempt(ctx context.Context, rt *Runtime, root plan.Node, params *Params
 		// The result drain below runs outside every operator: charge it to
 		// the root.
 		cctx.pushOp(cctx.frameFor(root))
-		op, err := buildOp(root, exchanges)
+		op, err := buildOp(root, exchanges, live)
 		if err != nil {
 			return err
 		}
@@ -535,7 +539,7 @@ func RunLocal(rt *Runtime, root plan.Node, seg int, params *Params) (*Result, er
 	ctx := newCtx(rt, seg, params, stats, context.Background(), budget, rt.Store.PrimaryMap())
 	defer ctx.finishOpStats()
 	ctx.pushOp(ctx.frameFor(root)) // the result drain is charged to the root, as in runAttempt
-	op, err := buildOp(root, nil)
+	op, err := buildOp(root, nil, deriveJoinMasks(root))
 	if err != nil {
 		return nil, err
 	}

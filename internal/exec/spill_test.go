@@ -275,7 +275,7 @@ func TestLimitOverSpillingSortReclaimsFiles(t *testing.T) {
 	stats := NewStats()
 	ctx := newCtx(rt, 0, nil, stats, context.Background(), budget, nil)
 
-	op, err := buildOp(plan.NewLimit(1, spillSortPlan(tab)), nil)
+	op, err := buildOp(plan.NewLimit(1, spillSortPlan(tab)), nil, nil)
 	if err != nil {
 		t.Fatalf("buildOp: %v", err)
 	}

@@ -69,22 +69,106 @@ func (l *Lane) AppendDatum(d types.Datum) {
 }
 
 // AppendColumn appends value j of every row in rows; a nil row appends a
-// NULL.
+// NULL. The kind is decided once, from the first non-NULL value, and the
+// values are copied by a loop typed to it; a value of another kind (or a
+// lane already mixed or of another kind) sends the rest through
+// AppendDatum, which degrades the lane.
 func (l *Lane) AppendColumn(rows []types.Row, j int) {
+	k := types.KindNull
 	for _, r := range rows {
 		if r != nil && !r[j].IsNull() {
-			l.adopt(r[j].Kind())
+			k = r[j].Kind()
 			break
 		}
 	}
+	l.adopt(k)
 	l.grow(len(rows))
-	for _, r := range rows {
-		if r == nil {
-			l.AppendDatum(types.Null)
-			continue
-		}
-		l.AppendDatum(r[j])
+	done := 0
+	if c := &l.col; !c.mixed && (k == types.KindNull || k == c.kind) {
+		done = l.appendTyped(rows, j)
 	}
+	for _, r := range rows[done:] {
+		d := types.Null
+		if r != nil {
+			d = r[j]
+		}
+		l.AppendDatum(d)
+	}
+}
+
+// appendTyped appends value j of rows to the lane's typed storage, NULLs
+// as zero slots with their bit set, and stops at the first non-NULL value
+// of another kind. It returns the number of rows appended.
+func (l *Lane) appendTyped(rows []types.Row, j int) int {
+	c := &l.col
+	kind := c.kind
+	i := 0
+	switch kind {
+	case types.KindInt, types.KindDate:
+		for ; i < len(rows); i++ {
+			if d := l.value(rows[i], j); d == nil {
+				c.ints = append(c.ints, 0)
+			} else if d.Kind() == kind {
+				c.ints = append(c.ints, d.Int())
+			} else {
+				break
+			}
+			l.n++
+		}
+	case types.KindBool:
+		for ; i < len(rows); i++ {
+			v := int64(0)
+			if d := l.value(rows[i], j); d != nil {
+				if d.Kind() != kind {
+					break
+				}
+				if d.Bool() {
+					v = 1
+				}
+			}
+			c.ints = append(c.ints, v)
+			l.n++
+		}
+	case types.KindFloat:
+		for ; i < len(rows); i++ {
+			if d := l.value(rows[i], j); d == nil {
+				c.flts = append(c.flts, 0)
+			} else if d.Kind() == kind {
+				c.flts = append(c.flts, d.Float())
+			} else {
+				break
+			}
+			l.n++
+		}
+	case types.KindString:
+		for ; i < len(rows); i++ {
+			if d := l.value(rows[i], j); d == nil {
+				c.strs = append(c.strs, "")
+			} else if d.Kind() == kind {
+				c.strs = append(c.strs, d.Str())
+			} else {
+				break
+			}
+			l.n++
+		}
+	case types.KindNull:
+		// A lane of NULLs so far: only NULLs can follow on this path (a
+		// first non-NULL value would have given the lane its kind).
+		for ; i < len(rows) && l.value(rows[i], j) == nil; i++ {
+			l.n++
+		}
+	}
+	return i
+}
+
+// value returns value j of row r, or nil for a NULL — a nil row reads as
+// NULL — after setting the NULL's bit at the lane's next position.
+func (l *Lane) value(r types.Row, j int) *types.Datum {
+	if r == nil || r[j].IsNull() {
+		l.col.setNullBit(l.n)
+		return nil
+	}
+	return &r[j]
 }
 
 // AppendView appends window row rows[p] of v for every p; a negative

@@ -279,3 +279,65 @@ func TestLaneAppendAndReset(t *testing.T) {
 	l.AppendDatum(i(1))
 	check("degraded copy", &l, []types.Datum{types.NewString("c"), types.Null, types.Null, i(1)}, true)
 }
+
+// AppendColumn's typed loops against a lane built value by value with
+// AppendDatum: nil rows, leading NULLs, each lane kind, a kind change
+// mid-column (the rest degrades to mixed), and a second call onto a lane
+// of another kind. Column 1 of two-column rows is appended, so the column
+// index is honoured.
+func TestLaneAppendColumnMatchesAppendDatum(t *testing.T) {
+	i, f, s, d, b := types.NewInt, types.NewFloat, types.NewString, types.NewDate, types.NewBool
+	null := types.Null
+	// A nil entry is a nil row; every call of a case appends to one lane.
+	cases := []struct {
+		name  string
+		calls [][]*types.Datum
+	}{
+		{"empty", [][]*types.Datum{{}}},
+		{"int with nil rows and leading NULLs", [][]*types.Datum{{nil, &null, &null, ptr(i(3)), nil, ptr(i(-4)), &null}}},
+		{"date", [][]*types.Datum{{&null, ptr(d(19000)), ptr(d(0)), nil}}},
+		{"bool", [][]*types.Datum{{ptr(b(true)), &null, ptr(b(false)), nil, ptr(b(true))}}},
+		{"float", [][]*types.Datum{{nil, ptr(f(2.5)), ptr(f(-1.5)), &null, ptr(f(1e300))}}},
+		{"string", [][]*types.Datum{{&null, ptr(s("")), ptr(s("a")), nil, ptr(s("bc"))}}},
+		{"only NULLs", [][]*types.Datum{{nil, &null, nil}}},
+		{"int then float mid-column", [][]*types.Datum{{ptr(i(1)), &null, ptr(f(2.5)), ptr(i(3)), nil}}},
+		{"float then int mid-column", [][]*types.Datum{{&null, ptr(f(0.5)), ptr(i(3)), ptr(f(4))}}},
+		{"int then date mid-column", [][]*types.Datum{{ptr(i(1)), ptr(d(2)), nil}}},
+		{"string then int", [][]*types.Datum{{nil, ptr(s("x")), ptr(i(7)), ptr(s("y"))}}},
+		{"second call, same kind", [][]*types.Datum{{ptr(i(1)), &null}, {nil, ptr(i(2))}}},
+		{"second call, NULLs onto int", [][]*types.Datum{{ptr(i(1))}, {nil, &null}}},
+		{"second call, other kind", [][]*types.Datum{{ptr(i(1)), nil}, {&null, ptr(f(2)), ptr(f(3))}}},
+		{"second call onto mixed", [][]*types.Datum{{ptr(i(1)), ptr(s("m"))}, {ptr(i(2)), nil}}},
+		{"NULLs then a kind", [][]*types.Datum{{nil, &null}, {&null, ptr(s("late")), nil}}},
+	}
+	for _, tc := range cases {
+		var got, want Lane
+		got.Reset()
+		want.Reset()
+		n := 0
+		for _, call := range tc.calls {
+			rows := make([]types.Row, len(call))
+			for k, v := range call {
+				if v == nil {
+					want.AppendDatum(null)
+					continue
+				}
+				rows[k] = types.Row{i(99), *v}
+				want.AppendDatum(*v)
+			}
+			got.AppendColumn(rows, 1)
+			n += len(call)
+		}
+		gv, wv := got.View(), want.View()
+		if gv.Mixed != wv.Mixed || gv.Kind != wv.Kind {
+			t.Fatalf("%s: lane is kind %v mixed %v, want kind %v mixed %v", tc.name, gv.Kind, gv.Mixed, wv.Kind, wv.Mixed)
+		}
+		for k := 0; k < n; k++ {
+			if g, w := gv.Datum(k), wv.Datum(k); g != w || gv.Null(k) != wv.Null(k) {
+				t.Fatalf("%s: value %d = %v (null %v), want %v (null %v)", tc.name, k, g, gv.Null(k), w, wv.Null(k))
+			}
+		}
+	}
+}
+
+func ptr(d types.Datum) *types.Datum { return &d }
