@@ -89,27 +89,6 @@ func (d DistSpec) Satisfies(req DistSpec) bool {
 	return true
 }
 
-func (d DistSpec) key() string {
-	if d.Kind != HashedDist {
-		return d.Kind.String()
-	}
-	var b strings.Builder
-	b.WriteString("hashed(")
-	for i, c := range d.Cols {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteByte('t')
-		b.WriteString(strconv.Itoa(c.Rel))
-		b.WriteString(".c")
-		b.WriteString(strconv.Itoa(c.Ord))
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
-func (d DistSpec) String() string { return d.key() }
-
 // SpecReq is one partition-propagation requirement inside an optimization
 // request: "a PartitionSelector for this DynamicScan must be placed in the
 // plan satisfying this request" (the Memo-side PartSelectorSpec).
@@ -123,6 +102,12 @@ type SpecReq struct {
 	// spec's first appearance in a request, so the rendered key is stable by
 	// the time anyone asks for it.
 	ckey string
+
+	// id is the spec's interned identity in the memo owner (memo.specID):
+	// equal ids mean equal ckeys. It is valid only while owner is the memo
+	// asking, so an id never leaks from one search into another.
+	owner *memo
+	id    int32
 }
 
 func (s *SpecReq) clone() *SpecReq {
@@ -131,6 +116,8 @@ func (s *SpecReq) clone() *SpecReq {
 	return &SpecReq{ScanRel: s.ScanRel, Table: s.Table, Keys: s.Keys, Preds: preds}
 }
 
+// key renders the spec's identity: its scan and every level predicate. It
+// is computed once per spec, as the input to the memo's interner.
 func (s *SpecReq) key() string {
 	if s.ckey != "" {
 		return s.ckey
@@ -154,32 +141,6 @@ func (s *SpecReq) key() string {
 type request struct {
 	dist  DistSpec
 	specs []*SpecReq
-}
-
-func (r request) key() string {
-	var b strings.Builder
-	b.WriteString(r.dist.key())
-	switch len(r.specs) {
-	case 0:
-	case 1:
-		b.WriteByte('|')
-		b.WriteString(r.specs[0].key())
-	default:
-		// Order-insensitive key: requests carry at most a handful of specs,
-		// so an insertion sort of a stack copy beats sort.Slice's closure.
-		specs := make([]*SpecReq, len(r.specs))
-		copy(specs, r.specs)
-		for i := 1; i < len(specs); i++ {
-			for j := i; j > 0 && specs[j-1].ScanRel > specs[j].ScanRel; j-- {
-				specs[j-1], specs[j] = specs[j], specs[j-1]
-			}
-		}
-		for _, s := range specs {
-			b.WriteByte('|')
-			b.WriteString(s.key())
-		}
-	}
-	return b.String()
 }
 
 // without returns the request minus the i-th spec.

@@ -16,7 +16,7 @@ import (
 // range-partitioned on date_id with one join key per dimension, and dims
 // small replicated key/value tables. No storage is attached — these tests
 // exercise search structure and determinism, not execution.
-func starCatalog(t *testing.T, dims int) *catalog.Catalog {
+func starCatalog(t testing.TB, dims int) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
 	cols := []catalog.Column{{Name: "date_id", Kind: types.KindInt}}
@@ -126,7 +126,7 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 }
 
-func rootCost(t *testing.T, p plan.Node) float64 {
+func rootCost(t testing.TB, p plan.Node) float64 {
 	t.Helper()
 	if !plan.HasEstimates(p) {
 		// The gather shell is unannotated; its child carries the cost.

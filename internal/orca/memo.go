@@ -2,6 +2,8 @@ package orca
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"partopt/internal/catalog"
 	"partopt/internal/expr"
@@ -47,7 +49,17 @@ type group struct {
 	id     int
 	lexprs []*lexpr
 	rels   map[int]bool
-	best   map[string]*result // request key → winner; nil while being computed
+	best   map[uint64]*bestEntry // request hash → entries; see memo.entry
+}
+
+// bestEntry memoizes one request of a group: the request's full identity,
+// compared on every hit, and its winner (nil while being computed). Entries
+// whose requests hash alike are chained through next.
+type bestEntry struct {
+	dist  DistSpec
+	specs []int32 // interned spec ids, stable-sorted by ScanRel
+	res   *result
+	next  *bestEntry
 }
 
 // result is the best plan found for one (group, request) pair.
@@ -68,26 +80,125 @@ type memo struct {
 	groups  []*group
 	tables  map[int]*catalog.Table // relation instance → base table (for stats)
 	entries int                    // (group, request) results computed
+
+	// The spec interner: rendered spec key → id, and each id's ScanRel.
+	specIDs  map[string]int32
+	specRels []int
 }
 
-// optimize resolves one (group, request) pair, memoized per group. A key is
-// marked in progress (a nil result) while its candidates are computed, and
-// re-entry returns invalidResult: a cyclic alternative proposed the group it
-// is computing as its own subplan. Termination: every nested call strictly
-// decreases (group height in the memo DAG, spec count, dist != Any).
+// optimize resolves one (group, request) pair, memoized per group. An entry
+// is marked in progress (a nil result) while its candidates are computed,
+// and re-entry returns invalidResult: a cyclic alternative proposed the
+// group it is computing as its own subplan. Termination: every nested call
+// strictly decreases (group height in the memo DAG, spec count, dist != Any).
 func (m *memo) optimize(g *group, req request) *result {
-	key := req.key()
-	if r, ok := g.best[key]; ok {
-		if r == nil {
+	e, hit := m.entry(g, req)
+	if hit {
+		if e.res == nil {
 			return invalidResult
 		}
-		return r
+		return e.res
 	}
-	g.best[key] = nil
 	res := m.compute(g, req)
-	g.best[key] = res
+	e.res = res
 	m.entries++
 	return res
+}
+
+// entry finds the group's entry for a request, or adds an empty one. Two
+// requests share an entry exactly when their distributions are equal (kind,
+// and the columns in order if hashed) and their spec ids, stable-sorted by
+// ScanRel, are equal in order. A hit costs one map probe and no allocation,
+// once each spec has been interned.
+func (m *memo) entry(g *group, req request) (*bestEntry, bool) {
+	var buf [16]int32
+	ids := m.specKey(req.specs, buf[:0])
+	h := requestHash(req.dist, ids)
+	if e := g.lookup(h, req.dist, ids); e != nil {
+		return e, true
+	}
+	return g.add(h, req.dist, ids), false
+}
+
+// specID interns a spec by its rendered key. The id is cached on the spec
+// for this memo only; a spec first seen by another memo is interned afresh.
+func (m *memo) specID(s *SpecReq) int32 {
+	if s.owner == m {
+		return s.id
+	}
+	k := s.key()
+	id, ok := m.specIDs[k]
+	if !ok {
+		if m.specIDs == nil {
+			m.specIDs = map[string]int32{}
+		}
+		id = int32(len(m.specRels))
+		m.specIDs[k] = id
+		m.specRels = append(m.specRels, s.ScanRel)
+	}
+	s.owner, s.id = m, id
+	return id
+}
+
+// specKey appends the specs' ids to dst in a stable sort by ScanRel, so
+// that the order a request lists its specs in only matters between specs of
+// the same scan.
+func (m *memo) specKey(specs []*SpecReq, dst []int32) []int32 {
+	for _, s := range specs {
+		id := m.specID(s)
+		dst = append(dst, id)
+		j := len(dst) - 1
+		for ; j > 0 && m.specRels[dst[j-1]] > s.ScanRel; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = id
+	}
+	return dst
+}
+
+// requestHash folds a request's distribution and spec ids into a map key,
+// one 128-bit multiply per word. Distinct requests may collide; lookup
+// compares the full identity.
+func requestHash(d DistSpec, ids []int32) uint64 {
+	h := uint64(d.Kind)
+	if d.Kind == HashedDist {
+		h = fold(h, uint64(len(d.Cols)))
+		for _, c := range d.Cols {
+			h = fold(h, uint64(uint32(c.Rel))<<32|uint64(uint32(c.Ord)))
+		}
+	}
+	h = fold(h, uint64(len(ids)))
+	for _, id := range ids {
+		h = fold(h, uint64(uint32(id)))
+	}
+	return h
+}
+
+// fold mixes one word into a hash: the two halves of the 128-bit product of
+// (h ^ v) and an odd constant, xored.
+func fold(h, v uint64) uint64 {
+	hi, lo := bits.Mul64(h^v, 0x9e3779b97f4a7c15)
+	return hi ^ lo
+}
+
+// lookup returns the entry with hash h and exactly this identity, or nil.
+func (g *group) lookup(h uint64, d DistSpec, ids []int32) *bestEntry {
+	for e := g.best[h]; e != nil; e = e.next {
+		if e.dist.Kind == d.Kind && slices.Equal(e.specs, ids) &&
+			(d.Kind != HashedDist || slices.Equal(e.dist.Cols, d.Cols)) {
+			return e
+		}
+	}
+	return nil
+}
+
+// add chains a new in-progress entry under hash h. It copies ids, the
+// caller's scratch space; a distribution's columns are never mutated once
+// built, so the entry shares them as results do.
+func (g *group) add(h uint64, d DistSpec, ids []int32) *bestEntry {
+	e := &bestEntry{dist: d, specs: slices.Clone(ids), next: g.best[h]}
+	g.best[h] = e
+	return e
 }
 
 func (m *memo) noteTable(rel int, t *catalog.Table) {
@@ -107,7 +218,7 @@ func (m *memo) colStats(id expr.ColID) *catalog.ColumnStats {
 }
 
 func (m *memo) newGroup(rels map[int]bool) *group {
-	g := &group{id: len(m.groups), rels: rels, best: map[string]*result{}}
+	g := &group{id: len(m.groups), rels: rels, best: map[uint64]*bestEntry{}}
 	m.groups = append(m.groups, g)
 	return g
 }
