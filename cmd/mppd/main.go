@@ -131,9 +131,6 @@ func serveMain(args []string) int {
 	// (so seg.probe rules see the probe loop from its first tick).
 	if *ftsOn {
 		eng.EnableFaultTolerance(partopt.FTConfig{ProbeInterval: *ftsProbe, DownAfter: partopt.DefaultFTConfig().DownAfter})
-		if *retryAttempts > 0 {
-			eng.SetRetryPolicy(*retryAttempts, *retryBackoff)
-		}
 		defer eng.StopFTS()
 		logf("mppd: fault tolerance enabled (probe every %v)", *ftsProbe)
 	}

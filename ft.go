@@ -42,9 +42,9 @@ func DefaultFTConfig() FTConfig {
 // segment gets a synchronously-applied mirror replica (cloned from the
 // current contents), a fault tolerance service starts watching segment
 // health, and the executor begins reporting segment-death evidence to it.
-// If no RetryPolicy was configured, a one-retry policy is installed so
-// read-only queries transparently recover across a failover. Idempotent
-// after the first call.
+// If no RetryPolicy was set, a one-retry policy is installed so read-only
+// queries transparently recover across a failover; a policy set earlier,
+// even a one-attempt one, is kept. Idempotent after the first call.
 func (e *Engine) EnableFaultTolerance(cfg FTConfig) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -55,7 +55,7 @@ func (e *Engine) EnableFaultTolerance(cfg FTConfig) {
 	svc := fts.New(e.store, fts.Config{ProbeInterval: cfg.ProbeInterval, DownAfter: cfg.DownAfter}, e.rt.Obs)
 	e.fts = svc
 	e.rt.FTS = svc
-	if e.rt.Retry.MaxAttempts < 2 {
+	if e.rt.Retry.MaxAttempts == 0 {
 		e.rt.Retry = exec.RetryPolicy{MaxAttempts: 2, Backoff: 2 * time.Millisecond}
 	}
 	svc.Start()

@@ -218,3 +218,23 @@ func TestEngineDMLNeverRetried(t *testing.T) {
 	}
 	assertMirrorsConsistent(t, eng)
 }
+
+// An explicit retry policy survives EnableFaultTolerance, even a
+// one-attempt one; the one-retry default is installed only when no policy
+// was set.
+func TestEnableFaultToleranceKeepsRetryPolicy(t *testing.T) {
+	eng := paperEngine(t, 2)
+	eng.SetRetryPolicy(1, 7*time.Millisecond)
+	eng.EnableFaultTolerance(FTConfig{ProbeInterval: 0, DownAfter: 2})
+	defer eng.StopFTS()
+	if n, backoff := eng.RetryPolicy(); n != 1 || backoff != 7*time.Millisecond {
+		t.Errorf("explicit policy became (%d, %v), want (1, 7ms)", n, backoff)
+	}
+
+	def := paperEngine(t, 2)
+	def.EnableFaultTolerance(FTConfig{ProbeInterval: 0, DownAfter: 2})
+	defer def.StopFTS()
+	if n, backoff := def.RetryPolicy(); n != 2 || backoff != 2*time.Millisecond {
+		t.Errorf("default policy is (%d, %v), want (2, 2ms)", n, backoff)
+	}
+}

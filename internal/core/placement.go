@@ -228,35 +228,12 @@ func enforcePartSelectors(specs []*PartSelectorSpec, node plan.Node) plan.Node {
 		spec := specs[i]
 		preds := spec.PartPreds
 		if ds, ok := node.(*plan.DynamicScan); ok && ds.PartScanID == spec.PartScanID {
-			preds = staticOnly(spec)
+			preds = make([]expr.Expr, len(spec.PartPreds))
+			for lvl, p := range spec.PartPreds {
+				preds[lvl] = expr.StaticConjuncts(p, spec.PartKeys[lvl])
+			}
 		}
 		out = plan.NewPartitionSelector(spec.Table, spec.PartScanID, preds, out)
-	}
-	return out
-}
-
-// staticOnly strips predicate levels that reference columns other than the
-// level's own partitioning key.
-func staticOnly(spec *PartSelectorSpec) []expr.Expr {
-	out := make([]expr.Expr, len(spec.PartPreds))
-	for lvl, p := range spec.PartPreds {
-		if p == nil {
-			continue
-		}
-		var keep []expr.Expr
-		for _, c := range expr.Conjuncts(p) {
-			ok := true
-			for id := range expr.ColsUsed(c) {
-				if id != spec.PartKeys[lvl] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				keep = append(keep, c)
-			}
-		}
-		out[lvl] = expr.Conj(keep...)
 	}
 	return out
 }

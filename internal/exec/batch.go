@@ -138,6 +138,24 @@ func (b *Batch) rows(ctx *Ctx) []types.Row {
 	return rows
 }
 
+// batchRow returns row k of b: its row header, or, when rows are lazy, the
+// row read off the lanes into *tmp, valid until the next call with the
+// same tmp. Unlike rows it materializes nothing the batch keeps.
+func batchRow(b *Batch, k int, tmp *types.Row) types.Row {
+	if b.Rows != nil {
+		return b.Rows[k]
+	}
+	if cap(*tmp) < len(b.Cols) {
+		*tmp = make(types.Row, len(b.Cols))
+	}
+	row := (*tmp)[:len(b.Cols)]
+	i := selRow(b.Sel, k)
+	for c := range b.Cols {
+		row[c] = b.Cols[c].Datum(i)
+	}
+	return row
+}
+
 // fillBatch refills out with rows pulled from next until it holds
 // execBatchSize rows or next reports errEOF, and returns it. It returns
 // errEOF only when the stream ends with out still empty, so every batch it

@@ -11,11 +11,13 @@ import (
 
 // Columnar execution: batches flowing out of heap scans carry zero-copy
 // column views (Batch.Cols/Sel), the hash join emits lanes of its own, and
-// the hot kernels — filter predicates, join / agg / motion hashing, join
-// key checks — run as tight typed loops over those vectors instead of
-// per-datum expr.Eval dispatch. Batches with no lanes (Motion receivers,
-// sort, aggregate output, index reads) take each operator's row loop,
-// which is also the reference the kernels are tested against.
+// the hot kernels — filter predicates, join and Redistribute key hashing,
+// the join's key check — run as tight typed loops over those vectors
+// instead of per-datum expr.Eval dispatch. Key hashing and the key check
+// have no row path: keyLanes copies the keys of a batch without lanes
+// (Motion receivers, sort, aggregate output, index reads, spill reloads)
+// into lanes of its own. A filter over such a batch runs its row loop,
+// which is also the reference the filter kernels are tested against.
 //
 // Two rules keep this invisible to everything else:
 //
@@ -24,11 +26,11 @@ import (
 //     batch), and Batch.Len is explicit. Row-only operators, the stats
 //     layer (EXPLAIN ANALYZE actuals count Len) and the spill paths see
 //     the same rows whichever representation the producer chose.
-//  2. Every vectorized kernel is bit-compatible with its row twin — the
-//     same types.Compare ordering (including NaN and cross-kind numeric
-//     rules) and the same types.HashDatum mixing — or it refuses the batch
-//     (errVecFallback) and the row path runs instead. Refusal is always
-//     safe because of rule 1.
+//  2. Every kernel agrees with the boxed datums — the same types.Compare
+//     ordering (including NaN and cross-kind numeric rules) and the same
+//     types.HashDatum mixing. A filter kernel that cannot type a batch
+//     refuses it (errVecFallback) and the row loop runs instead; refusal
+//     is always safe because of rule 1.
 
 // errVecFallback signals that a compiled vector kernel cannot handle this
 // particular batch (mixed lane, incomparable kinds); the caller runs the
@@ -514,93 +516,95 @@ func (v *vpBoolCol) sel(b *Batch, cand, out []int32) ([]int32, error) {
 	return out, nil
 }
 
-// ---------------------------------------------------------------- columnar hashing
+// ---------------------------------------------------------------- key lanes
 
-// vecHasher computes per-row key hashes for a columnar batch, bit-identical
-// to the row path's expr.Eval + types.HashDatum chain. It only engages when
-// every key is a bare column resolvable in the layout; otherwise (or when a
-// batch has no columnar payload) callers use their row loop.
-type vecHasher struct {
-	pos      []int // column position per key
-	mixNulls bool  // agg/motion mix NULL keys; join flags them instead
-	h        []uint64
-	null     []bool
+// keyLanes reads a list of key expressions — a hash join's build or probe
+// keys, a Redistribute Motion's hash keys — off one batch at a time as one
+// vec.View per key, and hashes them. A plain column of a batch with lanes
+// is the batch's own lane under its Sel; a plain column of a row-only
+// batch is copied into a reused lane; a computed key is evaluated row by
+// row into a reused lane. Every join-key and Redistribute hash in the
+// executor comes from hash.
+type keyLanes struct {
+	cols []keyCol
+	env  expr.Env  // evaluates computed keys
+	row  types.Row // scratch row for computed keys over lazy rows
+	n    int       // slots loaded
+	h    []uint64
+	null []bool
 }
 
-// newVecHasher resolves keys to column positions; nil if any key is not a
-// plain column.
-func newVecHasher(keys []expr.Expr, layout expr.Layout, mixNulls bool) *vecHasher {
-	if len(keys) == 0 {
-		return nil
-	}
-	pos := make([]int, len(keys))
-	for i, k := range keys {
-		col, ok := k.(*expr.Col)
-		if !ok {
-			return nil
-		}
-		p, ok := layout[col.ID]
-		if !ok || p < 0 {
-			return nil
-		}
-		pos[i] = p
-	}
-	return &vecHasher{pos: pos, mixNulls: mixNulls}
+// keyCol is one key of a keyLanes.
+type keyCol struct {
+	e    expr.Expr
+	pos  int       // batch column of a plain-column key; -1: computed
+	view vec.View  // the loaded batch's key values
+	sel  []int32   // the view row of each slot; nil: the slot itself
+	lane *vec.Lane // reused for row-only batches and computed keys
 }
 
-// hashRowKeys is vecHasher's row twin: it hashes one row's evaluated key
-// expressions through a reused env. With mixNulls a NULL key value is mixed
-// into the hash like any other (motion routing); without it a NULL key
-// yields (0, true), since a NULL never joins.
-func hashRowKeys(env *expr.Env, keys []expr.Expr, row types.Row, mixNulls bool) (uint64, bool, error) {
-	env.Row = row
-	h := types.HashSeed
-	for _, k := range keys {
-		v, err := expr.Eval(k, env)
-		if err != nil {
-			return 0, false, err
-		}
-		if v.IsNull() && !mixNulls {
-			return 0, true, nil
-		}
-		h = types.HashDatum(h, v)
+func newKeyLanes(keys []expr.Expr, layout expr.Layout, params []types.Datum) *keyLanes {
+	kl := &keyLanes{cols: make([]keyCol, len(keys)), env: expr.Env{Layout: layout, Params: params}}
+	for i, e := range keys {
+		kl.cols[i] = keyCol{e: e, pos: colPos(e, layout)}
 	}
-	return h, false, nil
+	return kl
 }
 
-// hashBatch computes the key hash for every row of a columnar batch. The
-// returned slices are reused across calls. For join semantics (mixNulls
-// false) null[k] marks rows with a NULL key and h[k] is forced to 0,
-// matching the row path's (0, true) result. ok is false when the batch has
-// no columnar payload or a key column is out of range — callers then hash
-// row-by-row.
-func (vh *vecHasher) hashBatch(b *Batch) (h []uint64, null []bool, ok bool) {
-	if vh == nil || b.Cols == nil {
-		return nil, nil, false
-	}
-	n := b.Len()
-	if cap(vh.h) < n {
-		vh.h = make([]uint64, n)
-		vh.null = make([]bool, n)
-	}
-	vh.h, vh.null = vh.h[:n], vh.null[:n]
-	for k := 0; k < n; k++ {
-		vh.h[k] = types.HashSeed
-		vh.null[k] = false
-	}
-	for _, pos := range vh.pos {
-		v := batchView(b, pos)
-		if v == nil {
-			return nil, nil, false
+// load reads batch b's keys. The views stay valid until the next load or
+// until b changes, whichever comes first.
+func (kl *keyLanes) load(b *Batch) error {
+	kl.n = b.Len()
+	for i := range kl.cols {
+		c := &kl.cols[i]
+		if c.pos >= 0 && b.Cols != nil {
+			c.view, c.sel = b.Cols[c.pos], b.Sel
+			continue
 		}
-		v.HashInto(vh.h, vh.null, b.Sel, vh.mixNulls)
+		if c.lane == nil {
+			c.lane = new(vec.Lane)
+		}
+		c.lane.Reset()
+		if c.pos >= 0 {
+			c.lane.AppendColumn(b.Rows, c.pos)
+		} else {
+			for k := 0; k < kl.n; k++ {
+				kl.env.Row = batchRow(b, k, &kl.row)
+				d, err := expr.Eval(c.e, &kl.env)
+				if err != nil {
+					return err
+				}
+				c.lane.AppendDatum(d)
+			}
+		}
+		c.view, c.sel = c.lane.View(), nil
 	}
-	if !vh.mixNulls {
-		for k := 0; k < n; k++ {
-			if vh.null[k] {
-				vh.h[k] = 0
+	return nil
+}
+
+// hash returns the key hash of every loaded slot, bit-identical to a
+// types.HashDatum chain from types.HashSeed over the key values. With
+// mixNulls a NULL key value mixes in like any other (Redistribute routing);
+// without it the slot is flagged in null and hashes to 0, since a NULL
+// never joins. The slices are reused by the next call.
+func (kl *keyLanes) hash(mixNulls bool) (h []uint64, null []bool) {
+	n := kl.n
+	if cap(kl.h) < n {
+		kl.h, kl.null = make([]uint64, n), make([]bool, n)
+	}
+	kl.h, kl.null = kl.h[:n], kl.null[:n]
+	for k := range kl.h {
+		kl.h[k], kl.null[k] = types.HashSeed, false
+	}
+	for i := range kl.cols {
+		kl.cols[i].view.HashInto(kl.h, kl.null, kl.cols[i].sel, mixNulls)
+	}
+	if !mixNulls {
+		for k, null := range kl.null {
+			if null {
+				kl.h[k] = 0
 			}
 		}
 	}
-	return vh.h, vh.null, true
+	return kl.h, kl.null
 }

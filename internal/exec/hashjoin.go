@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"partopt/internal/expr"
 	"partopt/internal/mem"
@@ -26,28 +27,27 @@ const spillFanout = 8
 // semi joins emit each probe row at most once.
 //
 // One probe loop serves every join type and both the resident table and
-// the spilled partitions. A probe batch is hashed once (vecHasher when the
-// keys are plain columns and the batch has lanes), each candidate's keys
-// are checked typed — the probe lane against the build datum — and the
-// matches collect into reused position buffers: the probe slot and the
+// the spilled partitions. Both sides read their keys as lanes (keyLanes);
+// the build side is held by position (joinTable). A probe batch is hashed
+// once, each candidate on its hash's chain is checked lane against lane,
+// and the matches collect into reused buffers: the probe slot and the
 // build row of each output row. The output is then gathered column by
 // column into reused lanes (vec.Lane), leaving Batch.Rows lazy, so an
 // aggregate above the join folds the lanes without a joined row ever
 // being built. Only the columns some ancestor reads are gathered (live,
-// from deriveJoinMasks); the build table still holds full rows. A semi
-// join forwards the probe batch itself, narrowed to the matched rows by
-// Sel.
+// from deriveJoinMasks); the table still holds full rows. A semi join
+// forwards the probe batch itself, narrowed to the matched rows by Sel.
 //
 // Outer joins NULL-extend the non-preserved side. RightOuterJoin (probe
 // preserved) emits every probe row: a probe row with no surviving match —
 // including one with a NULL join key — is emitted with NULLs in the build
-// columns. LeftOuterJoin (build preserved) tracks a matched flag per
-// resident build row; once the probe side (or, when spilled, one probe
-// partition) drains, build rows never matched by a residual-passing probe
-// row are emitted with NULLs in the probe columns. NULL-keyed rows of a
-// preserved side are therefore kept (they can never match but must still
-// be emitted), while NULL-keyed rows of a null-producing side are dropped
-// at ingest exactly like the inner-join path.
+// columns. LeftOuterJoin (build preserved) sets a build row's matched bit
+// when a residual-passing probe row joins it; once the probe side (or,
+// when spilled, one probe partition) drains, the unmatched build rows are
+// emitted in build order with NULLs in the probe columns. NULL-keyed rows
+// of a preserved side are therefore kept (a build one holds a position
+// but is linked into no chain), while NULL-keyed rows of a null-producing
+// side are dropped at ingest exactly like the inner-join path.
 //
 // The build table charges the query budget row by row. When a reservation
 // is denied the operator switches to a Grace-style spill: the rows hashed
@@ -66,18 +66,17 @@ type hashJoinOp struct {
 	probeLayout expr.Layout
 	bw, pw      int // build and probe row widths
 
-	table      map[uint64][]types.Row // hash(build keys) → build rows
-	tableBytes int64                  // bytes reserved for the resident table
-	// matched parallels table bucket-for-bucket (LeftOuterJoin only): set
-	// when a build row joins a probe row that passes the residual.
-	matched map[uint64][]bool
+	bkeys, pkeys keyLanes // build and probe keys
+	table        joinTable
+	tableBytes   int64   // bytes reserved for the resident table
+	slots        []int32 // an ingested batch's slots that joined the table
 
 	spilled    bool
 	buildParts []*mem.SpillWriter
 	probeParts []*mem.SpillWriter
 	part       int              // next partition to load
 	partReader *mem.SpillReader // probe rows of the loaded partition
-	partBatch  Batch            // reused header for the partition's probe batches
+	partBatch  Batch            // reused header for the partition's batches
 
 	buildOpen bool
 	probeOpen bool
@@ -85,14 +84,10 @@ type hashJoinOp struct {
 
 	// The probe batch being matched: its key hashes (a NULL key is flagged
 	// in pnull), and the next row to match.
-	pb       *Batch
-	ph       []uint64
-	pnull    []bool
-	pk       int
-	rowHash  []uint64 // ph/pnull storage when the batch is hashed row by row
-	rowNull  []bool
-	keyBuild []int // build-row position of each key; -1: computed
-	keyProbe []int // probe-row position of each key; -1: computed
+	pb    *Batch
+	ph    []uint64
+	pnull []bool
+	pk    int
 
 	// Matches awaiting emission, one entry per output row: the probe slot
 	// (-1: NULL probe columns) and the build row (nil: NULL build columns,
@@ -101,8 +96,6 @@ type hashJoinOp struct {
 	pairB  []types.Row
 	pairAt int
 
-	penv     expr.Env  // probe-layout env (row hashing, computed keys)
-	benv     expr.Env  // build-layout env
 	resEnv   expr.Env  // build ++ probe env (residual predicate)
 	resRow   types.Row // scratch joined row the residual reads
 	probeTmp types.Row // scratch probe row built from lanes
@@ -117,38 +110,21 @@ type hashJoinOp struct {
 	win   []int32     // window rows (Sel) of the slots being emitted
 	rowsK []types.Row // probe rows of the slots being emitted
 	out   Batch
-
-	// Columnar key hashing (nil: keys are not plain columns). Join
-	// semantics: a NULL key yields (0, true), so mixNulls is false.
-	vhBuild *vecHasher
-	vhProbe *vecHasher
 }
 
 func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 	j.buildLayout = j.n.Build.Layout()
 	j.probeLayout = j.n.Probe.Layout()
 	j.bw, j.pw = j.buildLayout.Width(), j.probeLayout.Width()
-	j.benv = expr.Env{Layout: j.buildLayout, Params: ctx.Params.Vals}
-	j.penv = expr.Env{Layout: j.probeLayout, Params: ctx.Params.Vals}
-	j.resEnv = expr.Env{Layout: expr.Concat(j.buildLayout, j.probeLayout), Params: ctx.Params.Vals}
-	j.resRow = nil
+	j.resEnv, j.resRow = expr.Env{}, nil
 	if j.n.Residual != nil {
+		j.resEnv = expr.Env{Layout: expr.Concat(j.buildLayout, j.probeLayout), Params: ctx.Params.Vals}
 		j.resRow = make(types.Row, j.bw+j.pw)
 	}
-	j.vhBuild = newVecHasher(j.n.BuildKeys, j.buildLayout, false)
-	j.vhProbe = newVecHasher(j.n.ProbeKeys, j.probeLayout, false)
-	j.keyBuild = make([]int, len(j.n.BuildKeys))
-	j.keyProbe = make([]int, len(j.n.ProbeKeys))
-	for i := range j.n.BuildKeys {
-		j.keyBuild[i] = colPos(j.n.BuildKeys[i], j.buildLayout)
-		j.keyProbe[i] = colPos(j.n.ProbeKeys[i], j.probeLayout)
-	}
-	j.table = map[uint64][]types.Row{}
+	j.bkeys = *newKeyLanes(j.n.BuildKeys, j.buildLayout, ctx.Params.Vals)
+	j.pkeys = *newKeyLanes(j.n.ProbeKeys, j.probeLayout, ctx.Params.Vals)
+	j.table = joinTable{keys: make([]vec.Lane, len(j.n.BuildKeys))}
 	j.tableBytes = 0
-	j.matched = nil
-	if j.n.Type == plan.LeftOuterJoin {
-		j.matched = map[uint64][]bool{}
-	}
 	j.spilled = false
 	j.buildParts, j.probeParts = nil, nil
 	j.part, j.partReader = 0, nil
@@ -185,41 +161,8 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 		if err := ctx.pollAbortBatch(); err != nil {
 			return err
 		}
-		bh, bnull, bok := j.vhBuild.hashBatch(b)
-		for k, row := range b.rows(ctx) {
-			var h uint64
-			var null bool
-			if bok {
-				h, null = bh[k], bnull[k]
-			} else {
-				var err error
-				h, null, err = hashRowKeys(&j.benv, j.n.BuildKeys, row, false)
-				if err != nil {
-					return err
-				}
-			}
-			if null && j.n.Type != plan.LeftOuterJoin {
-				continue // NULL keys never join
-			}
-			// A NULL-keyed row of a preserved build side is kept (h is 0):
-			// it can never match, but LeftOuterJoin must still emit it.
-			if !j.spilled {
-				rb := mem.RowBytes(row)
-				if ctx.reserve(rb) == nil {
-					j.tableBytes += rb
-					j.table[h] = append(j.table[h], row)
-					if j.matched != nil {
-						j.matched[h] = append(j.matched[h], false)
-					}
-					continue
-				}
-				if err := j.spillResidentTable(ctx); err != nil {
-					return err
-				}
-			}
-			if err := j.buildParts[int(h%spillFanout)].Write(row); err != nil {
-				return err
-			}
+		if err := j.ingest(ctx, b, false); err != nil {
+			return err
 		}
 	}
 	if err := j.build.Close(ctx); err != nil {
@@ -233,6 +176,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 	}
 	j.probeOpen = true
 	if !j.spilled {
+		j.table.link()
 		return nil // match the probe side's batches directly in NextBatch
 	}
 	// Spilled: partition the probe side the same way, then join
@@ -248,25 +192,17 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 		if err := ctx.pollAbortBatch(); err != nil {
 			return err
 		}
-		ph, pnull, pok := j.vhProbe.hashBatch(b)
+		if err := j.pkeys.load(b); err != nil {
+			return err
+		}
+		ph, pnull := j.pkeys.hash(false)
 		for k, row := range b.rows(ctx) {
-			var h uint64
-			var null bool
-			if pok {
-				h, null = ph[k], pnull[k]
-			} else {
-				var err error
-				h, null, err = hashRowKeys(&j.penv, j.n.ProbeKeys, row, false)
-				if err != nil {
-					return err
-				}
-			}
-			if null && j.n.Type != plan.RightOuterJoin {
+			if pnull[k] && j.n.Type != plan.RightOuterJoin {
 				continue // NULL keys never join
 			}
-			// A NULL-keyed preserved probe row rides partition 0 (h is 0);
-			// it matches nothing there and is emitted NULL-extended.
-			if err := j.probeParts[int(h%spillFanout)].Write(row); err != nil {
+			// A NULL-keyed preserved probe row rides partition 0 (its hash
+			// is 0); it matches nothing there and is emitted NULL-extended.
+			if err := j.probeParts[int(ph[k]%spillFanout)].Write(row); err != nil {
 				return err
 			}
 		}
@@ -287,8 +223,58 @@ func (j *hashJoinOp) Open(ctx *Ctx) (err error) {
 	return nil
 }
 
-// spillResidentTable switches to Grace mode: the rows hashed so far move to
-// their disk partitions and their reservation is returned.
+// ingest hashes build batch b and adds its rows to the resident table —
+// or, once the join has spilled, writes them to their build partitions. A
+// reloaded partition (hard) takes hard reservations and never spills.
+func (j *hashJoinOp) ingest(ctx *Ctx, b *Batch, hard bool) error {
+	rows := b.rows(ctx)
+	if err := j.bkeys.load(b); err != nil {
+		return err
+	}
+	bh, bnull := j.bkeys.hash(false)
+	reserve := ctx.reserve
+	if hard {
+		reserve = ctx.reserveHard
+	}
+	if hard || !j.spilled {
+		j.table.rows, j.table.hash = slices.Grow(j.table.rows, len(rows)), slices.Grow(j.table.hash, len(rows))
+	}
+	j.slots = j.slots[:0]
+	for k, row := range rows {
+		if bnull[k] && j.n.Type != plan.LeftOuterJoin {
+			continue // NULL keys never join
+		}
+		// A NULL-keyed row of a preserved build side is kept (its hash is
+		// 0): it can never match, but LeftOuterJoin must still emit it.
+		if hard || !j.spilled {
+			rb := mem.RowBytes(row)
+			err := reserve(rb)
+			if err == nil {
+				j.tableBytes += rb
+				j.table.rows = append(j.table.rows, row)
+				j.table.hash = append(j.table.hash, bh[k])
+				j.slots = append(j.slots, int32(k))
+				continue
+			}
+			if hard {
+				return err
+			}
+			if err := j.spillResidentTable(ctx); err != nil {
+				return err
+			}
+			j.slots = j.slots[:0]
+		}
+		if err := j.buildParts[int(bh[k]%spillFanout)].Write(row); err != nil {
+			return err
+		}
+	}
+	j.table.appendKeys(&j.bkeys, j.slots)
+	return nil
+}
+
+// spillResidentTable switches to Grace mode: the rows hashed so far move,
+// in build order, to their disk partitions and their reservation is
+// returned.
 func (j *hashJoinOp) spillResidentTable(ctx *Ctx) error {
 	bp, err := newSpillParts(ctx, "join-build")
 	if err != nil {
@@ -302,20 +288,14 @@ func (j *hashJoinOp) spillResidentTable(ctx *Ctx) error {
 		return err
 	}
 	j.buildParts, j.probeParts = bp, pp
-	for h, rows := range j.table {
-		w := j.buildParts[int(h%spillFanout)]
-		for _, row := range rows {
-			if err := w.Write(row); err != nil {
-				return err
-			}
+	for p, row := range j.table.rows {
+		if err := j.buildParts[int(j.table.hash[p]%spillFanout)].Write(row); err != nil {
+			return err
 		}
 	}
 	ctx.release(j.tableBytes)
 	j.tableBytes = 0
-	j.table = nil
-	if j.matched != nil {
-		j.matched = map[uint64][]bool{} // pre-probe: every flag was still false
-	}
+	j.table.reset()
 	j.spilled = true
 	return nil
 }
@@ -347,32 +327,20 @@ func (j *hashJoinOp) loadPartition(ctx *Ctx, p int) error {
 		return err
 	}
 	defer r.Close()
-	j.table = map[uint64][]types.Row{}
-	if j.matched != nil {
-		j.matched = map[uint64][]bool{}
-	}
+	j.table.reset()
 	for {
-		row, err := r.Next()
-		if err == io.EOF {
+		b, err := fillBatch(&j.partBatch, spillRows(r))
+		if errors.Is(err, errEOF) {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		rb := mem.RowBytes(row)
-		if err := ctx.reserveHard(rb); err != nil {
+		if err := j.ingest(ctx, b, true); err != nil {
 			return err
-		}
-		j.tableBytes += rb
-		h, _, err := hashRowKeys(&j.benv, j.n.BuildKeys, row, false)
-		if err != nil {
-			return err
-		}
-		j.table[h] = append(j.table[h], row)
-		if j.matched != nil {
-			j.matched[h] = append(j.matched[h], false)
 		}
 	}
+	j.table.link()
 	pr, err := j.probeParts[p].Reader()
 	if err != nil {
 		return err
@@ -393,7 +361,7 @@ func (j *hashJoinOp) finishPartition(ctx *Ctx, p int) {
 	j.probeParts[p].Remove()
 	ctx.release(j.tableBytes)
 	j.tableBytes = 0
-	j.table = nil
+	j.table.reset()
 }
 
 // NextBatch runs the probe loop: it emits pending matches a batch at a
@@ -457,7 +425,7 @@ func (j *hashJoinOp) nextProbe(ctx *Ctx) (*Batch, error) {
 				return nil, err
 			}
 		}
-		b, err := fillBatch(&j.partBatch, j.partRow)
+		b, err := fillBatch(&j.partBatch, spillRows(j.partReader))
 		if !errors.Is(err, errEOF) {
 			return b, err
 		}
@@ -473,75 +441,42 @@ func (j *hashJoinOp) nextProbe(ctx *Ctx) (*Batch, error) {
 	}
 }
 
-// partRow reads the loaded probe partition's next row.
-func (j *hashJoinOp) partRow() (types.Row, error) {
-	row, err := j.partReader.Next()
-	if err == io.EOF {
-		return nil, errEOF
+// spillRows reads r's rows one at a time, for fillBatch.
+func spillRows(r *mem.SpillReader) func() (types.Row, error) {
+	return func() (types.Row, error) {
+		row, err := r.Next()
+		if err == io.EOF {
+			return nil, errEOF
+		}
+		return row, err
 	}
-	return row, err
 }
 
-// stageUnmatched queues every resident build row no probe row matched for
-// emission with NULL probe columns (LeftOuterJoin only; a no-op
-// otherwise). The queue holds the rows themselves, so it stays valid after
-// the hash table is released.
+// stageUnmatched queues every resident build row no probe row matched, in
+// build order, for emission with NULL probe columns (LeftOuterJoin only; a
+// no-op otherwise). The queue holds the rows themselves, so it stays valid
+// after the table is reset.
 func (j *hashJoinOp) stageUnmatched() {
 	j.pb = nil
 	if j.n.Type != plan.LeftOuterJoin {
 		return
 	}
-	for h, rows := range j.table {
-		flags := j.matched[h]
-		for i, b := range rows {
-			if i < len(flags) && flags[i] {
-				continue
-			}
+	for p, b := range j.table.rows {
+		if !j.table.isMatched(p) {
 			j.pairK = append(j.pairK, -1)
 			j.pairB = append(j.pairB, b)
 		}
 	}
 }
 
-// startProbe makes b the probe batch and hashes its keys: off the lanes
-// when it has them, row by row otherwise.
+// startProbe makes b the probe batch and hashes its keys.
 func (j *hashJoinOp) startProbe(b *Batch) error {
 	j.pb, j.pk = b, 0
-	var ok bool
-	if j.ph, j.pnull, ok = j.vhProbe.hashBatch(b); ok {
-		return nil
+	if err := j.pkeys.load(b); err != nil {
+		return err
 	}
-	n := b.Len()
-	if cap(j.rowHash) < n {
-		j.rowHash, j.rowNull = make([]uint64, n), make([]bool, n)
-	}
-	j.ph, j.pnull = j.rowHash[:n], j.rowNull[:n]
-	for k := 0; k < n; k++ {
-		h, null, err := hashRowKeys(&j.penv, j.n.ProbeKeys, j.probeRow(k), false)
-		if err != nil {
-			return err
-		}
-		j.ph[k], j.pnull[k] = h, null
-	}
+	j.ph, j.pnull = j.pkeys.hash(false)
 	return nil
-}
-
-// probeRow returns row k of the probe batch, built into a scratch row when
-// the batch's rows are lazy. Only key and residual evaluation read it.
-func (j *hashJoinOp) probeRow(k int) types.Row {
-	b := j.pb
-	if b.Rows != nil {
-		return b.Rows[k]
-	}
-	if cap(j.probeTmp) < len(b.Cols) {
-		j.probeTmp = make(types.Row, len(b.Cols))
-	}
-	row := j.probeTmp[:len(b.Cols)]
-	i := selRow(b.Sel, k)
-	for c := range b.Cols {
-		row[c] = b.Cols[c].Datum(i)
-	}
-	return row
 }
 
 // match resolves probe rows, from j.pk on, into matches until a batch of
@@ -550,47 +485,38 @@ func (j *hashJoinOp) probeRow(k int) types.Row {
 func (j *hashJoinOp) match() error {
 	n := j.pb.Len()
 	keepProbe := j.n.Type == plan.RightOuterJoin
+	t := &j.table
 	for ; j.pk < n && len(j.pairK)-j.pairAt < execBatchSize; j.pk++ {
 		k := j.pk
-		if j.pnull[k] {
-			if keepProbe {
-				j.pairK, j.pairB = append(j.pairK, int32(k)), append(j.pairB, nil)
-			}
-			continue
-		}
-		h := j.ph[k]
-		found, resFilled := false, false
-		for i, brow := range j.table[h] {
-			eq, err := j.keysEqual(brow, k)
-			if err != nil {
-				return err
-			}
-			if !eq {
-				continue
-			}
-			if j.n.Residual != nil {
-				copy(j.resRow, brow)
-				if !resFilled {
-					copy(j.resRow[j.bw:], j.probeRow(k))
-					resFilled = true
+		found := false
+		if h := j.ph[k]; !j.pnull[k] {
+			resFilled := false
+			for p := t.seek(t.lookup(h), h, &j.pkeys, k); p >= 0; p = t.seek(t.next[p], h, &j.pkeys, k) {
+				brow := t.rows[p]
+				if j.n.Residual != nil {
+					copy(j.resRow, brow)
+					if !resFilled {
+						copy(j.resRow[j.bw:], batchRow(j.pb, k, &j.probeTmp))
+						resFilled = true
+					}
+					j.resEnv.Row = j.resRow
+					ok, err := expr.EvalPred(j.n.Residual, &j.resEnv)
+					if err != nil {
+						return err
+					}
+					if !ok {
+						continue
+					}
 				}
-				j.resEnv.Row = j.resRow
-				ok, err := expr.EvalPred(j.n.Residual, &j.resEnv)
-				if err != nil {
-					return err
+				found = true
+				if j.n.Type == plan.SemiJoin {
+					j.pairK, j.pairB = append(j.pairK, int32(k)), append(j.pairB, nil)
+					break // one witness suffices
 				}
-				if !ok {
-					continue
+				j.pairK, j.pairB = append(j.pairK, int32(k)), append(j.pairB, brow)
+				if j.n.Type == plan.LeftOuterJoin {
+					t.setMatched(p)
 				}
-			}
-			found = true
-			if j.n.Type == plan.SemiJoin {
-				j.pairK, j.pairB = append(j.pairK, int32(k)), append(j.pairB, nil)
-				break // one witness suffices
-			}
-			j.pairK, j.pairB = append(j.pairK, int32(k)), append(j.pairB, brow)
-			if j.matched != nil {
-				j.matched[h][i] = true
 			}
 		}
 		if !found && keepProbe {
@@ -598,47 +524,6 @@ func (j *hashJoinOp) match() error {
 		}
 	}
 	return nil
-}
-
-// keysEqual verifies a hash match against actual key values: the build
-// datum against the probe lane when the key is a plain column of a batch
-// with lanes, against the evaluated probe key otherwise.
-func (j *hashJoinOp) keysEqual(brow types.Row, k int) (bool, error) {
-	for i := range j.n.BuildKeys {
-		var bv types.Datum
-		if p := j.keyBuild[i]; p >= 0 {
-			bv = brow[p]
-		} else {
-			j.benv.Row = brow
-			var err error
-			if bv, err = expr.Eval(j.n.BuildKeys[i], &j.benv); err != nil {
-				return false, err
-			}
-		}
-		if bv.IsNull() {
-			return false, nil
-		}
-		if p := j.keyProbe[i]; p >= 0 && j.pb.Cols != nil {
-			if !j.pb.Cols[p].EqualDatum(selRow(j.pb.Sel, k), bv) {
-				return false, nil
-			}
-			continue
-		}
-		var pv types.Datum
-		if p := j.keyProbe[i]; p >= 0 {
-			pv = j.probeRow(k)[p]
-		} else {
-			j.penv.Row = j.probeRow(k)
-			var err error
-			if pv, err = expr.Eval(j.n.ProbeKeys[i], &j.penv); err != nil {
-				return false, err
-			}
-		}
-		if pv.IsNull() || !types.Equal(bv, pv) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // emit hands out up to a batch of pending matches: a semi join's as the
@@ -754,7 +639,7 @@ func (j *hashJoinOp) cleanup(ctx *Ctx) {
 	j.buildParts, j.probeParts = nil, nil
 	ctx.release(j.tableBytes)
 	j.tableBytes = 0
-	j.table, j.matched, j.pb = nil, nil, nil
+	j.table, j.pb = joinTable{}, nil
 	j.pairK, j.pairB, j.pairAt = j.pairK[:0], j.pairB[:0], 0
 }
 
@@ -786,4 +671,128 @@ func (j *hashJoinOp) Close(ctx *Ctx) error {
 	}
 	j.cleanup(ctx)
 	return firstErr
+}
+
+// ---------------------------------------------------------------- join table
+
+// joinTable is the hash join's resident build side, held by position: the
+// build rows, their key hashes and key lanes, an int32 chain linking the
+// positions of each hash bucket, and a matched bit per position. Rows and
+// hashes are appended at ingest; link indexes them once the side (or a
+// reloaded partition) is complete.
+type joinTable struct {
+	rows    []types.Row
+	hash    []uint64
+	keys    []vec.Lane // one per build key
+	kv      []vec.View // the key lanes' views, taken by link
+	heads   []int32    // per bucket: the first position of its chain; -1: none
+	next    []int32    // per position: the next position of its chain; -1: none
+	shift   uint       // the bucket of hash h is (h * fibMul) >> shift
+	matched []uint64   // bit p: position p joined a residual-passing probe row
+	win     []int32    // scratch view rows for appendKeys
+}
+
+// fibMul spreads a hash's bits into the top bits that pick its bucket.
+const fibMul = 0x9e3779b97f4a7c15
+
+// appendKeys appends the key values of the loaded slots to the key lanes,
+// in order.
+func (t *joinTable) appendKeys(kl *keyLanes, slots []int32) {
+	if len(slots) == 0 {
+		return
+	}
+	for i := range t.keys {
+		c, rows := &kl.cols[i], slots
+		if c.sel != nil {
+			t.win = t.win[:0]
+			for _, k := range slots {
+				t.win = append(t.win, c.sel[k])
+			}
+			rows = t.win
+		}
+		t.keys[i].AppendView(&c.view, rows)
+	}
+}
+
+// link indexes every position whose keys are all non-NULL; a NULL-keyed
+// position can match nothing and stays off every chain. Each chain lists
+// its positions in build order.
+func (t *joinTable) link() {
+	n := len(t.rows)
+	t.kv = t.kv[:0]
+	for i := range t.keys {
+		t.kv = append(t.kv, t.keys[i].View())
+	}
+	size := 1
+	for t.shift = 64; size < n; t.shift-- {
+		size <<= 1
+	}
+	t.heads = slices.Grow(t.heads[:0], size)[:size]
+	for b := range t.heads {
+		t.heads[b] = -1
+	}
+	t.next = slices.Grow(t.next[:0], n)[:n]
+positions:
+	for p := n - 1; p >= 0; p-- {
+		for i := range t.kv {
+			if t.kv[i].Null(p) {
+				continue positions
+			}
+		}
+		t.add(int32(p), t.hash[p])
+	}
+}
+
+// add puts position p at the head of hash h's chain.
+func (t *joinTable) add(p int32, h uint64) {
+	b := (h * fibMul) >> t.shift
+	t.next[p], t.heads[b] = t.heads[b], p
+}
+
+// lookup returns the first position of hash h's chain, -1 if none.
+func (t *joinTable) lookup(h uint64) int32 { return t.heads[(h*fibMul)>>t.shift] }
+
+// seek walks the chain from position p on and returns the first position
+// whose hash is h and whose keys equal probe slot k's, -1 if none.
+func (t *joinTable) seek(p int32, h uint64, probe *keyLanes, k int) int32 {
+	for ; p >= 0; p = t.next[p] {
+		if t.hash[p] == h && t.keysEqual(p, probe, k) {
+			return p
+		}
+	}
+	return -1
+}
+
+// keysEqual is the join's key check: every build key lane at position p
+// against the probe key at slot k, lane against lane (vec.View.Matches).
+func (t *joinTable) keysEqual(p int32, probe *keyLanes, k int) bool {
+	for i := range t.kv {
+		c := &probe.cols[i]
+		if !t.kv[i].Matches(int(p), &c.view, selRow(c.sel, k)) {
+			return false
+		}
+	}
+	return true
+}
+
+func (t *joinTable) setMatched(p int32) {
+	w := int(p >> 6)
+	for len(t.matched) <= w {
+		t.matched = append(t.matched, 0)
+	}
+	t.matched[w] |= 1 << uint(p&63)
+}
+
+func (t *joinTable) isMatched(p int) bool {
+	w := p >> 6
+	return w < len(t.matched) && t.matched[w]&(1<<uint(p&63)) != 0
+}
+
+// reset empties the table, keeping its storage.
+func (t *joinTable) reset() {
+	clear(t.rows)
+	t.rows, t.hash, t.matched = t.rows[:0], t.hash[:0], t.matched[:0]
+	for i := range t.keys {
+		t.keys[i].Reset()
+	}
 }

@@ -300,20 +300,40 @@ func TestHashJoinMaterializedRowsStable(t *testing.T) {
 }
 
 // Hash collisions are too rare to reach through a query, so the key check
-// is driven directly: a build datum against the probe key read off a typed
-// int lane, a float lane, a degraded lane and plain rows.
+// is driven directly: a build key lane — one value per lane (typed int,
+// typed float, all-NULL) or every value in one degraded lane — against the
+// probe key read off a typed int lane, a float lane, a degraded lane, a
+// lane under Sel, and the same keys as plain rows.
 func TestHashJoinKeysEqual(t *testing.T) {
 	i, f := types.NewInt, types.NewFloat
-	j := &hashJoinOp{
-		n: plan.NewHashJoin(plan.InnerJoin,
-			[]expr.Expr{expr.NewCol(expr.ColID{Rel: 1, Ord: 0}, "k")},
-			[]expr.Expr{expr.NewCol(expr.ColID{Rel: 2, Ord: 0}, "k")}, nil, nil, nil, nil),
-		keyBuild: []int{0},
-		keyProbe: []int{0},
+	probeKey := expr.NewCol(expr.ColID{Rel: 2, Ord: 0}, "k")
+	probe := *newKeyLanes([]expr.Expr{probeKey}, expr.Layout{probeKey.ID: 0}, nil)
+	// Build key 1 equals probe slot 0 (1 or 1.0), 2 slot 1, nothing equals
+	// the NULL in slot 2, and a NULL build key equals nothing.
+	checks := []struct {
+		build types.Datum
+		k     int
+		want  bool
+	}{{i(1), 0, true}, {f(1), 0, true}, {i(2), 0, false}, {i(2), 1, true}, {f(2.5), 1, false},
+		{types.Null, 2, false}, {i(1), 2, false}, {types.Null, 0, false}}
+	table := func(vals ...types.Datum) *joinTable {
+		tb := &joinTable{keys: make([]vec.Lane, 1)}
+		tb.keys[0].Reset()
+		for _, v := range vals {
+			tb.keys[0].AppendDatum(v)
+			tb.rows, tb.hash = append(tb.rows, types.Row{v}), append(tb.hash, 0)
+		}
+		tb.link()
+		return tb
 	}
+	var all []types.Datum
+	for _, c := range checks {
+		all = append(all, c.build)
+	}
+	degraded := table(all...)
 	cases := []struct {
 		name string
-		rows []types.Row // the probe key column; nil: the batch has no lanes
+		rows []types.Row // the probe key column
 		sel  []int32
 	}{
 		{"int lane", []types.Row{{i(1)}, {i(2)}, {types.Null}, {i(3)}}, nil},
@@ -326,29 +346,209 @@ func TestHashJoinKeysEqual(t *testing.T) {
 		lane.Reset()
 		lane.AppendColumn(tc.rows, 0)
 		b := &Batch{Cols: []vec.View{lane.View()}, Sel: tc.sel, n: 4}
-		// Build key 1 equals probe slot 0 (1 or 1.0), 2 slot 1, nothing
-		// equals the NULL in slot 2, and a NULL build key equals nothing.
-		for _, c := range []struct {
-			build types.Datum
-			k     int
-			want  bool
-		}{{i(1), 0, true}, {f(1), 0, true}, {i(2), 0, false}, {i(2), 1, true}, {f(2.5), 1, false},
-			{types.Null, 2, false}, {i(1), 2, false}, {types.Null, 0, false}} {
-			for _, rows := range []bool{false, true} {
-				j.pb = b
-				if rows {
-					j.pb = &Batch{n: 4}
-					j.pb.setRows(b.rows(&Ctx{}))
-				}
-				got, err := j.keysEqual(types.Row{c.build}, c.k)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				if got != c.want {
+		for _, rows := range []bool{false, true} {
+			pb := b
+			if rows {
+				pb = &Batch{n: 4}
+				pb.setRows(b.rows(&Ctx{}))
+			}
+			if err := probe.load(pb); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for ci, c := range checks {
+				if got := table(c.build).keysEqual(0, &probe, c.k); got != c.want {
 					t.Errorf("%s (rows=%v): build %v vs slot %d = %v, want %v", tc.name, rows, c.build, c.k, got, c.want)
+				}
+				if got := degraded.keysEqual(int32(ci), &probe, c.k); got != c.want {
+					t.Errorf("%s (rows=%v, degraded build lane): build %v vs slot %d = %v, want %v", tc.name, rows, c.build, c.k, got, c.want)
 				}
 			}
 		}
+	}
+}
+
+// Distinct keys forced onto one hash share one chain: each probe key must
+// find exactly the build positions holding it, in build order, and a key
+// the build side lacks finds none.
+func TestJoinTableForcedCollision(t *testing.T) {
+	const h = 42
+	bk := expr.NewCol(expr.ColID{Rel: 1, Ord: 0}, "k")
+	pk := expr.NewCol(expr.ColID{Rel: 2, Ord: 0}, "k")
+	build := *newKeyLanes([]expr.Expr{bk}, expr.Layout{bk.ID: 0}, nil)
+	probe := *newKeyLanes([]expr.Expr{pk}, expr.Layout{pk.ID: 0}, nil)
+	var rows []types.Row
+	var slots []int32
+	for p := 0; p < 100; p++ {
+		rows = append(rows, types.Row{types.NewInt(int64(p % 25))})
+		slots = append(slots, int32(p))
+	}
+	tb := &joinTable{keys: make([]vec.Lane, 1)}
+	tb.keys[0].Reset()
+	var bb Batch
+	bb.setRows(rows)
+	if err := build.load(&bb); err != nil {
+		t.Fatal(err)
+	}
+	tb.appendKeys(&build, slots)
+	for _, row := range rows {
+		tb.rows, tb.hash = append(tb.rows, row), append(tb.hash, h)
+	}
+	tb.link()
+	var probeRows []types.Row
+	for v := int64(0); v < 30; v++ {
+		probeRows = append(probeRows, types.Row{types.NewFloat(float64(v))})
+	}
+	var pb Batch
+	pb.setRows(probeRows)
+	if err := probe.load(&pb); err != nil {
+		t.Fatal(err)
+	}
+	for k := range probeRows {
+		var got, want []int32
+		for p := tb.seek(tb.lookup(h), h, &probe, k); p >= 0; p = tb.seek(tb.next[p], h, &probe, k) {
+			got = append(got, p)
+		}
+		for p := k; k < 25 && p < len(rows); p += 25 {
+			want = append(want, int32(p))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("probe key %d found positions %v, want %v", k, got, want)
+		}
+	}
+	if p := tb.seek(tb.lookup(h+1), h+1, &probe, 3); p >= 0 {
+		t.Errorf("a hash no row has found position %d", p)
+	}
+}
+
+// oneKeyFixture: 10 000 build rows share key 7, beside one row keyed 9 and
+// one NULL-keyed row; the probe side holds key 7 twice and key 8 once.
+func oneKeyFixture(t *testing.T) (*Runtime, plan.Node, plan.Node) {
+	t.Helper()
+	cat := catalog.New()
+	st := storage.NewStore(1)
+	i := types.NewInt
+	mk := func(name string, rows []types.Row) *catalog.Table {
+		tab, err := cat.CreateTable(name, []catalog.Column{{Name: "k", Kind: types.KindInt}, {Name: "x", Kind: types.KindInt}}, catalog.Hashed(0))
+		if err != nil {
+			t.Fatalf("create %s: %v", name, err)
+		}
+		st.CreateTable(tab)
+		if err := st.InsertBatch(tab, rows); err != nil {
+			t.Fatalf("insert %s: %v", name, err)
+		}
+		return tab
+	}
+	var bRows []types.Row
+	for x := int64(0); x < 10_000; x++ {
+		bRows = append(bRows, types.Row{i(7), i(x)})
+	}
+	bRows = append(bRows, types.Row{i(9), i(-1)}, types.Row{types.Null, i(-2)})
+	b := mk("b", bRows)
+	p := mk("p", []types.Row{{i(7), i(100)}, {i(8), i(200)}, {i(7), i(300)}})
+	join := func(jt plan.JoinType) plan.Node {
+		return plan.NewHashJoin(jt, []expr.Expr{tcol(1, 0, "k")}, []expr.Expr{tcol(2, 0, "k")}, nil,
+			plan.NewScan(b, 1), plan.NewScan(p, 2), nil)
+	}
+	return &Runtime{Store: st}, join(plan.InnerJoin), join(plan.LeftOuterJoin)
+}
+
+// Every one of 10 000 build rows sharing one key matches both probe rows
+// with that key, on inner and LEFT joins, resident and spilled: the chain
+// walk must not stop early, and the LEFT join emits only its two unmatched
+// rows NULL-extended.
+func TestHashJoinOneKeyManyRows(t *testing.T) {
+	rt, inner, left := oneKeyFixture(t)
+	for _, spill := range []bool{false, true} {
+		for _, root := range []plan.Node{inner, left} {
+			name := fmt.Sprintf("%v/spill=%v", root.(*plan.HashJoin).Type, spill)
+			base := t.TempDir()
+			var gov *mem.Governor
+			if spill {
+				gov = mem.NewGovernor(mem.Config{WorkMem: 4 << 10, BaseDir: base})
+			}
+			rt.Gov = gov
+			res, err := RunLocal(rt, root, 0, nil)
+			rt.Gov = nil
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if spilled := res.Stats.SpilledBytes() > 0; spilled != spill {
+				t.Fatalf("%s: spilled = %v", name, spilled)
+			}
+			seen := make([]int, 10_000)
+			var unmatched []string
+			for _, row := range res.Rows {
+				if row[2].IsNull() {
+					unmatched = append(unmatched, fmt.Sprint(row))
+					continue
+				}
+				if row[0].Int() != 7 || row[2].Int() != 7 {
+					t.Fatalf("%s: row %v joins unequal keys", name, row)
+				}
+				seen[row[1].Int()]++
+			}
+			for x, n := range seen {
+				if n != 2 {
+					t.Fatalf("%s: build row x=%d matched %d probe rows, want 2", name, x, n)
+				}
+			}
+			if jt := root.(*plan.HashJoin).Type; jt == plan.LeftOuterJoin && len(unmatched) != 2 ||
+				jt == plan.InnerJoin && len(unmatched) != 0 {
+				t.Fatalf("%s: NULL-extended rows %v", name, unmatched)
+			}
+			if gov != nil && gov.Used() != 0 {
+				t.Fatalf("%s: governor still holds %d bytes", name, gov.Used())
+			}
+			assertNoSpillLeak(t, base)
+		}
+	}
+}
+
+// A LEFT join's unmatched build rows leave in build order: every run, at
+// every batch size, resident or spilled, returns the same row sequence.
+func TestHashJoinUnmatchedOrderStable(t *testing.T) {
+	fx := joinLaneFixture(t)
+	for _, residual := range []expr.Expr{nil, laneResidual()} {
+		for _, workMem := range []int64{0, 256} {
+			for _, bs := range []int{1, 7, DefaultBatchSize} {
+				name := fmt.Sprintf("residual=%v/workmem=%d/batch=%d", residual != nil, workMem, bs)
+				prevBS := SetBatchSize(bs)
+				var first []string
+				for run := 0; run < 5; run++ {
+					fx.rt.Gov = nil
+					if workMem > 0 {
+						fx.rt.Gov = mem.NewGovernor(mem.Config{WorkMem: workMem, BaseDir: t.TempDir()})
+					}
+					res, err := RunLocal(fx.rt, fx.joinPlan(plan.LeftOuterJoin, "p", "scan", residual), 0, nil)
+					fx.rt.Gov = nil
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					got := renderRows(res.Rows)
+					if run == 0 {
+						first = got
+						sameKeys(t, name, rowKeys(res.Rows), fx.oracle(t, plan.LeftOuterJoin, "p", residual))
+					} else if fmt.Sprint(got) != fmt.Sprint(first) {
+						t.Fatalf("%s: run %d order\n  %v\nfirst run\n  %v", name, run, got, first)
+					}
+				}
+				SetBatchSize(prevBS)
+			}
+		}
+	}
+	// Resident, no residual: the unmatched rows in build order.
+	res, err := RunLocal(fx.rt, fx.joinPlan(plan.LeftOuterJoin, "p", "scan", nil), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unmatched []string
+	for _, row := range res.Rows {
+		if row[fx.bWidth].IsNull() {
+			unmatched = append(unmatched, fmt.Sprint(row[1]))
+		}
+	}
+	if got := fmt.Sprint(unmatched); got != "[20 99 90]" {
+		t.Fatalf("unmatched build rows %s, want [20 99 90] (build order)", got)
 	}
 }
 

@@ -83,30 +83,27 @@ func (ex *exchange) senderDone() { ex.senders.Done() }
 var errQueryAborted = errors.New("exec: query aborted")
 
 // motionSender is one slice instance's sending half of an exchange. It owns
-// per-receiver staging buffers and a reusable hash environment, so routing a
-// row allocates nothing until a chunk flushes.
+// per-receiver staging buffers and, for a Redistribute, the hash keys' reused
+// lanes, so routing a row allocates nothing until a chunk flushes.
 type motionSender struct {
 	ex      *exchange
-	env     expr.Env      // reused across rows for redistribute hashing
 	staging [][]types.Row // parallel to ex.recvSegs; nil after a flush
-	vh      *vecHasher    // columnar redistribute hashing (nil: row path)
+	keys    *keyLanes     // Redistribute hash keys
 }
 
 func (ex *exchange) newSender(ctx *Ctx) *motionSender {
-	return &motionSender{
-		ex:      ex,
-		env:     expr.Env{Layout: ex.layout, Params: ctx.Params.Vals},
-		staging: make([][]types.Row, len(ex.recvSegs)),
-		// The row path mixes NULL key values into the hash (HashDatum of a
-		// NULL), so the columnar hasher does too.
-		vh: newVecHasher(ex.hashKeys, ex.layout, true),
+	s := &motionSender{ex: ex, staging: make([][]types.Row, len(ex.recvSegs))}
+	if ex.kind == plan.RedistributeMotion {
+		s.keys = newKeyLanes(ex.hashKeys, ex.layout, ctx.Params.Vals)
 	}
+	return s
 }
 
 // sendBatch routes every row of one batch into the staging buffers, flushing
 // any buffer that fills. Rows are staged by reference: batch rows are stable
-// per the batch ownership contract, so no copy is needed. Redistribute
-// hashing runs column-wise when the batch carries vectors.
+// per the batch ownership contract, so no copy is needed. A Redistribute
+// hashes the batch's key lanes; NULL key values mix into the hash like any
+// other value.
 func (s *motionSender) sendBatch(ctx *Ctx, b *Batch) error {
 	rows := b.rows(ctx)
 	switch s.ex.kind {
@@ -120,22 +117,13 @@ func (s *motionSender) sendBatch(ctx *Ctx, b *Batch) error {
 		}
 		return nil
 	case plan.RedistributeMotion:
-		if h, _, ok := s.vh.hashBatch(b); ok {
-			for k, row := range rows {
-				i := int(h[k] % uint64(len(s.ex.recvSegs)))
-				if err := s.stage(ctx, i, row); err != nil {
-					return err
-				}
-			}
-			return nil
+		if err := s.keys.load(b); err != nil {
+			return err
 		}
-		for _, row := range rows {
-			h, _, err := hashRowKeys(&s.env, s.ex.hashKeys, row, true)
-			if err != nil {
-				return err
-			}
-			i := int(h % uint64(len(s.ex.recvSegs)))
-			if err := s.stage(ctx, i, row); err != nil {
+		h, _ := s.keys.hash(true)
+		for k := range rows {
+			i := int(h[k] % uint64(len(s.ex.recvSegs)))
+			if err := s.stageRows(ctx, i, rows[k:k+1]); err != nil {
 				return err
 			}
 		}
@@ -144,22 +132,9 @@ func (s *motionSender) sendBatch(ctx *Ctx, b *Batch) error {
 	return fmt.Errorf("exec: unknown motion kind %d", s.ex.kind)
 }
 
-// stage appends one row to receiver i's buffer and flushes it when full.
-func (s *motionSender) stage(ctx *Ctx, i int, row types.Row) error {
-	if s.staging[i] == nil {
-		s.staging[i] = make([]types.Row, 0, motionChunkRows)
-	}
-	s.staging[i] = append(s.staging[i], row)
-	if len(s.staging[i]) >= motionChunkRows {
-		return s.flush(ctx, i)
-	}
-	return nil
-}
-
-// stageRows stages a run of rows for receiver i in bulk, producing exactly
-// the chunk boundaries per-row stage calls would: fill to motionChunkRows,
-// flush, repeat. Gather and broadcast route every row of a batch to the
-// same receiver, so the per-row staging call is pure overhead for them.
+// stageRows stages a run of rows for receiver i: fill its buffer to
+// motionChunkRows, flush, repeat. Gather and broadcast stage a whole batch
+// at once, Redistribute one row at a time.
 func (s *motionSender) stageRows(ctx *Ctx, i int, rows []types.Row) error {
 	for len(rows) > 0 {
 		if s.staging[i] == nil {

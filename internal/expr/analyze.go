@@ -71,6 +71,23 @@ func FindPredOnKey(key ColID, pred Expr) Expr {
 	return Conj(kept...)
 }
 
+// StaticConjuncts keeps the conjuncts of pred whose only column is key —
+// what a selector directly above its own scan can evaluate without rows
+// from elsewhere. Parameters are allowed: they bind at Open.
+func StaticConjuncts(pred Expr, key ColID) Expr {
+	var kept []Expr
+	for _, c := range Conjuncts(pred) {
+		static := true
+		for id := range ColsUsed(c) {
+			static = static && id == key
+		}
+		if static {
+			kept = append(kept, c)
+		}
+	}
+	return Conj(kept...)
+}
+
 // FindPredsOnKeys is the multi-level variant (paper §2.4): it returns one
 // (possibly nil) predicate per partitioning level. The second result is
 // false when no level is constrained at all.

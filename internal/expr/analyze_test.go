@@ -31,6 +31,22 @@ func TestFindPredOnKey(t *testing.T) {
 	}
 }
 
+// StaticConjuncts keeps a conjunct only when the key is its one column: a
+// join conjunct on the key and a conjunct on another column both go, a
+// parameter stays.
+func TestStaticConjuncts(t *testing.T) {
+	key := colA.ID
+	param := NewCmp(LE, colA, &Param{Idx: 0})
+	pred := Conj(NewCmp(GE, colA, intc(10)), NewCmp(EQ, colA, colB), NewCmp(EQ, colB, intc(1)), param)
+	want := Conj(NewCmp(GE, colA, intc(10)), param)
+	if got := StaticConjuncts(pred, key); !Equal(got, want) {
+		t.Errorf("StaticConjuncts = %q, want %q", got, want)
+	}
+	if StaticConjuncts(NewCmp(EQ, colA, colB), key) != nil || StaticConjuncts(nil, key) != nil {
+		t.Errorf("StaticConjuncts should be nil without a static conjunct")
+	}
+}
+
 func TestFindPredOnKeyFlippedAndJoin(t *testing.T) {
 	key := colA.ID
 	// Constant on the left.

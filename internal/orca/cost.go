@@ -186,23 +186,7 @@ func atLeast(f, lo float64) float64 {
 func staticOnlyPreds(spec *SpecReq) []expr.Expr {
 	out := make([]expr.Expr, len(spec.Preds))
 	for lvl, p := range spec.Preds {
-		if p == nil {
-			continue
-		}
-		var keep []expr.Expr
-		for _, c := range expr.Conjuncts(p) {
-			ok := true
-			for id := range expr.ColsUsed(c) {
-				if id != spec.Keys[lvl] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				keep = append(keep, c)
-			}
-		}
-		out[lvl] = expr.Conj(keep...)
+		out[lvl] = expr.StaticConjuncts(p, spec.Keys[lvl])
 	}
 	return out
 }

@@ -419,7 +419,7 @@ func (m *memo) implementIndexSelect(le *lexpr, op *logical.Select, childSpecs []
 		if p == nil {
 			continue
 		}
-		p = staticConjunctsOnly(p, key)
+		p = expr.StaticConjuncts(p, key)
 		if p == nil {
 			continue
 		}
@@ -468,26 +468,6 @@ func soleGetAny(g *group) *logical.Get {
 		}
 	}
 	return nil
-}
-
-// staticConjunctsOnly keeps the conjuncts of pred whose only column is the
-// key itself and which carry no parameters that cannot bind — parameters
-// ARE allowed (they bind at Open); other columns are not.
-func staticConjunctsOnly(pred expr.Expr, key expr.ColID) expr.Expr {
-	var keep []expr.Expr
-	for _, c := range expr.Conjuncts(pred) {
-		ok := true
-		for id := range expr.ColsUsed(c) {
-			if id != key {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			keep = append(keep, c)
-		}
-	}
-	return expr.Conj(keep...)
 }
 
 func (m *memo) implementProject(le *lexpr, op *logical.Project, req request) []*result {

@@ -111,112 +111,103 @@ func (v *View) EqualDatum(i int, d types.Datum) bool {
 	return types.Compare(v.Datum(i), d) == 0
 }
 
+// Matches reports whether window row i of v and window row j of w are
+// both non-NULL and equal under types.Compare — the join-key rule, where
+// NULL equals nothing. Typed lanes of one kind compare on the lanes; mixed
+// or cross-kind lanes take Compare's numeric rules (int 1 equals float
+// 1.0, NaN equals NaN).
+func (v *View) Matches(i int, w *View, j int) bool {
+	if v.Null(i) || w.Null(j) {
+		return false
+	}
+	if !v.Mixed && !w.Mixed && v.Kind == w.Kind {
+		switch v.Kind {
+		case types.KindInt, types.KindDate, types.KindBool:
+			return v.Ints[v.Base+i] == w.Ints[w.Base+j]
+		case types.KindString:
+			return v.Strs[v.Base+i] == w.Strs[w.Base+j]
+		case types.KindFloat:
+			return types.CompareFloat64(v.Flts[v.Base+i], w.Flts[w.Base+j]) == 0
+		}
+	}
+	a, b := v.Datum(i), w.Datum(j)
+	return !a.IsNull() && !b.IsNull() && types.Compare(a, b) == 0
+}
+
 // HashInto folds this column's values into the running hashes h[k] for
 // k in [0, len(h)). sel maps output slot k to window row sel[k]; nil means
 // the identity mapping. The mixing functions are the typed types.Hash*
 // entry points, so the result is bit-identical to HashDatum over the boxed
 // datums.
 //
-// NULL handling follows the two row-path conventions: with mixNulls true a
-// NULL mixes types.HashNull (hash-agg grouping and motion redistribution);
-// with mixNulls false a NULL sets nullOut[k] and leaves h[k] alone (join
-// keys — the row path discards the hash of a null-keyed row, so callers
-// zero h[k] wherever nullOut[k] is set).
+// With mixNulls true a NULL mixes types.HashNull, as HashDatum does
+// (Redistribute routing); with mixNulls false a NULL sets nullOut[k] and
+// leaves h[k] alone (join keys, which never match a NULL).
 func (v *View) HashInto(h []uint64, nullOut []bool, sel []int32, mixNulls bool) {
 	n := len(h)
-	if v.Mixed {
+	switch {
+	case v.Mixed:
 		for k := 0; k < n; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
+			if d := v.Any[v.Base+selAt(sel, k)]; d.IsNull() {
+				hashNull(h, nullOut, k, mixNulls)
+			} else {
+				h[k] = types.HashDatum(h[k], d)
 			}
-			d := v.Any[v.Base+i]
-			if d.IsNull() {
-				if mixNulls {
-					h[k] = types.HashNull(h[k])
-				} else {
-					nullOut[k] = true
-				}
-				continue
-			}
-			h[k] = types.HashDatum(h[k], d)
 		}
-		return
-	}
-	switch v.Kind {
-	case types.KindInt, types.KindDate:
+	case v.Kind == types.KindInt || v.Kind == types.KindDate:
 		for k := 0; k < n; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
+			if i := selAt(sel, k); v.Null(i) {
+				hashNull(h, nullOut, k, mixNulls)
+			} else {
+				h[k] = types.HashInt64(h[k], v.Ints[v.Base+i])
 			}
-			if v.Null(i) {
-				if mixNulls {
-					h[k] = types.HashNull(h[k])
-				} else {
-					nullOut[k] = true
-				}
-				continue
-			}
-			h[k] = types.HashInt64(h[k], v.Ints[v.Base+i])
 		}
-	case types.KindBool:
+	case v.Kind == types.KindBool:
 		for k := 0; k < n; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
+			if i := selAt(sel, k); v.Null(i) {
+				hashNull(h, nullOut, k, mixNulls)
+			} else {
+				h[k] = types.HashBool(h[k], v.Ints[v.Base+i])
 			}
-			if v.Null(i) {
-				if mixNulls {
-					h[k] = types.HashNull(h[k])
-				} else {
-					nullOut[k] = true
-				}
-				continue
-			}
-			h[k] = types.HashBool(h[k], v.Ints[v.Base+i])
 		}
-	case types.KindFloat:
+	case v.Kind == types.KindFloat:
 		for k := 0; k < n; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
+			if i := selAt(sel, k); v.Null(i) {
+				hashNull(h, nullOut, k, mixNulls)
+			} else {
+				h[k] = types.HashFloat64(h[k], v.Flts[v.Base+i])
 			}
-			if v.Null(i) {
-				if mixNulls {
-					h[k] = types.HashNull(h[k])
-				} else {
-					nullOut[k] = true
-				}
-				continue
-			}
-			h[k] = types.HashFloat64(h[k], v.Flts[v.Base+i])
 		}
-	case types.KindString:
+	case v.Kind == types.KindString:
 		for k := 0; k < n; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
+			if i := selAt(sel, k); v.Null(i) {
+				hashNull(h, nullOut, k, mixNulls)
+			} else {
+				h[k] = types.HashString(h[k], v.Strs[v.Base+i])
 			}
-			if v.Null(i) {
-				if mixNulls {
-					h[k] = types.HashNull(h[k])
-				} else {
-					nullOut[k] = true
-				}
-				continue
-			}
-			h[k] = types.HashString(h[k], v.Strs[v.Base+i])
 		}
 	default:
 		// Declared-NULL lane: every row is NULL.
 		for k := 0; k < n; k++ {
-			if mixNulls {
-				h[k] = types.HashNull(h[k])
-			} else {
-				nullOut[k] = true
-			}
+			hashNull(h, nullOut, k, mixNulls)
 		}
+	}
+}
+
+// selAt maps slot k through sel; nil is the identity.
+func selAt(sel []int32, k int) int {
+	if sel == nil {
+		return k
+	}
+	return int(sel[k])
+}
+
+// hashNull applies a NULL at slot k: mixed into h[k], or flagged in nullOut.
+func hashNull(h []uint64, nullOut []bool, k int, mixNulls bool) {
+	if mixNulls {
+		h[k] = types.HashNull(h[k])
+	} else {
+		nullOut[k] = true
 	}
 }
 
