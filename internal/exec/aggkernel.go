@@ -9,70 +9,13 @@ import (
 	"partopt/internal/vec"
 )
 
-// The typed accumulate loop of hashAggOp. A columnar batch whose group keys
-// and aggregate inputs are all plain columns is folded straight off the
-// typed lanes: the group of every row is resolved first (from a small cache
-// keyed by the key values, hashing only the rows it misses), then each
-// aggregate runs one tight loop over its input lane. No expression is
-// evaluated and, for COUNT and SUM, no datum is built. What each aggregate
-// means is still decided by aggAcc (hashagg.go); the loops here only choose
-// how the input value is read.
-
-// typedLanes reports whether every input of this batch can be read off a
-// typed lane. Lanes degrade per heap, so this is asked per batch.
-func (a *hashAggOp) typedLanes(b *Batch) bool {
-	if b.Cols == nil || a.spilled || a.n.Stage == plan.AggFinal {
-		return false
-	}
-	for _, p := range a.keyPos {
-		if p < 0 || p >= len(b.Cols) {
-			return false
-		}
-	}
-	for i, ag := range a.n.Aggs {
-		if ag.Arg == nil {
-			continue // COUNT(*) reads nothing
-		}
-		p := a.argPos[i]
-		if p < 0 || p >= len(b.Cols) {
-			return false
-		}
-		if ag.Kind == plan.AggSum || ag.Kind == plan.AggAvg {
-			// A sum needs a numeric lane (or the all-NULL one); anything
-			// else — a mixed lane, a date — keeps the row loop's rules.
-			v := &b.Cols[p]
-			if v.Mixed || (v.Kind != types.KindInt && v.Kind != types.KindFloat && v.Kind != types.KindNull) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// foldTyped folds the leading rows of a batch through the typed loop and
-// returns how many it consumed: all of them, none when the batch cannot be
-// typed, or a prefix when a new group was denied memory mid-batch (the
-// operator is spilling from that row on, which is the row loop's business).
-func (a *hashAggOp) foldTyped(b *Batch, ctx *Ctx) (int, error) {
-	if !a.typedLanes(b) {
-		return 0, nil
-	}
-	n, err := a.resolveGroups(b, ctx)
-	if err != nil || n == 0 {
-		return 0, err
-	}
-	states := a.rowStates[:n]
-	for i, ag := range a.n.Aggs {
-		if ag.Arg == nil {
-			for _, st := range states {
-				st.acc[i].count++
-			}
-			continue
-		}
-		foldLane(states, i, ag.Kind, &b.Cols[a.argPos[i]], b.Sel)
-	}
-	return n, nil
-}
+// The fold loops of hashAggOp. Every batch's group keys and aggregate
+// inputs arrive as lanes (keyLanes). The group of every row is resolved
+// first (from a small cache keyed by the key values, hashing only the rows
+// it misses), then each aggregate runs one tight loop over its input lane.
+// For COUNT, and for SUM and AVG over an int or float lane, no datum is
+// built. What each aggregate means is still decided by aggAcc (hashagg.go);
+// the loops here only choose how the input value is read.
 
 // The group cache: groupCacheSlots recently resolved groups, direct-mapped
 // by a cheap mix of the key values themselves. Few groups soak up most rows,
@@ -117,52 +60,53 @@ type laneTag struct {
 // floatsEqual is types.Compare equality: -0.0 equals +0.0, NaN equals NaN.
 func floatsEqual(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNaN(y)) }
 
-// resolveGroups fills a.rowStates with the group state of each row, creating
-// groups as they first appear, and returns the number of rows resolved.
+// resolveGroups returns the group state of each row of the batch whose keys
+// a.keys holds, creating groups as they first appear.
 //
 // A row whose cache slot holds its key is resolved without hashing. Only a
-// miss, a NULL key or a mixed lane takes resolveRow, which computes the row
-// loop's hash and probes a.groups. The table stays keyed by that hash
-// because the row loop, the spill routing and the re-aggregation pass share
-// it; an int 3 therefore still finds a float 3.0 group, through a miss.
-func (a *hashAggOp) resolveGroups(b *Batch, ctx *Ctx) (int, error) {
+// miss, a NULL key or a mixed lane takes resolveRow, which computes the
+// types.HashDatum chain over the keys and probes a.groups. The table stays
+// keyed by that hash because the spill routing and the re-aggregation pass
+// share it; an int 3 therefore still finds a float 3.0 group, through a
+// miss. A row whose group cannot be resident resolves to a.sink.
+func (a *hashAggOp) resolveGroups(b *Batch, ctx *Ctx, hard bool) ([]*aggState, error) {
 	n := b.Len()
 	if cap(a.rowStates) < n {
 		a.rowStates = make([]*aggState, n)
 	}
 	states := a.rowStates[:n]
-	if len(a.keyPos) == 0 {
-		// Scalar aggregate: one group, hashed like the row loop hashes it.
-		var st *aggState
-		if bucket := a.groups[types.HashSeed]; len(bucket) > 0 {
-			st = bucket[0]
-		} else {
-			var err error
-			if st, err = a.admit(types.HashSeed, nil, ctx, false); err != nil || st == nil {
-				return 0, err
-			}
-		}
+	if len(a.keys.cols) == 0 {
+		// Scalar aggregate: one group. Once it is resident it takes every
+		// row; while it is not, every row spills.
 		for k := range states {
-			states[k] = st
+			if k == 0 || states[0] == a.sink {
+				st, err := a.resolveRow(types.HashSeed, b, k, ctx, hard)
+				if err != nil {
+					return nil, err
+				}
+				states[k] = st
+				continue
+			}
+			states[k] = states[0]
 		}
-		return n, nil
+		return states, nil
 	}
 	if a.cache == nil {
 		a.cache = new([groupCacheSlots]*aggState)
 	}
-	v := &b.Cols[a.keyPos[0]]
-	if len(a.keyPos) > 1 || v.Mixed || len(v.Nulls) > 0 {
-		return a.resolveKeys(b, states, ctx)
+	key := &a.keys.cols[0]
+	v := key.view
+	if len(a.keys.cols) > 1 || v.Mixed || len(v.Nulls) > 0 {
+		return a.resolveKeys(b, states, ctx, hard)
 	}
 	// One key on a typed lane without NULLs: a hit is checked against the
-	// group's tag, in one loop per lane type.
-	kind, sel, cache := v.Kind, b.Sel, a.cache
+	// group's tag, in one loop per lane type. The sink is never cached.
+	kind, sel, cache := v.Kind, key.sel, a.cache
 	switch kind {
 	case types.KindInt, types.KindDate, types.KindBool:
 		lane := v.Ints[v.Base:]
 		for k := range states {
-			i := selRow(sel, k)
-			x := lane[i]
+			x := lane[selRow(sel, k)]
 			slot := &cache[cacheSlot(uint64(x))]
 			if st := *slot; st != nil && st.tag.kind == kind && st.tag.i == x {
 				states[k] = st
@@ -172,48 +116,52 @@ func (a *hashAggOp) resolveGroups(b *Batch, ctx *Ctx) (int, error) {
 			if kind == types.KindBool {
 				h = types.HashBool(types.HashSeed, x)
 			}
-			st, err := a.resolveRow(h, b.Cols, i, ctx)
-			if err != nil || st == nil {
-				return k, err
+			st, err := a.resolveRow(h, b, k, ctx, hard)
+			if err != nil {
+				return nil, err
 			}
-			st.tag, *slot, states[k] = laneTag{kind: kind, i: x}, st, st
+			if states[k] = st; st != a.sink {
+				st.tag, *slot = laneTag{kind: kind, i: x}, st
+			}
 		}
 	case types.KindFloat:
 		lane := v.Flts[v.Base:]
 		for k := range states {
-			i := selRow(sel, k)
-			x := lane[i]
+			x := lane[selRow(sel, k)]
 			slot := &cache[cacheSlot(math.Float64bits(x))]
 			if st := *slot; st != nil && st.tag.kind == kind && floatsEqual(math.Float64frombits(uint64(st.tag.i)), x) {
 				states[k] = st
 				continue
 			}
-			st, err := a.resolveRow(types.HashFloat64(types.HashSeed, x), b.Cols, i, ctx)
-			if err != nil || st == nil {
-				return k, err
+			st, err := a.resolveRow(types.HashFloat64(types.HashSeed, x), b, k, ctx, hard)
+			if err != nil {
+				return nil, err
 			}
-			st.tag, *slot, states[k] = laneTag{kind: kind, i: int64(math.Float64bits(x))}, st, st
+			if states[k] = st; st != a.sink {
+				st.tag, *slot = laneTag{kind: kind, i: int64(math.Float64bits(x))}, st
+			}
 		}
 	case types.KindString:
 		lane := v.Strs[v.Base:]
 		for k := range states {
-			i := selRow(sel, k)
-			x := lane[i]
+			x := lane[selRow(sel, k)]
 			slot := &cache[cacheSlot(strBits(x))]
 			if st := *slot; st != nil && st.tag.kind == kind && st.groupVals[0].Str() == x {
 				states[k] = st
 				continue
 			}
-			st, err := a.resolveRow(types.HashString(types.HashSeed, x), b.Cols, i, ctx)
-			if err != nil || st == nil {
-				return k, err
+			st, err := a.resolveRow(types.HashString(types.HashSeed, x), b, k, ctx, hard)
+			if err != nil {
+				return nil, err
 			}
-			st.tag, *slot, states[k] = laneTag{kind: kind}, st, st
+			if states[k] = st; st != a.sink {
+				st.tag, *slot = laneTag{kind: kind}, st
+			}
 		}
 	default: // declared-NULL lane: every row is the NULL group
-		return a.resolveKeys(b, states, ctx)
+		return a.resolveKeys(b, states, ctx, hard)
 	}
-	return n, nil
+	return states, nil
 }
 
 // resolveKeys is resolveGroups for two or more keys, and for one key on a
@@ -222,35 +170,35 @@ func (a *hashAggOp) resolveGroups(b *Batch, ctx *Ctx) (int, error) {
 // cache is shared with the one-key loops, which check a hit against the
 // group's tag instead: every tag, wherever its group is cached, holds a
 // value equal to the group's key.
-func (a *hashAggOp) resolveKeys(b *Batch, states []*aggState, ctx *Ctx) (int, error) {
+func (a *hashAggOp) resolveKeys(b *Batch, states []*aggState, ctx *Ctx, hard bool) ([]*aggState, error) {
 	for k := range states {
-		i := selRow(b.Sel, k)
-		slot, cached := a.keySlot(b.Cols, i)
+		slot, cached := a.keySlot(k)
 		if cached {
-			if st := a.cache[slot]; st != nil && a.keysEqual(st, b.Cols, i) {
+			if st := a.cache[slot]; st != nil && a.keysEqual(st, k) {
 				states[k] = st
 				continue
 			}
 		}
-		st, err := a.resolveRow(a.rowHash(b.Cols, i), b.Cols, i, ctx)
-		if err != nil || st == nil {
-			return k, err
+		st, err := a.resolveRow(a.rowHash(k), b, k, ctx, hard)
+		if err != nil {
+			return nil, err
 		}
 		states[k] = st
-		if cached {
+		if cached && st != a.sink {
 			a.cache[slot] = st
 		}
 	}
-	return len(states), nil
+	return states, nil
 }
 
-// keySlot mixes the key values of window row i into a group-cache slot,
-// folding each key's bits in with the FNV prime; one key gets the slot the
-// one-key loops use. It reports false when a key is NULL or on a mixed lane.
-func (a *hashAggOp) keySlot(cols []vec.View, i int) (int, bool) {
+// keySlot mixes the key values of slot k into a group-cache slot, folding
+// each key's bits in with the FNV prime; one key gets the slot the one-key
+// loops use. It reports false when a key is NULL or on a mixed lane.
+func (a *hashAggOp) keySlot(k int) (int, bool) {
 	var x uint64
-	for _, p := range a.keyPos {
-		v := &cols[p]
+	for j := range a.keys.cols {
+		c := &a.keys.cols[j]
+		v, i := c.view, selRow(c.sel, k)
 		if v.Mixed || v.Null(i) {
 			return 0, false
 		}
@@ -269,36 +217,48 @@ func (a *hashAggOp) keySlot(cols []vec.View, i int) (int, bool) {
 	return cacheSlot(x), true
 }
 
-// rowHash hashes the keys of window row i as the row loop does.
-func (a *hashAggOp) rowHash(cols []vec.View, i int) uint64 {
+// keyDatum returns key j of slot k.
+func (a *hashAggOp) keyDatum(j, k int) types.Datum {
+	c := &a.keys.cols[j]
+	return c.view.Datum(selRow(c.sel, k))
+}
+
+// rowHash is the types.HashDatum chain over the keys of slot k.
+func (a *hashAggOp) rowHash(k int) uint64 {
 	h := types.HashSeed
-	for _, p := range a.keyPos {
-		h = types.HashDatum(h, cols[p].Datum(i))
+	for j := range a.keys.cols {
+		h = types.HashDatum(h, a.keyDatum(j, k))
 	}
 	return h
 }
 
-// resolveRow resolves window row i, whose keys hash to h (rowHash), through
-// the group table: it finds the group or admits a new one. A nil state
-// without an error means the group was denied memory.
-func (a *hashAggOp) resolveRow(h uint64, cols []vec.View, i int, ctx *Ctx) (*aggState, error) {
+// resolveRow resolves slot k of batch b, whose keys hash to h (rowHash),
+// through the group table: it finds the group or admits a new one. When
+// the group cannot be resident, the row is written raw to its spill
+// partition and resolves to a.sink, whose accumulators are thrown away.
+func (a *hashAggOp) resolveRow(h uint64, b *Batch, k int, ctx *Ctx, hard bool) (*aggState, error) {
 	a.hashedRows++
 	for _, cand := range a.groups[h] {
-		if a.keysEqual(cand, cols, i) {
+		if a.keysEqual(cand, k) {
 			return cand, nil
 		}
 	}
-	for j, p := range a.keyPos {
-		a.keyBuf[j] = cols[p].Datum(i)
+	for j := range a.keyBuf {
+		a.keyBuf[j] = a.keyDatum(j, k)
 	}
-	return a.admit(h, a.keyBuf, ctx, false)
+	st, err := a.admit(h, a.keyBuf, ctx, hard)
+	if err != nil || st != nil {
+		return st, err
+	}
+	return a.sink, a.parts[h%spillFanout].Write(batchRow(b, k, &a.row))
 }
 
-// keysEqual compares a group's key values with window row i of the key
-// lanes, under the grouping rule (NULLs are equal to each other).
-func (a *hashAggOp) keysEqual(st *aggState, cols []vec.View, i int) bool {
-	for j, p := range a.keyPos {
-		if !cols[p].EqualDatum(i, st.groupVals[j]) {
+// keysEqual compares a group's key values with slot k of the key lanes,
+// under the grouping rule (NULLs are equal to each other).
+func (a *hashAggOp) keysEqual(st *aggState, k int) bool {
+	for j := range a.keys.cols {
+		c := &a.keys.cols[j]
+		if !c.view.EqualDatum(selRow(c.sel, k), st.groupVals[j]) {
 			return false
 		}
 	}
@@ -317,18 +277,7 @@ func foldLane(states []*aggState, ai int, kind plan.AggKind, v *vec.View, sel []
 				st.acc[ai].count++
 			}
 		}
-	case kind == plan.AggMin || kind == plan.AggMax:
-		max := kind == plan.AggMax
-		for k, st := range states {
-			i := selRow(sel, k)
-			if nullable && v.Null(i) {
-				continue
-			}
-			acc := &st.acc[ai]
-			acc.offer(v.Datum(i), max)
-			acc.count++
-		}
-	case v.Kind == types.KindInt: // SUM/AVG over an integer lane
+	case (kind == plan.AggSum || kind == plan.AggAvg) && !v.Mixed && v.Kind == types.KindInt:
 		lane := v.Ints[v.Base:]
 		for k, st := range states {
 			i := selRow(sel, k)
@@ -339,7 +288,7 @@ func foldLane(states []*aggState, ai int, kind plan.AggKind, v *vec.View, sel []
 			acc.addInt(lane[i])
 			acc.count++
 		}
-	default: // SUM/AVG over a float lane (typedLanes admits nothing else)
+	case (kind == plan.AggSum || kind == plan.AggAvg) && !v.Mixed && v.Kind == types.KindFloat:
 		lane := v.Flts[v.Base:]
 		for k, st := range states {
 			i := selRow(sel, k)
@@ -350,5 +299,27 @@ func foldLane(states []*aggState, ai int, kind plan.AggKind, v *vec.View, sel []
 			acc.addFloat(lane[i])
 			acc.count++
 		}
+	default: // MIN/MAX, and SUM/AVG over a mixed or non-numeric lane (a date)
+		for k, st := range states {
+			if i := selRow(sel, k); !nullable || !v.Null(i) {
+				st.acc[ai].fold(kind, v.Datum(i))
+			}
+		}
+	}
+}
+
+// combineLanes folds one aggregate's state lanes — a Partial stage's
+// StateWidth columns for it, as emitState wrote them — into the per-row
+// group states of a Final stage.
+func combineLanes(states []*aggState, ai int, kind plan.AggKind, cols []keyCol) {
+	var s1 types.Datum
+	for k, st := range states {
+		c := &cols[0]
+		s0 := c.view.Datum(selRow(c.sel, k))
+		if len(cols) > 1 {
+			c = &cols[1]
+			s1 = c.view.Datum(selRow(c.sel, k))
+		}
+		st.acc[ai].combine(kind, s0, s1)
 	}
 }

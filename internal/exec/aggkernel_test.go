@@ -16,11 +16,11 @@ import (
 	"partopt/internal/vec"
 )
 
-// The typed accumulate loop against the row loop. A hashAggOp reads a
+// The hash aggregate against a test reference. A hashAggOp reads a
 // laneSrc: chunks of column lanes, each cut into batches of execBatchSize
-// rows that carry lanes and no rows. With rows set the same source emits
-// plain row batches, so every row takes the row loop: that run is the
-// oracle.
+// rows that carry lanes and no rows, or, with rows set, plain row batches
+// like a Motion receiver's. Both must agree with refAgg, a linear scan
+// that groups by types.Compare equality and folds through aggAcc.
 
 // laneSrc emits each chunk as windows of execBatchSize rows. keep, when
 // set, drops rows through a selection vector; rows emits row-only batches.
@@ -125,8 +125,7 @@ func groupAgg(t testing.TB, stage plan.AggStage, keys int, lean bool) *plan.Hash
 // aggRun is one drive of a hashAggOp over a source.
 type aggRun struct {
 	rows         []types.Row
-	typed, row   int64 // child batches folded by each loop
-	hashed       int64 // rows the typed loop hashed
+	hashed       int64 // rows the group cache could not resolve
 	materialized int64 // batches whose rows were built from lanes
 	spilled      bool
 }
@@ -162,10 +161,107 @@ func runAgg(t testing.TB, n *plan.HashAgg, src *laneSrc, workMem int64) aggRun {
 		t.Fatalf("close: %v", err)
 	}
 	live := liveStats(ctx)
-	run.typed, run.row = live.AggBatches().Total()
 	run.hashed, run.materialized = op.hashedRows, live.RowsMaterializedBatches()
 	run.spilled = live.SpilledBytes() > 0
 	return run
+}
+
+// refAgg is the test reference for a hashAggOp: one linear scan over the
+// input rows that finds each row's group by types.Compare equality of the
+// keys (NULL equals NULL) and folds the row through aggAcc. A Final stage
+// reads its keys and state columns by position.
+func refAgg(t testing.TB, n *plan.HashAgg, rows []types.Row) []types.Row {
+	t.Helper()
+	final := n.Stage == plan.AggFinal
+	env := expr.Env{Layout: n.Child.Layout()}
+	eval := func(e expr.Expr) types.Datum {
+		d, err := expr.Eval(e, &env)
+		if err != nil {
+			t.Fatalf("reference eval %s: %v", e, err)
+		}
+		return d
+	}
+	type group struct {
+		key types.Row
+		acc []aggAcc
+	}
+	var groups []*group
+	for _, row := range rows {
+		env.Row = row
+		key := make(types.Row, len(n.Groups))
+		for i, g := range n.Groups {
+			if final {
+				key[i] = row[i]
+			} else {
+				key[i] = eval(g.E)
+			}
+		}
+		var g *group
+		for _, cand := range groups {
+			same := true
+			for i := range key {
+				same = same && types.Compare(cand.key[i], key[i]) == 0
+			}
+			if same {
+				g = cand
+				break
+			}
+		}
+		if g == nil {
+			g = &group{key: key, acc: make([]aggAcc, len(n.Aggs))}
+			groups = append(groups, g)
+		}
+		pos := len(n.Groups)
+		for i, ag := range n.Aggs {
+			acc := &g.acc[i]
+			switch {
+			case final:
+				var s1 types.Datum
+				if ag.Kind.StateWidth() == 2 {
+					s1 = row[pos+1]
+				}
+				acc.combine(ag.Kind, row[pos], s1)
+				pos += ag.Kind.StateWidth()
+			case ag.Arg == nil:
+				acc.count++
+			default:
+				if v := eval(ag.Arg); !v.IsNull() {
+					acc.fold(ag.Kind, v)
+				}
+			}
+		}
+	}
+	if len(n.Groups) == 0 && len(groups) == 0 {
+		groups = append(groups, &group{acc: make([]aggAcc, len(n.Aggs))})
+	}
+	out := make([]types.Row, len(groups))
+	for r, g := range groups {
+		row := append(types.Row(nil), g.key...)
+		for i, ag := range n.Aggs {
+			if n.Stage == plan.AggPartial {
+				state := make(types.Row, ag.Kind.StateWidth())
+				g.acc[i].emitState(ag.Kind, state)
+				row = append(row, state...)
+			} else {
+				row = append(row, g.acc[i].finish(ag.Kind))
+			}
+		}
+		out[r] = row
+	}
+	return out
+}
+
+// srcRows returns the rows a laneSrc over chunks with keep delivers.
+func srcRows(chunks []*vec.ColumnSet, keep func(types.Row) bool) []types.Row {
+	var rows []types.Row
+	for _, cs := range chunks {
+		for _, r := range cs.RowView() {
+			if keep == nil || keep(r) {
+				rows = append(rows, r)
+			}
+		}
+	}
+	return rows
 }
 
 // rendered renders rows type-tagged, so an int 3 and a float 3 differ, and
@@ -216,6 +312,8 @@ func TestHashAggTypedGroupsMatchRowLoop(t *testing.T) {
 		chunks  []*vec.ColumnSet
 		keep    func(types.Row) bool
 		workMem int64
+		node    func(testing.TB, plan.AggStage) *plan.HashAgg // default: groupAgg over keys
+		final   bool                                          // run the Final stage only
 	}{
 		{name: "int", keys: 1, chunks: []*vec.ColumnSet{keyChunk(types.KindInt, 0, n, func(i int) types.Datum { return i64(i % 25) })}},
 		{name: "date", keys: 1, chunks: []*vec.ColumnSet{keyChunk(types.KindDate, 0, n, func(i int) types.Datum { return types.NewDate(int64(18000 + i%31)) })}},
@@ -267,35 +365,113 @@ func TestHashAggTypedGroupsMatchRowLoop(t *testing.T) {
 		})}},
 		{name: "two keys, int and float lanes", keys: 2, chunks: []*vec.ColumnSet{threes(types.KindInt, 0), threes(types.KindFloat, 40)}},
 		{name: "budget denied mid-batch", keys: 1, workMem: 4 << 10, chunks: []*vec.ColumnSet{keyChunk(types.KindInt, 0, n, func(i int) types.Datum { return i64(i % 97) })}},
+		{name: "scalar, budget denied", workMem: 1, chunks: []*vec.ColumnSet{keyChunk(types.KindInt, 0, 300, func(i int) types.Datum { return i64(i % 5) })}},
+		{name: "computed key and arguments", node: computedAgg, chunks: []*vec.ColumnSet{keyChunk(types.KindInt, 0, n, func(i int) types.Datum { return i64(i % 23) })}},
+		{name: "computed key, budget denied", node: computedAgg, workMem: 4 << 10, chunks: []*vec.ColumnSet{keyChunk(types.KindInt, 0, n, func(i int) types.Datum { return i64(i % 97) })}},
+		{name: "SUM and AVG over a date lane", keys: 1, chunks: []*vec.ColumnSet{valChunk(types.KindDate, 0, n, func(i int) types.Datum { return types.NewDate(int64(18000 + i%40)) })}},
+		{name: "SUM and AVG over a mixed int/float lane", keys: 1, chunks: []*vec.ColumnSet{valChunk(types.KindFloat, 0, n, func(i int) types.Datum {
+			if i%3 == 0 {
+				return i64(i)
+			}
+			return f64(float64(i) * 0.5)
+		})}},
+		{name: "Final over state rows", keys: 1, final: true, chunks: []*vec.ColumnSet{stateChunk(1, 0, 500), stateChunk(1, 500, 700)}},
+		{name: "Final over state rows, budget denied", keys: 1, final: true, workMem: 2 << 10, chunks: []*vec.ColumnSet{stateChunk(1, 0, 1200)}},
+		{name: "scalar Final over state rows", final: true, chunks: []*vec.ColumnSet{stateChunk(0, 0, 40)}},
 	}
 	for _, c := range cases {
-		for _, stage := range []plan.AggStage{plan.AggSingle, plan.AggPartial} {
+		stages := []plan.AggStage{plan.AggSingle, plan.AggPartial}
+		if c.final {
+			stages = []plan.AggStage{plan.AggFinal}
+		}
+		for _, stage := range stages {
+			node := groupAgg(t, stage, c.keys, false)
+			if c.node != nil {
+				node = c.node(t, stage)
+			}
+			want := rendered(refAgg(t, node, srcRows(c.chunks, c.keep)))
 			for _, bs := range []int{1, 7, 1024} {
-				name := fmt.Sprintf("%s/stage=%d/batch=%d", c.name, stage, bs)
-				func() {
-					defer SetBatchSize(SetBatchSize(bs))
-					rowSrc := &laneSrc{chunks: c.chunks, keep: c.keep, rows: true}
-					want := runAgg(t, groupAgg(t, stage, c.keys, false), rowSrc, c.workMem)
-					src := &laneSrc{chunks: c.chunks, keep: c.keep}
-					got := runAgg(t, groupAgg(t, stage, c.keys, false), src, c.workMem)
-					if g, w := rendered(got.rows), rendered(want.rows); fmt.Sprint(g) != fmt.Sprint(w) {
-						t.Errorf("%s: typed loop differs from the row loop\n got %v\nwant %v", name, g, w)
-					}
-					if want.typed != 0 {
-						t.Errorf("%s: oracle folded %d typed batches", name, want.typed)
-					}
-					if got.typed == 0 && got.hashed == 0 {
-						// A budget denial mid-batch counts the batch as a row
-						// batch; the typed prefix before it hashed its groups.
-						t.Errorf("%s: the typed loop never ran (%d row batches)", name, got.row)
-					}
-					if c.workMem > 0 && (!got.spilled || !want.spilled) {
-						t.Errorf("%s: work_mem %d did not spill (typed %v, oracle %v)", name, c.workMem, got.spilled, want.spilled)
-					}
-				}()
+				for _, rowsOnly := range []bool{false, true} {
+					name := fmt.Sprintf("%s/stage=%v/batch=%d/rows=%v", c.name, stage, bs, rowsOnly)
+					func() {
+						defer SetBatchSize(SetBatchSize(bs))
+						got := runAgg(t, node, &laneSrc{chunks: c.chunks, keep: c.keep, rows: rowsOnly}, c.workMem)
+						if g := rendered(got.rows); fmt.Sprint(g) != fmt.Sprint(want) {
+							t.Errorf("%s: differs from the reference\n got %v\nwant %v", name, g, want)
+						}
+						// Keys and inputs are read as lanes whatever they
+						// are (a computed key, a date SUM, a spill): no
+						// batch of lanes is ever turned into rows.
+						if got.materialized != 0 {
+							t.Errorf("%s: %d batches materialized, want 0", name, got.materialized)
+						}
+						if c.workMem > 0 && !got.spilled {
+							t.Errorf("%s: work_mem %d did not spill", name, c.workMem)
+						}
+					}()
+				}
 			}
 		}
 	}
+}
+
+// computedAgg groups aggInput by k % 50 and aggregates computed arguments.
+func computedAgg(t testing.TB, stage plan.AggStage) *plan.HashAgg {
+	out := func(ord int) expr.ColID { return expr.ColID{Rel: 9, Ord: ord} }
+	k, v, f := tcol(1, 0, "k"), tcol(1, 2, "v"), tcol(1, 3, "f")
+	groups := []plan.GroupCol{{E: &expr.Arith{Op: expr.Mod, L: k, R: intc(50)}, Name: "k50", Out: out(0)}}
+	aggs := []plan.AggSpec{
+		{Kind: plan.AggCount, Name: "n", Out: out(1)},
+		{Kind: plan.AggSum, Arg: &expr.Arith{Op: expr.Mul, L: v, R: intc(2)}, Name: "s", Out: out(2)},
+		{Kind: plan.AggAvg, Arg: &expr.Arith{Op: expr.Add, L: f, R: v}, Name: "a", Out: out(3)},
+		{Kind: plan.AggMin, Arg: &expr.Arith{Op: expr.Sub, L: v, R: k}, Name: "mn", Out: out(4)},
+		{Kind: plan.AggCount, Arg: &expr.Arith{Op: expr.Mul, L: v, R: intc(2)}, Name: "nv", Out: out(5)},
+	}
+	return plan.NewStagedHashAgg(stage, groups, aggs, aggInput(t))
+}
+
+// valChunk builds a chunk of n rows of aggInput whose argument v is val(i)
+// (NULL every 13th row) on a lane of kind, keyed by i % 25.
+func valChunk(kind types.Kind, from, n int, val func(i int) types.Datum) *vec.ColumnSet {
+	rows := make([]types.Row, n)
+	for j := range rows {
+		i := from + j
+		rows[j] = argRow(i, types.NewInt(int64(i%25)), types.NewInt(int64(i%4)))
+		if !rows[j][2].IsNull() {
+			rows[j][2] = val(i)
+		}
+	}
+	return laneChunk([]types.Kind{types.KindInt, types.KindInt, kind, types.KindFloat}, rows)
+}
+
+// stateChunk builds n rows shaped like the output of
+// groupAgg(AggPartial, keys, false) for no or one key: the key (NULL every
+// 11th row), then the state columns of COUNT(*), SUM(f), COUNT(v), SUM(v), AVG(v) (sum and
+// count), MIN(v) and MAX(f). The SUM(v) lane is mixed: a sum that
+// overflowed int64 went on in float.
+func stateChunk(keys, from, n int) *vec.ColumnSet {
+	rows := make([]types.Row, n)
+	for j := range rows {
+		i := from + j
+		key := types.NewInt(int64(i % 6))
+		if i%11 == 0 {
+			key = types.Null
+		}
+		nv := int64(i % 4)
+		sumV, sumF, minV, maxF := types.NewInt(int64(i*3-100)), types.NewFloat(float64(i)*0.75), types.NewInt(int64(i%17-8)), types.NewFloat(float64(i%29)/4)
+		switch {
+		case nv == 0:
+			sumV, minV = types.Null, types.Null
+		case i%9 == 0:
+			sumV = types.NewFloat(float64(i) * 1e18)
+		}
+		if i%7 == 0 {
+			sumF, maxF = types.Null, types.Null
+		}
+		rows[j] = types.Row{key, types.NewInt(int64(i % 5)), sumF, types.NewInt(nv), sumV, sumV, types.NewInt(nv), minV, maxF}[1-keys:]
+	}
+	kinds := []types.Kind{types.KindInt, types.KindInt, types.KindFloat, types.KindInt, types.KindInt, types.KindInt, types.KindInt, types.KindInt, types.KindFloat}
+	return laneChunk(kinds[1-keys:], rows)
 }
 
 func TestHashAggGroupCacheHashesOnlyOnMiss(t *testing.T) {
@@ -314,31 +490,35 @@ func TestHashAggGroupCacheHashesOnlyOnMiss(t *testing.T) {
 		if run.hashed > groupCacheSlots {
 			t.Errorf("%s: hashed %d of %d rows, want at most %d", c.name, run.hashed, rows, groupCacheSlots)
 		}
-		if run.materialized != 0 || run.row != 0 {
-			t.Errorf("%s: %d batches materialized, %d row batches; want 0", c.name, run.materialized, run.row)
+		if run.materialized != 0 {
+			t.Errorf("%s: %d batches materialized, want 0", c.name, run.materialized)
 		}
 	}
 }
 
-// BenchmarkHashAggGroups folds 200 000 rows per iteration through the typed
-// loop, computing COUNT(*) and SUM over a float lane, and reports ns/row.
-// The 100 000-group case misses the group cache on nearly every row.
+// BenchmarkHashAggGroups folds 200 000 rows per iteration, computing
+// COUNT(*) and SUM over a float lane, and reports ns/row. The 100 000-group
+// case misses the group cache on nearly every row. The rows- case feeds
+// row batches without lanes, like a Motion receiver's output, so the keys
+// and the argument are copied into lanes first.
 func BenchmarkHashAggGroups(b *testing.B) {
 	const rows = 200_000
 	cases := []struct {
-		name string
-		keys int
-		kind types.Kind
-		key  func(i int) types.Datum
+		name    string
+		keys    int
+		kind    types.Kind
+		key     func(i int) types.Datum
+		rowsOut bool
 	}{
-		{"int-25", 1, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i%25 + 1)) }},
-		{"string-5", 1, types.KindString, func(i int) types.Datum { return types.NewString(fmt.Sprint("s", i%5)) }},
-		{"int-100000", 1, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i % 100_000)) }},
-		{"two-keys-20", 2, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i / 4 % 5)) }},
+		{"int-25", 1, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i%25 + 1)) }, false},
+		{"string-5", 1, types.KindString, func(i int) types.Datum { return types.NewString(fmt.Sprint("s", i%5)) }, false},
+		{"int-100000", 1, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i % 100_000)) }, false},
+		{"two-keys-20", 2, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i / 4 % 5)) }, false},
+		{"rows-int-25", 1, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i%25 + 1)) }, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			src := &laneSrc{chunks: []*vec.ColumnSet{keyChunk(c.kind, 0, rows, c.key)}}
+			src := &laneSrc{chunks: []*vec.ColumnSet{keyChunk(c.kind, 0, rows, c.key)}, rows: c.rowsOut}
 			n := groupAgg(b, plan.AggPartial, c.keys, true)
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {

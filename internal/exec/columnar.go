@@ -12,12 +12,14 @@ import (
 // Columnar execution: batches flowing out of heap scans carry zero-copy
 // column views (Batch.Cols/Sel), the hash join emits lanes of its own, and
 // the hot kernels — filter predicates, join and Redistribute key hashing,
-// the join's key check — run as tight typed loops over those vectors
-// instead of per-datum expr.Eval dispatch. Key hashing and the key check
-// have no row path: keyLanes copies the keys of a batch without lanes
-// (Motion receivers, sort, aggregate output, index reads, spill reloads)
-// into lanes of its own. A filter over such a batch runs its row loop,
-// which is also the reference the filter kernels are tested against.
+// the join's key check, the hash aggregate's group resolution and folds —
+// run as tight typed loops over those vectors instead of per-datum
+// expr.Eval dispatch. Key hashing, the key check and aggregation have no
+// row path: keyLanes copies the keys (and aggregate inputs) of a batch
+// without lanes (Motion receivers, sort, aggregate output, index reads,
+// spill reloads) into lanes of its own. A filter over such a batch runs
+// its row loop, which is also the reference the filter kernels are tested
+// against.
 //
 // Two rules keep this invisible to everything else:
 //
@@ -519,8 +521,8 @@ func (v *vpBoolCol) sel(b *Batch, cand, out []int32) ([]int32, error) {
 // ---------------------------------------------------------------- key lanes
 
 // keyLanes reads a list of key expressions — a hash join's build or probe
-// keys, a Redistribute Motion's hash keys — off one batch at a time as one
-// vec.View per key, and hashes them. A plain column of a batch with lanes
+// keys, a Redistribute Motion's hash keys, a hash aggregate's group keys and
+// inputs — off one batch at a time as one vec.View per key, and hashes them. A plain column of a batch with lanes
 // is the batch's own lane under its Sel; a plain column of a row-only
 // batch is copied into a reused lane; a computed key is evaluated row by
 // row into a reused lane. Every join-key and Redistribute hash in the
@@ -537,10 +539,27 @@ type keyLanes struct {
 // keyCol is one key of a keyLanes.
 type keyCol struct {
 	e    expr.Expr
-	pos  int       // batch column of a plain-column key; -1: computed
-	view vec.View  // the loaded batch's key values
+	pos  int       // batch column of a plain-column key; -1: computed (e)
+	view *vec.View // the loaded batch's key values: its own lane, or own's
 	sel  []int32   // the view row of each slot; nil: the slot itself
-	lane *vec.Lane // reused for row-only batches and computed keys
+	own  *ownLane  // reused for row-only batches and computed keys
+}
+
+// ownLane is a lane a keyCol fills itself, and the view of it it hands out.
+type ownLane struct {
+	lane vec.Lane
+	view vec.View
+}
+
+// colPos resolves a bare column reference to its position in the layout;
+// -1 for anything else.
+func colPos(e expr.Expr, layout expr.Layout) int {
+	if c, ok := e.(*expr.Col); ok {
+		if p, ok := layout[c.ID]; ok && p >= 0 {
+			return p
+		}
+	}
+	return -1
 }
 
 func newKeyLanes(keys []expr.Expr, layout expr.Layout, params []types.Datum) *keyLanes {
@@ -558,15 +577,16 @@ func (kl *keyLanes) load(b *Batch) error {
 	for i := range kl.cols {
 		c := &kl.cols[i]
 		if c.pos >= 0 && b.Cols != nil {
-			c.view, c.sel = b.Cols[c.pos], b.Sel
+			c.view, c.sel = &b.Cols[c.pos], b.Sel
 			continue
 		}
-		if c.lane == nil {
-			c.lane = new(vec.Lane)
+		if c.own == nil {
+			c.own = new(ownLane)
 		}
-		c.lane.Reset()
+		lane := &c.own.lane
+		lane.Reset()
 		if c.pos >= 0 {
-			c.lane.AppendColumn(b.Rows, c.pos)
+			lane.AppendColumn(b.Rows, c.pos)
 		} else {
 			for k := 0; k < kl.n; k++ {
 				kl.env.Row = batchRow(b, k, &kl.row)
@@ -574,10 +594,11 @@ func (kl *keyLanes) load(b *Batch) error {
 				if err != nil {
 					return err
 				}
-				c.lane.AppendDatum(d)
+				lane.AppendDatum(d)
 			}
 		}
-		c.view, c.sel = c.lane.View(), nil
+		c.own.view = lane.View()
+		c.view, c.sel = &c.own.view, nil
 	}
 	return nil
 }

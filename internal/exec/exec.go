@@ -123,23 +123,6 @@ func NewStats() *Stats { return &Stats{} }
 // with this Stats. Must be called before execution begins.
 func (s *Stats) EnableTiming() { s.timed = true }
 
-// AggBatches counts the child batches hash aggregates folded, by the loop
-// that folded them and indexed by plan.AggStage. A batch the typed loop
-// could not take — no column lanes, a computed key or argument, a Final
-// stage's motion input, an operator that is spilling — is a row batch.
-type AggBatches struct {
-	Typed, Row [plan.NumAggStages]int64
-}
-
-// Total sums the counters over the stages.
-func (b AggBatches) Total() (typed, row int64) {
-	for s := range b.Typed {
-		typed += b.Typed[s]
-		row += b.Row[s]
-	}
-	return typed, row
-}
-
 // oidBox is the shared-memory mailbox between PartitionSelectors
 // (producers) and their DynamicScan (consumer) within one process. A scan
 // may have several selectors — e.g. a join-driven one on the build side

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"partopt/internal/expr"
 	"partopt/internal/mem"
@@ -14,11 +13,11 @@ import (
 // ---------------------------------------------------------------- aggregate state
 
 // aggAcc is the running state of one aggregate inside one group. Every
-// rule about what an aggregate means lives in its methods, which both the
-// row loop below and the typed loop (aggkernel.go) call: NULL inputs never
-// reach it, SUM stays an integer until the first float input or the first
-// int64 overflow, AVG divides only when it finishes, and COUNT over no input
-// is 0 where SUM, AVG, MIN and MAX are NULL.
+// rule about what an aggregate means lives in its methods, which the fold
+// loops (aggkernel.go) call: NULL inputs never reach it, SUM stays an
+// integer until the first float input or the first int64 overflow, AVG
+// divides only when it finishes, and COUNT over no input is 0 where SUM,
+// AVG, MIN and MAX are NULL.
 type aggAcc struct {
 	count   int64       // COUNT: rows (or non-NULL arguments); otherwise the non-NULL inputs folded in
 	isum    int64       // SUM/AVG while every input was an integer
@@ -80,19 +79,20 @@ func (a *aggAcc) fold(kind plan.AggKind, v types.Datum) {
 }
 
 // combine folds the state columns a Partial stage emitted for this
-// aggregate (see emitState) into the Final stage's accumulator.
-func (a *aggAcc) combine(kind plan.AggKind, state types.Row) {
+// aggregate (see emitState) into the Final stage's accumulator: s0 is the
+// first, and s1 AVG's count.
+func (a *aggAcc) combine(kind plan.AggKind, s0, s1 types.Datum) {
 	switch kind {
 	case plan.AggCount:
-		a.count += state[0].Int()
+		a.count += s0.Int()
 	case plan.AggAvg:
-		if !state[0].IsNull() {
-			a.addSum(state[0])
+		if !s0.IsNull() {
+			a.addSum(s0)
 		}
-		a.count += state[1].Int()
+		a.count += s1.Int()
 	default:
-		if !state[0].IsNull() {
-			a.fold(kind, state[0])
+		if !s0.IsNull() {
+			a.fold(kind, s0)
 		}
 	}
 }
@@ -153,7 +153,7 @@ func (a *aggAcc) finish(kind plan.AggKind) types.Datum {
 type aggState struct {
 	groupVals types.Row
 	acc       []aggAcc // one per aggregate
-	tag       laneTag  // typed loop: the one-key value the group cache last resolved here
+	tag       laneTag  // the one-key value the group cache last resolved here
 }
 
 // ---------------------------------------------------------------- hash agg
@@ -165,8 +165,11 @@ type aggState struct {
 // only what an input row is and what an output row is: Single and Partial
 // fold raw child rows (Partial then emits its accumulators as state
 // columns instead of finished values), Final folds a Partial's state rows,
-// read by position. Hashing, the group table, budget charges, spilling and
-// abort polling are the same code in every stage.
+// read by position. Reading the inputs, hashing, the group table, budget
+// charges, spilling and abort polling are the same code in every stage,
+// and every batch takes it: group keys and aggregate inputs are read as
+// lanes (keyLanes), whether the batch carries lanes, only rows (Motion
+// output, spill reloads) or needs an expression evaluated.
 //
 // Each new group charges the budget for its aggregation state. When the
 // charge is denied the operator spills: input rows whose group is not
@@ -176,16 +179,14 @@ type aggState struct {
 // resident table ever spill), so after the resident groups are emitted each
 // partition is re-aggregated independently with hard reservations.
 type hashAggOp struct {
-	n      *plan.HashAgg
-	child  Operator
-	layout expr.Layout
+	n     *plan.HashAgg
+	child Operator
 
-	// keyPos and argPos are the child-row positions of each group key and
-	// each aggregate's input (a Final stage's first state column); -1 marks
-	// a computed expression, which only the row loop can evaluate.
-	keyPos   []int
-	argPos   []int
-	outWidth int // columns of an output row: groups, then values (Partial: state columns)
+	// keys reads each batch's group keys. args reads the aggregate inputs
+	// in aggregate order: a Single or Partial stage one lane per argument
+	// (none for COUNT(*)), a Final stage each aggregate's state columns.
+	keys, args keyLanes
+	outWidth   int // columns of an output row: groups, then values (Partial: state columns)
 
 	groups   map[uint64][]*aggState
 	order    []*aggState // emission order (insertion order)
@@ -194,19 +195,18 @@ type hashAggOp struct {
 
 	spilled bool
 	parts   []*mem.SpillWriter
-	part    int // next partition to re-aggregate
+	part    int       // next partition to re-aggregate
+	sink    *aggState // the group of every row written to a.parts; never emitted
 
 	childOpen bool
 
-	env    expr.Env  // reused per row
 	keyBuf types.Row // reused group-key probe buffer (cloned only on insert)
+	row    types.Row // scratch row for spilling a batch without rows
 	out    Batch     // reused output header for NextBatch
 
-	rowStates  []*aggState                 // typed loop: the group of each row of the current batch
-	cache      *[groupCacheSlots]*aggState // typed loop: recently resolved groups (see resolveGroups)
-	hashedRows int64                       // typed loop: rows hashed because the cache could not resolve them
-
-	typedBatches, rowBatches int64 // child batches folded by each loop
+	rowStates  []*aggState                 // the group of each row of the current batch
+	cache      *[groupCacheSlots]*aggState // recently resolved groups (see resolveGroups)
+	hashedRows int64                       // rows hashed because the cache could not resolve them
 }
 
 // aggStateBytes estimates one group's aggregation-state footprint.
@@ -214,56 +214,61 @@ func aggStateBytes(groupVals types.Row, naggs int) int64 {
 	return mem.RowBytes(groupVals) + 200 + 48*int64(naggs)
 }
 
-// colPos resolves a bare column reference to its position in the layout;
-// -1 for anything else.
-func colPos(e expr.Expr, layout expr.Layout) int {
-	if c, ok := e.(*expr.Col); ok {
-		if p, ok := layout[c.ID]; ok && p >= 0 {
-			return p
+// inputs sets up a.keys, a.args and a.outWidth. A Single or Partial stage
+// reads expressions over the child's layout; a Final stage reads a
+// Partial's rows by position: the groups, then each aggregate's
+// StateWidth state columns.
+func (a *hashAggOp) inputs(params []types.Datum) {
+	final := a.n.Stage == plan.AggFinal
+	var layout expr.Layout // a Final stage evaluates nothing
+	if !final {
+		layout = a.n.Child.Layout()
+	}
+	env := expr.Env{Layout: layout, Params: params}
+	a.keys = keyLanes{cols: make([]keyCol, len(a.n.Groups)), env: env}
+	for i, g := range a.n.Groups {
+		a.keys.cols[i] = keyCol{e: g.E, pos: colPos(g.E, layout)}
+		if final {
+			a.keys.cols[i] = keyCol{pos: i}
 		}
 	}
-	return -1
-}
-
-func (a *hashAggOp) Open(ctx *Ctx) (err error) {
-	a.layout = a.n.Child.Layout()
-	a.env = expr.Env{Layout: a.layout, Params: ctx.Params.Vals}
-	a.keyBuf = make(types.Row, len(a.n.Groups))
-	a.keyPos = make([]int, len(a.n.Groups))
-	a.argPos = make([]int, len(a.n.Aggs))
-	for i, g := range a.n.Groups {
-		a.keyPos[i] = colPos(g.E, a.layout)
+	nargs := 0
+	for _, ag := range a.n.Aggs {
+		switch {
+		case final:
+			nargs += ag.Kind.StateWidth()
+		case ag.Arg != nil:
+			nargs++
+		}
 	}
-	a.outWidth = len(a.n.Groups) + len(a.n.Aggs)
-	for i, ag := range a.n.Aggs {
-		a.argPos[i] = colPos(ag.Arg, a.layout)
+	a.args = keyLanes{cols: make([]keyCol, 0, nargs), env: env}
+	a.outWidth = len(a.n.Groups)
+	pos := len(a.n.Groups) // a Final stage's next state column
+	for _, ag := range a.n.Aggs {
+		a.outWidth++
 		if a.n.Stage == plan.AggPartial {
 			a.outWidth += ag.Kind.StateWidth() - 1
 		}
-	}
-	if a.n.Stage == plan.AggFinal {
-		// The child delivers a Partial stage's rows: groups first, then
-		// each aggregate's state columns.
-		pos := len(a.n.Groups)
-		for i := range a.keyPos {
-			a.keyPos[i] = i
-		}
-		for i, ag := range a.n.Aggs {
-			a.argPos[i] = pos
-			pos += ag.Kind.StateWidth()
+		switch {
+		case final:
+			for range ag.Kind.StateWidth() {
+				a.args.cols = append(a.args.cols, keyCol{pos: pos})
+				pos++
+			}
+		case ag.Arg != nil:
+			a.args.cols = append(a.args.cols, keyCol{e: ag.Arg, pos: colPos(ag.Arg, layout)})
 		}
 	}
+}
+
+func (a *hashAggOp) Open(ctx *Ctx) (err error) {
+	a.inputs(ctx.Params.Vals)
+	a.keyBuf = make(types.Row, len(a.n.Groups))
 	a.groups = map[uint64][]*aggState{}
-	a.order = nil
-	a.pos = 0
-	a.reserved = 0
-	a.spilled = false
-	a.parts = nil
-	a.part = 0
-	a.typedBatches, a.rowBatches = 0, 0
+	a.order, a.pos, a.reserved = nil, 0, 0
+	a.spilled, a.parts, a.part, a.sink = false, nil, 0, nil
 	a.cache, a.hashedRows = nil, 0
 	defer func() {
-		ctx.noteAggBatches(a.typedBatches, a.rowBatches)
 		if err != nil {
 			a.abort(ctx)
 		}
@@ -284,22 +289,8 @@ func (a *hashAggOp) Open(ctx *Ctx) (err error) {
 		if err := ctx.pollAbortBatch(); err != nil {
 			return err
 		}
-		// The typed loop folds as many leading rows as it can; whatever is
-		// left (all of them when it cannot type the batch) takes the row
-		// loop.
-		done, err := a.foldTyped(b, ctx)
-		if err != nil {
+		if err := a.fold(b, ctx, false); err != nil {
 			return err
-		}
-		if done == b.Len() {
-			a.typedBatches++
-			continue
-		}
-		a.rowBatches++
-		for _, row := range b.rows(ctx)[done:] {
-			if err := a.accumulate(row, ctx, false); err != nil {
-				return err
-			}
 		}
 	}
 	if err := a.child.Close(ctx); err != nil {
@@ -328,70 +319,35 @@ func (a *hashAggOp) newState(groupVals types.Row) *aggState {
 	return &aggState{groupVals: groupVals, acc: make([]aggAcc, len(a.n.Aggs))}
 }
 
-// value reads one input of the current row (a.env.Row): by position when
-// the input is a plain column, through the expression evaluator otherwise.
-func (a *hashAggOp) value(pos int, e expr.Expr) (types.Datum, error) {
-	if row := a.env.Row; pos >= 0 && pos < len(row) {
-		return row[pos], nil
+// fold folds one batch: it reads the keys and inputs, resolves the group of
+// every row (resolveGroups), then runs one loop per aggregate over its
+// input lanes. hard marks the partition-re-aggregation pass, where new
+// groups are the irreducible working set (hard reservation, no further
+// spilling).
+func (a *hashAggOp) fold(b *Batch, ctx *Ctx, hard bool) error {
+	if err := a.keys.load(b); err != nil {
+		return err
 	}
-	return expr.Eval(e, &a.env)
-}
-
-// accumulate is the row loop: it folds one input row into its group. hard
-// marks the partition-re-aggregation pass, where new groups are the
-// irreducible working set (hard reservation, no further spilling).
-func (a *hashAggOp) accumulate(row types.Row, ctx *Ctx, hard bool) error {
-	a.env.Row = row
-	h := types.HashSeed
-	for i, g := range a.n.Groups {
-		v, err := a.value(a.keyPos[i], g.E)
-		if err != nil {
-			return err
-		}
-		a.keyBuf[i] = v
-		h = types.HashDatum(h, v)
+	if err := a.args.load(b); err != nil {
+		return err
 	}
-	var st *aggState
-	for _, cand := range a.groups[h] {
-		same := true
-		for i := range a.keyBuf {
-			if types.Compare(cand.groupVals[i], a.keyBuf[i]) != 0 {
-				same = false
-				break
+	states, err := a.resolveGroups(b, ctx, hard)
+	if err != nil {
+		return err
+	}
+	c := 0 // the aggregate's first lane in a.args
+	for i, ag := range a.n.Aggs {
+		switch {
+		case a.n.Stage == plan.AggFinal:
+			combineLanes(states, i, ag.Kind, a.args.cols[c:c+ag.Kind.StateWidth()])
+			c += ag.Kind.StateWidth()
+		case ag.Arg == nil: // COUNT(*)
+			for _, st := range states {
+				st.acc[i].count++
 			}
-		}
-		if same {
-			st = cand
-			break
-		}
-	}
-	if st == nil {
-		var err error
-		if st, err = a.admit(h, a.keyBuf, ctx, hard); err != nil {
-			return err
-		}
-		if st == nil {
-			// Non-resident group under pressure: route the raw row to its
-			// partition for the re-aggregation pass.
-			return a.parts[int(h%spillFanout)].Write(row)
-		}
-	}
-	for i, agg := range a.n.Aggs {
-		acc := &st.acc[i]
-		if a.n.Stage == plan.AggFinal {
-			acc.combine(agg.Kind, row[a.argPos[i]:])
-			continue
-		}
-		if agg.Arg == nil { // COUNT(*)
-			acc.count++
-			continue
-		}
-		v, err := a.value(a.argPos[i], agg.Arg)
-		if err != nil {
-			return err
-		}
-		if !v.IsNull() {
-			acc.fold(agg.Kind, v)
+		default:
+			foldLane(states, i, ag.Kind, a.args.cols[c].view, a.args.cols[c].sel)
+			c++
 		}
 	}
 	return nil
@@ -416,7 +372,7 @@ func (a *hashAggOp) admit(h uint64, key types.Row, ctx *Ctx, hard bool) (*aggSta
 		if err != nil {
 			return nil, err
 		}
-		a.parts, a.spilled = parts, true
+		a.parts, a.spilled, a.sink = parts, true, a.newState(nil)
 		return nil, nil
 	}
 	a.reserved += sb
@@ -432,27 +388,26 @@ func (a *hashAggOp) loadNextPart(ctx *Ctx) (bool, error) {
 	for a.part < len(a.parts) {
 		ctx.release(a.reserved)
 		a.reserved = 0
-		a.groups = map[uint64][]*aggState{}
+		a.groups, a.cache = map[uint64][]*aggState{}, nil
 		a.order, a.pos = nil, 0
 		w := a.parts[a.part]
 		r, err := w.Reader()
 		if err != nil {
 			return false, err
 		}
+		var part Batch
 		for {
-			row, err := r.Next()
-			if err == io.EOF {
+			b, err := fillBatch(&part, spillRows(r))
+			if errors.Is(err, errEOF) {
 				break
 			}
+			if err == nil {
+				err = ctx.pollAbortBatch()
+			}
+			if err == nil {
+				err = a.fold(b, ctx, true)
+			}
 			if err != nil {
-				r.Close()
-				return false, err
-			}
-			if err := ctx.pollAbort(); err != nil {
-				r.Close()
-				return false, err
-			}
-			if err := a.accumulate(row, ctx, true); err != nil {
 				r.Close()
 				return false, err
 			}
@@ -513,7 +468,7 @@ func (a *hashAggOp) cleanup(ctx *Ctx) {
 	a.parts = nil
 	ctx.release(a.reserved)
 	a.reserved = 0
-	a.groups, a.order, a.cache = nil, nil, nil
+	a.groups, a.order, a.cache, a.sink = nil, nil, nil, nil
 }
 
 // abort is the failed-Open teardown.

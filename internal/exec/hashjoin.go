@@ -710,7 +710,7 @@ func (t *joinTable) appendKeys(kl *keyLanes, slots []int32) {
 			}
 			rows = t.win
 		}
-		t.keys[i].AppendView(&c.view, rows)
+		t.keys[i].AppendView(c.view, rows)
 	}
 }
 
@@ -768,7 +768,7 @@ func (t *joinTable) seek(p int32, h uint64, probe *keyLanes, k int) int32 {
 func (t *joinTable) keysEqual(p int32, probe *keyLanes, k int) bool {
 	for i := range t.kv {
 		c := &probe.cols[i]
-		if !t.kv[i].Matches(int(p), &c.view, selRow(c.sel, k)) {
+		if !t.kv[i].Matches(int(p), c.view, selRow(c.sel, k)) {
 			return false
 		}
 	}

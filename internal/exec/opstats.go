@@ -48,11 +48,6 @@ type opFrame struct {
 	spillBytes int64
 	spillParts int64
 
-	// Child batches a hash aggregate folded through the typed loop and
-	// through the row loop; the stage is the frame's *plan.HashAgg node's.
-	aggTyped int64
-	aggRow   int64
-
 	parts      map[part.OID]bool // selected/scanned partitions (partition-aware ops)
 	partsTotal int               // leaf count of the partitioned table; 0 = n/a
 
@@ -81,8 +76,6 @@ func (f *opFrame) add(o *opFrame) {
 	f.peak = max(f.peak, o.peak)
 	f.spillBytes += o.spillBytes
 	f.spillParts += o.spillParts
-	f.aggTyped += o.aggTyped
-	f.aggRow += o.aggRow
 	f.oidHits += o.oidHits
 	f.oidMisses += o.oidMisses
 	f.partsTotal = max(f.partsTotal, o.partsTotal)
@@ -96,21 +89,16 @@ func (f *opFrame) add(o *opFrame) {
 type frameTotals struct {
 	rowsRead, rowsMoved, rowsBuilt int64
 	spillBytes, spillParts         int64
-	agg                            AggBatches
 }
 
 func sumFrames(frames map[plan.Node]*opFrame) frameTotals {
 	var t frameTotals
-	for n, f := range frames {
+	for _, f := range frames {
 		t.rowsRead += f.rowsRead
 		t.rowsMoved += f.rowsMoved
 		t.rowsBuilt += f.rowsBuilt
 		t.spillBytes += f.spillBytes
 		t.spillParts += f.spillParts
-		if h, ok := n.(*plan.HashAgg); ok {
-			t.agg.Typed[h.Stage] += f.aggTyped
-			t.agg.Row[h.Stage] += f.aggRow
-		}
 	}
 	return t
 }
@@ -324,9 +312,6 @@ func (s *Stats) SpilledBytes() int64 { return s.totals().spillBytes }
 // SpillParts returns the total spill partitions (and sort runs) created.
 func (s *Stats) SpillParts() int64 { return s.totals().spillParts }
 
-// AggBatches returns the query's typed-vs-row aggregate batch counters.
-func (s *Stats) AggBatches() AggBatches { return s.totals().agg }
-
 // RowsMaterializedBatches returns how many batches a consumer had to turn
 // from column lanes back into rows (Batch.rows): the slow road behind a
 // columnar producer such as the hash join.
@@ -426,15 +411,6 @@ func (c *Ctx) noteSpill(bytes, parts int64) {
 	}
 }
 
-// noteAggBatches records how many child batches one hash aggregate instance
-// folded through the typed loop and through the row loop.
-func (c *Ctx) noteAggBatches(typed, row int64) {
-	if c.cur != nil {
-		c.cur.aggTyped += typed
-		c.cur.aggRow += row
-	}
-}
-
 // noteRowsMaterialized records one batch whose lazy rows were built from
 // its column lanes.
 func (c *Ctx) noteRowsMaterialized() {
@@ -482,9 +458,7 @@ type runtimeMetrics struct {
 	spillParts      *obs.Counter
 	motionRows      *obs.Counter
 	rowsScanned     *obs.Counter
-	rowsBuilt       *obs.Counter                    // batches materialized from column lanes (Batch.rows)
-	aggTyped        [plan.NumAggStages]*obs.Counter // aggregate batches folded by the typed loop, by stage
-	aggRow          [plan.NumAggStages]*obs.Counter // ... and by the row loop
+	rowsBuilt       *obs.Counter // batches materialized from column lanes (Batch.rows)
 	active          *obs.Gauge
 	latency         *obs.Histogram
 }
@@ -511,11 +485,6 @@ func (rt *Runtime) metrics() *runtimeMetrics {
 			active:          r.Gauge("partopt_queries_active"),
 			latency:         r.Histogram("partopt_query_latency_seconds", obs.DefaultLatencyBuckets()),
 		}
-		for st := range rt.om.aggTyped {
-			name := "partopt_agg_" + plan.AggStage(st).String()
-			rt.om.aggTyped[st] = r.Counter(name + "_typed_batches_total")
-			rt.om.aggRow[st] = r.Counter(name + "_row_batches_total")
-		}
 	})
 	return rt.om
 }
@@ -527,8 +496,4 @@ func (m *runtimeMetrics) publish(t frameTotals) {
 	m.spillBytes.Add(t.spillBytes)
 	m.spillParts.Add(t.spillParts)
 	m.rowsBuilt.Add(t.rowsBuilt)
-	for st := range t.agg.Typed {
-		m.aggTyped[st].Add(t.agg.Typed[st])
-		m.aggRow[st].Add(t.agg.Row[st])
-	}
 }

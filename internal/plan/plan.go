@@ -534,8 +534,6 @@ const (
 	AggSingle  AggStage = iota // the whole aggregate in one operator
 	AggPartial                 // folds input rows into per-group states and emits the states
 	AggFinal                   // combines Partial states into the finished values
-
-	NumAggStages = 3
 )
 
 func (s AggStage) String() string {

@@ -47,16 +47,16 @@ import (
 
 // Error codes of the ERR response.
 const (
-	CodeParse     = "PARSE"      // statement did not parse / bind
-	CodeExec      = "EXEC"       // execution failed (engine error)
-	CodeTimeout   = "TIMEOUT"    // per-query deadline exceeded, or idle timeout
-	CodeCanceled  = "CANCELED"   // query canceled (drain deadline, client gone)
-	CodeOOM       = "OOM"        // memory budget exhausted
-	CodeTooBusy   = "TOO_BUSY"   // overload shed: admission queue or connection cap saturated (retryable)
-	CodeDraining  = "SHUTTING_DOWN" // server draining; no new work (retryable)
-	CodeInternal  = "INTERNAL"   // isolated server-side panic
-	CodeProto     = "PROTO"      // protocol violation (line too long, bad EXECUTE args)
-	CodeNetFault  = "NETFAULT"   // injected connection-layer fault (tests)
+	CodeParse    = "PARSE"         // statement did not parse / bind
+	CodeExec     = "EXEC"          // execution failed (engine error)
+	CodeTimeout  = "TIMEOUT"       // per-query deadline exceeded, or idle timeout
+	CodeCanceled = "CANCELED"      // query canceled (drain deadline, client gone)
+	CodeOOM      = "OOM"           // memory budget exhausted
+	CodeTooBusy  = "TOO_BUSY"      // overload shed: admission queue or connection cap saturated (retryable)
+	CodeDraining = "SHUTTING_DOWN" // server draining; no new work (retryable)
+	CodeInternal = "INTERNAL"      // isolated server-side panic
+	CodeProto    = "PROTO"         // protocol violation (line too long, bad EXECUTE args)
+	CodeNetFault = "NETFAULT"      // injected connection-layer fault (tests)
 )
 
 // Retryable reports whether an ERR code marks a refusal that a client may

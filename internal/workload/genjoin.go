@@ -70,7 +70,7 @@ func BuildJoinSchema(eng *partopt.Engine, cfg JoinSchemaConfig) (*JoinSchema, er
 	if cfg.Shape == JoinSnowflake {
 		// Half the non-fact budget becomes outriggers, one per dimension
 		// until the budget runs out: d1-o1, d2-o2, ..., then bare dims.
-		nDims = (cfg.Tables-1+1) / 2
+		nDims = (cfg.Tables - 1 + 1) / 2
 	}
 	nOuts := cfg.Tables - 1 - nDims
 

@@ -81,10 +81,8 @@ func (r *Rows) OpStats() *OpStats {
 // ANALYZE text (time=0 unless the query ran through an ExplainAnalyze entry
 // point). An Orca-compiled entry leads with the memo-search header
 // "optimization: M groups, T ms", replayed on cache hits so hit and miss
-// render byte-identically; a query that aggregated adds its hash
-// aggregates' typed and row (slow road) batch counts, in total and per
-// stage; the legacy planner's prep plans render before the main tree,
-// mirroring how they execute.
+// render byte-identically; the legacy planner's prep plans render before
+// the main tree, mirroring how they execute.
 func (r *Rows) ExplainAnalyze() string {
 	if r.stats == nil {
 		return ""
@@ -94,18 +92,6 @@ func (r *Rows) ExplainAnalyze() string {
 	if ent.OptGroups > 0 {
 		fmt.Fprintf(&b, "optimization: %d groups, %.3f ms\n",
 			ent.OptGroups, float64(ent.OptNanos)/1e6)
-	}
-	agg := src.AggBatches()
-	if typed, row := agg.Total(); typed+row > 0 {
-		fmt.Fprintf(&b, "aggregation: %d typed / %d row batches (", typed, row)
-		sep := ""
-		for st := range agg.Typed {
-			if agg.Typed[st]+agg.Row[st] > 0 {
-				fmt.Fprintf(&b, "%s%v %d/%d", sep, plan.AggStage(st), agg.Typed[st], agg.Row[st])
-				sep = ", "
-			}
-		}
-		b.WriteString(")\n")
 	}
 	if ent.Legacy != nil {
 		for _, prep := range ent.Legacy.Preps {

@@ -321,7 +321,6 @@ func TestExplainAnalyzeGoldenOuterJoinDPE(t *testing.T) {
 		t.Fatalf("ExplainAnalyze: %v", err)
 	}
 	const want = `optimization: 5 groups, T ms
-aggregation: 3 typed / 2 row batches (partial 3/0, final 0/2)
 Project (count_1)  (actual rows=1 loops=1 time=T)
   -> Final HashAggregate (count(*))  (rows=1 cost=532)  (actual rows=1 loops=1 time=T)
        Peak memory: N per instance
@@ -362,7 +361,6 @@ func TestExplainAnalyzeGoldenOuterJoinKeySet(t *testing.T) {
 		t.Fatalf("ExplainAnalyze: %v", err)
 	}
 	const want = `optimization: 5 groups, T ms
-aggregation: 4 typed / 2 row batches (partial 4/0, final 0/2)
 Project (count_1)  (actual rows=1 loops=1 time=T)
   -> Final HashAggregate (count(*))  (rows=1 cost=631)  (actual rows=1 loops=1 time=T)
        Peak memory: N per instance
