@@ -61,7 +61,8 @@ type laneTag struct {
 func floatsEqual(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNaN(y)) }
 
 // resolveGroups returns the group state of each row of the batch whose keys
-// a.keys holds, creating groups as they first appear.
+// a.keys holds, creating groups as they first appear; a scalar aggregate's
+// one group comes from scalarState.
 //
 // A row whose cache slot holds its key is resolved without hashing. Only a
 // miss, a NULL key or a mixed lane takes resolveRow, which computes the
@@ -76,18 +77,12 @@ func (a *hashAggOp) resolveGroups(b *Batch, ctx *Ctx, hard bool) ([]*aggState, e
 	}
 	states := a.rowStates[:n]
 	if len(a.keys.cols) == 0 {
-		// Scalar aggregate: one group. Once it is resident it takes every
-		// row; while it is not, every row spills.
+		st, err := a.scalarState(b, ctx, hard)
+		if err != nil {
+			return nil, err
+		}
 		for k := range states {
-			if k == 0 || states[0] == a.sink {
-				st, err := a.resolveRow(types.HashSeed, b, k, ctx, hard)
-				if err != nil {
-					return nil, err
-				}
-				states[k] = st
-				continue
-			}
-			states[k] = states[0]
+			states[k] = st
 		}
 		return states, nil
 	}
@@ -303,6 +298,73 @@ func foldLane(states []*aggState, ai int, kind plan.AggKind, v *vec.View, sel []
 		for k, st := range states {
 			if i := selRow(sel, k); !nullable || !v.Null(i) {
 				st.acc[ai].fold(kind, v.Datum(i))
+			}
+		}
+	}
+}
+
+// foldInto folds one aggregate's input lane, n slots under sel, into a,
+// the state every slot belongs to. COUNT and SUM/AVG over an int or float
+// lane run in locals and store once: an int sum stays in int64 until the
+// row that overflows it, which goes on in float exactly as addInt does,
+// and a float sum starts from a's running sum and adds in row order, so the
+// result is bit-identical to folding row by row. MIN/MAX and SUM/AVG over a
+// mixed or date lane fold row by row through fold.
+func (a *aggAcc) foldInto(kind plan.AggKind, v *vec.View, sel []int32, n int) {
+	nullable := v.Mixed || len(v.Nulls) > 0
+	sum := kind == plan.AggSum || kind == plan.AggAvg
+	switch {
+	case v.Kind == types.KindNull && !v.Mixed:
+		// Declared-NULL lane: nothing to fold.
+	case kind == plan.AggCount:
+		cnt := int64(n)
+		for k := 0; nullable && k < n; k++ {
+			cnt -= int64(b2i(v.Null(selRow(sel, k))))
+		}
+		a.count += cnt
+	case sum && !v.Mixed && v.Kind == types.KindInt:
+		lane, k := v.Ints[v.Base:], 0
+		if !a.isFloat {
+			s, cnt := a.isum, int64(0)
+			for ; k < n; k++ {
+				i := selRow(sel, k)
+				if nullable && v.Null(i) {
+					continue
+				}
+				t := s + lane[i]
+				if (t < s) != (lane[i] < 0) {
+					break // overflow: this row goes on in float
+				}
+				s, cnt = t, cnt+1
+			}
+			a.isum, a.count = s, a.count+cnt
+		}
+		for ; k < n; k++ {
+			if i := selRow(sel, k); !nullable || !v.Null(i) {
+				a.addInt(lane[i])
+				a.count++
+			}
+		}
+	case sum && !v.Mixed && v.Kind == types.KindFloat:
+		lane, s, cnt := v.Flts[v.Base:], a.fsum, int64(0)
+		if !a.isFloat {
+			s = float64(a.isum)
+		}
+		for k := 0; k < n; k++ {
+			i := selRow(sel, k)
+			if nullable && v.Null(i) {
+				continue
+			}
+			s += lane[i]
+			cnt++
+		}
+		if cnt > 0 {
+			a.fsum, a.isFloat, a.count = s, true, a.count+cnt
+		}
+	default: // MIN/MAX, and SUM/AVG over a mixed or non-numeric lane (a date)
+		for k := 0; k < n; k++ {
+			if i := selRow(sel, k); !nullable || !v.Null(i) {
+				a.fold(kind, v.Datum(i))
 			}
 		}
 	}

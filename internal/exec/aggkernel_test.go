@@ -378,6 +378,19 @@ func TestHashAggTypedGroupsMatchRowLoop(t *testing.T) {
 		{name: "Final over state rows", keys: 1, final: true, chunks: []*vec.ColumnSet{stateChunk(1, 0, 500), stateChunk(1, 500, 700)}},
 		{name: "Final over state rows, budget denied", keys: 1, final: true, workMem: 2 << 10, chunks: []*vec.ColumnSet{stateChunk(1, 0, 1200)}},
 		{name: "scalar Final over state rows", final: true, chunks: []*vec.ColumnSet{stateChunk(0, 0, 40)}},
+		// A resident scalar aggregate folds each batch into its one state.
+		{name: "scalar, no NULLs", node: scalarAgg, chunks: []*vec.ColumnSet{scalarChunk(0, n, smallInt, thirds)}},
+		{name: "scalar, NULLs", node: scalarAgg, chunks: []*vec.ColumnSet{scalarChunk(0, n, nullEvery(13, smallInt), nullEvery(7, thirds))}},
+		{name: "scalar, NULLs, selection vector", node: scalarAgg, chunks: []*vec.ColumnSet{scalarChunk(0, n, nullEvery(13, smallInt), nullEvery(7, thirds))},
+			keep: func(r types.Row) bool { return r[0].Int()%3 != 1 }},
+		{name: "scalar, float lane NULL in the first batches", node: scalarAgg, chunks: []*vec.ColumnSet{
+			scalarChunk(0, 1100, smallInt, func(int) types.Datum { return types.Null }), scalarChunk(1100, 900, smallInt, thirds)}},
+		{name: "scalar, int SUM then an all-NULL float lane", node: scalarAgg, chunks: []*vec.ColumnSet{
+			scalarChunk(0, 500, smallInt, thirds), floatArgs(scalarChunk(500, 200, func(int) types.Datum { return types.Null }, thirds)),
+			scalarChunk(700, 500, smallInt, thirds)}},
+		{name: "scalar, int SUM overflows mid-batch", node: scalarAgg, chunks: []*vec.ColumnSet{scalarChunk(0, n, nullEvery(13, func(i int) types.Datum {
+			return i64(math.MaxInt64/256 + i)
+		}), thirds)}},
 	}
 	for _, c := range cases {
 		stages := []plan.AggStage{plan.AggSingle, plan.AggPartial}
@@ -428,6 +441,59 @@ func computedAgg(t testing.TB, stage plan.AggStage) *plan.HashAgg {
 		{Kind: plan.AggCount, Arg: &expr.Arith{Op: expr.Mul, L: v, R: intc(2)}, Name: "nv", Out: out(5)},
 	}
 	return plan.NewStagedHashAgg(stage, groups, aggs, aggInput(t))
+}
+
+// scalarAgg aggregates aggInput without group keys: COUNT(*), and COUNT,
+// SUM and AVG over the int argument v and the float argument f, then
+// MIN(v) and MAX(f).
+func scalarAgg(t testing.TB, stage plan.AggStage) *plan.HashAgg {
+	out := func(ord int) expr.ColID { return expr.ColID{Rel: 9, Ord: ord} }
+	v, f := tcol(1, 2, "v"), tcol(1, 3, "f")
+	aggs := []plan.AggSpec{{Kind: plan.AggCount, Name: "n", Out: out(0)}}
+	for _, arg := range []*expr.Col{v, f} {
+		for _, kind := range []plan.AggKind{plan.AggCount, plan.AggSum, plan.AggAvg} {
+			aggs = append(aggs, plan.AggSpec{Kind: kind, Arg: arg, Name: fmt.Sprint(kind, arg.Name), Out: out(len(aggs))})
+		}
+	}
+	aggs = append(aggs,
+		plan.AggSpec{Kind: plan.AggMin, Arg: v, Name: "mn", Out: out(len(aggs))},
+		plan.AggSpec{Kind: plan.AggMax, Arg: f, Name: "mx", Out: out(len(aggs) + 1)})
+	return plan.NewStagedHashAgg(stage, nil, aggs, aggInput(t))
+}
+
+// smallInt and thirds are scalarChunk arguments: an int that stays small,
+// and a float whose running sum rounds, so a sum folded in another order
+// differs in its last bits (rendered prints the shortest string that reads
+// back as the same float, so the comparison is bit for bit).
+func smallInt(i int) types.Datum { return types.NewInt(int64(i*3 - 50)) }
+func thirds(i int) types.Datum   { return types.NewFloat(float64(i)/3 + 0.1) }
+
+// nullEvery makes every m-th value of val NULL.
+func nullEvery(m int, val func(int) types.Datum) func(int) types.Datum {
+	return func(i int) types.Datum {
+		if i%m == 0 {
+			return types.Null
+		}
+		return val(i)
+	}
+}
+
+// scalarChunk builds n rows of aggInput whose arguments v and f are v(i)
+// and f(i), on an int and a float lane.
+func scalarChunk(from, n int, v, f func(i int) types.Datum) *vec.ColumnSet {
+	rows := make([]types.Row, n)
+	for j := range rows {
+		i := from + j
+		rows[j] = types.Row{types.NewInt(int64(i % 25)), types.NewInt(int64(i % 4)), v(i), f(i)}
+	}
+	return laneChunk([]types.Kind{types.KindInt, types.KindInt, types.KindInt, types.KindFloat}, rows)
+}
+
+// floatArgs rebuilds a scalarChunk with its int argument v on a float
+// lane: an aggregate's input may change lane kind from one batch to the
+// next.
+func floatArgs(cs *vec.ColumnSet) *vec.ColumnSet {
+	return laneChunk([]types.Kind{types.KindInt, types.KindInt, types.KindFloat, types.KindFloat}, cs.RowView())
 }
 
 // valChunk builds a chunk of n rows of aggInput whose argument v is val(i)
@@ -498,7 +564,8 @@ func TestHashAggGroupCacheHashesOnlyOnMiss(t *testing.T) {
 
 // BenchmarkHashAggGroups folds 200 000 rows per iteration, computing
 // COUNT(*) and SUM over a float lane, and reports ns/row. The 100 000-group
-// case misses the group cache on nearly every row. The rows- case feeds
+// case misses the group cache on nearly every row; the scalar case has no
+// group key, so every batch folds into its one state. The rows- case feeds
 // row batches without lanes, like a Motion receiver's output, so the keys
 // and the argument are copied into lanes first.
 func BenchmarkHashAggGroups(b *testing.B) {
@@ -515,6 +582,7 @@ func BenchmarkHashAggGroups(b *testing.B) {
 		{"int-100000", 1, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i % 100_000)) }, false},
 		{"two-keys-20", 2, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i / 4 % 5)) }, false},
 		{"rows-int-25", 1, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i%25 + 1)) }, true},
+		{"scalar", 0, types.KindInt, func(i int) types.Datum { return types.NewInt(int64(i)) }, false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

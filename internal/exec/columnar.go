@@ -2,6 +2,8 @@ package exec
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 
 	"partopt/internal/expr"
@@ -229,10 +231,33 @@ func candLen(cand []int32, n int) int {
 
 // ---------------------------------------------------------------- cmp col/const
 
+// vpCmpConst compares a column with a constant. The operator and the lane
+// family (int, date and bool lanes as int64, floats, strings) are resolved
+// once per batch, and one loop per operator compares the lane values
+// without looking at NULLs; a NULL pass then drops the kept slots whose row
+// is NULL, and runs only when the window has a NULL.
 type vpCmpConst struct {
 	op  expr.CmpOp
 	pos int
 	val types.Datum
+
+	// scratch is made on the first batch that needs a buffer: compileVP
+	// builds a node per filter Open, and most never need one.
+	scratch *cmpScratch
+}
+
+// cmpScratch holds a vpCmpConst's reused buffers: the candidate form's
+// row and slot lists under a Sel, and an int or date lane read as floats.
+type cmpScratch struct {
+	rows, slots []int32
+	flts        []float64
+}
+
+func (c *vpCmpConst) buf() *cmpScratch {
+	if c.scratch == nil {
+		c.scratch = new(cmpScratch)
+	}
+	return c.scratch
 }
 
 func (c *vpCmpConst) sel(b *Batch, cand, out []int32) ([]int32, error) {
@@ -240,73 +265,217 @@ func (c *vpCmpConst) sel(b *Batch, cand, out []int32) ([]int32, error) {
 	if v == nil || v.Mixed {
 		return out, errVecFallback
 	}
-	if c.val.IsNull() {
-		return out, nil // NULL comparand: every comparison is NULL
+	if c.val.IsNull() || v.Kind == types.KindNull {
+		return out, nil // a NULL comparand or a declared-NULL lane: every comparison is NULL
 	}
-	sel, m := b.Sel, candLen(cand, b.Len())
+	n, start := b.Len(), len(out)
+	rows, slots := c.candidates(b, cand)
 	ck := c.val.Kind()
-	switch v.Kind {
-	case types.KindInt, types.KindDate:
-		switch {
-		case ck == v.Kind:
-			cv := c.val.Int()
-			for j := 0; j < m; j++ {
-				k := selRow(cand, j)
-				if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, types.CompareInt64(v.Ints[v.Base+i], cv)) {
-					out = append(out, int32(k))
-				}
-			}
-		case ck == types.KindFloat || ck == types.KindInt || ck == types.KindDate:
-			cf := c.val.Float()
-			for j := 0; j < m; j++ {
-				k := selRow(cand, j)
-				if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, types.CompareFloat64(float64(v.Ints[v.Base+i]), cf)) {
-					out = append(out, int32(k))
-				}
-			}
-		default:
-			return out, errVecFallback
+	numeric := ck == types.KindInt || ck == types.KindDate || ck == types.KindFloat
+	switch {
+	case ck == v.Kind && (ck == types.KindInt || ck == types.KindDate || ck == types.KindBool):
+		// int, date or bool against its own kind; a bool is 0 or 1 in Ints.
+		var cv int64
+		if ck == types.KindBool {
+			cv = int64(b2i(c.val.Bool()))
+		} else {
+			cv = c.val.Int()
 		}
-	case types.KindFloat:
-		if ck != types.KindFloat && ck != types.KindInt && ck != types.KindDate {
-			return out, errVecFallback
+		out = cmpLoop(c.op, v.Ints[v.Base:], cv, rows, slots, n, out)
+	case (v.Kind == types.KindInt || v.Kind == types.KindDate) && numeric:
+		// An int or date lane against another numeric kind compares as
+		// float (types.Compare's cross-kind rule): read the window's
+		// values as floats first.
+		w := n
+		for _, i := range b.Sel {
+			w = max(w, int(i)+1)
 		}
-		cf := c.val.Float()
-		for j := 0; j < m; j++ {
-			k := selRow(cand, j)
-			if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, types.CompareFloat64(v.Flts[v.Base+i], cf)) {
-				out = append(out, int32(k))
-			}
+		s := c.buf()
+		s.flts = s.flts[:0]
+		for _, x := range v.Ints[v.Base : v.Base+w] {
+			s.flts = append(s.flts, float64(x))
 		}
-	case types.KindString:
-		if ck != types.KindString {
-			return out, errVecFallback
-		}
-		cs := c.val.Str()
-		for j := 0; j < m; j++ {
-			k := selRow(cand, j)
-			if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, strings.Compare(v.Strs[v.Base+i], cs)) {
-				out = append(out, int32(k))
-			}
-		}
-	case types.KindBool:
-		if ck != types.KindBool {
-			return out, errVecFallback
-		}
-		cv := int64(0)
-		if c.val.Bool() {
-			cv = 1
-		}
-		for j := 0; j < m; j++ {
-			k := selRow(cand, j)
-			if i := selRow(sel, k); !v.Null(i) && opMatch(c.op, types.CompareInt64(v.Ints[v.Base+i], cv)) {
-				out = append(out, int32(k))
-			}
-		}
+		out = cmpFloats(c.op, s.flts, c.val.Float(), rows, slots, n, out)
+	case v.Kind == types.KindFloat && numeric:
+		out = cmpFloats(c.op, v.Flts[v.Base:], c.val.Float(), rows, slots, n, out)
+	case v.Kind == types.KindString && ck == types.KindString:
+		out = cmpLoop(c.op, v.Strs[v.Base:], c.val.Str(), rows, slots, n, out)
 	default:
-		// Declared-NULL lane: every comparison is NULL.
+		return out, errVecFallback
 	}
-	return out, nil
+	return dropNulls(v, b.Sel, n, out, start), nil
+}
+
+// candidates returns the window row and the slot of each slot the
+// comparison is offered, for cmpLoop's candidate form; both are nil for
+// its dense form, when there is neither a cand nor a Sel.
+func (c *vpCmpConst) candidates(b *Batch, cand []int32) (rows, slots []int32) {
+	switch {
+	case b.Sel == nil:
+		return cand, cand
+	case cand == nil:
+		s := c.buf()
+		s.slots = s.slots[:0]
+		for k := range b.Len() {
+			s.slots = append(s.slots, int32(k))
+		}
+		return b.Sel[:b.Len()], s.slots
+	}
+	s := c.buf()
+	s.rows = s.rows[:0]
+	for _, k := range cand {
+		s.rows = append(s.rows, b.Sel[k])
+	}
+	return s.rows, cand
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// cmpLoop appends to out the slots whose lane value x satisfies x op c,
+// NULLs aside, in one loop per operator. The dense form (rows nil) reads
+// lane[0:n], slot k being row k; the candidate form reads lane[rows[j]] for
+// slot slots[j], which may share storage with out (it is read first). A
+// loop stores every slot and moves past it only when it is kept, so it
+// does not branch on the comparison; out grows by append's rule, not to
+// each batch's size. GT and GE are written !(x <= c) and !(x < c): for
+// ints and strings that is x > c and x >= c, and for floats it keeps a NaN
+// x, which types.Compare sorts after every number (cmpFloats rewrites a
+// NaN c).
+func cmpLoop[T int64 | float64 | string](op expr.CmpOp, lane []T, c T, rows, slots []int32, n int, out []int32) []int32 {
+	m := n
+	if rows != nil {
+		m = len(rows)
+	}
+	w := len(out)
+	out = slices.Grow(out, m)[:w+m]
+	if rows == nil {
+		lane = lane[:n]
+		switch op {
+		case expr.EQ:
+			for k, x := range lane {
+				out[w] = int32(k)
+				w += b2i(x == c)
+			}
+		case expr.NE:
+			for k, x := range lane {
+				out[w] = int32(k)
+				w += b2i(x != c)
+			}
+		case expr.LT:
+			for k, x := range lane {
+				out[w] = int32(k)
+				w += b2i(x < c)
+			}
+		case expr.LE:
+			for k, x := range lane {
+				out[w] = int32(k)
+				w += b2i(x <= c)
+			}
+		case expr.GT:
+			for k, x := range lane {
+				out[w] = int32(k)
+				w += b2i(!(x <= c))
+			}
+		case expr.GE:
+			for k, x := range lane {
+				out[w] = int32(k)
+				w += b2i(!(x < c))
+			}
+		}
+		return out[:w]
+	}
+	switch op {
+	case expr.EQ:
+		for j, i := range rows {
+			out[w] = slots[j]
+			w += b2i(lane[i] == c)
+		}
+	case expr.NE:
+		for j, i := range rows {
+			out[w] = slots[j]
+			w += b2i(lane[i] != c)
+		}
+	case expr.LT:
+		for j, i := range rows {
+			out[w] = slots[j]
+			w += b2i(lane[i] < c)
+		}
+	case expr.LE:
+		for j, i := range rows {
+			out[w] = slots[j]
+			w += b2i(lane[i] <= c)
+		}
+	case expr.GT:
+		for j, i := range rows {
+			out[w] = slots[j]
+			w += b2i(!(lane[i] <= c))
+		}
+	case expr.GE:
+		for j, i := range rows {
+			out[w] = slots[j]
+			w += b2i(!(lane[i] < c))
+		}
+	}
+	return out[:w]
+}
+
+// cmpFloats is cmpLoop over floats in types.Compare's order: a NaN sorts
+// after every number and equals another NaN, and -0 equals +0. A NaN c
+// becomes the comparison with an infinity that keeps the same rows.
+func cmpFloats(op expr.CmpOp, lane []float64, c float64, rows, slots []int32, n int, out []int32) []int32 {
+	if math.IsNaN(c) {
+		switch op {
+		case expr.EQ, expr.GE: // x is NaN
+			op, c = expr.GT, math.Inf(1)
+		case expr.NE, expr.LT: // x is a number
+			op, c = expr.LE, math.Inf(1)
+		case expr.LE: // every x
+			op, c = expr.GE, math.Inf(-1)
+		default: // GT: no x
+			return out
+		}
+	}
+	return cmpLoop(op, lane, c, rows, slots, n, out)
+}
+
+// dropNulls is the NULL pass of a comparison: it drops from out[start:]
+// the slots whose row is NULL in v. It reads the bitmap only when the
+// window holds a NULL (under a Sel, when v has a bitmap at all).
+func dropNulls(v *vec.View, sel []int32, n int, out []int32, start int) []int32 {
+	nulls := v.Nulls
+	if len(nulls) == 0 || (sel == nil && !anyNull(nulls, v.Base, v.Base+n)) {
+		return out
+	}
+	w := start
+	for _, k := range out[start:] {
+		r := v.Base + selRow(sel, int(k))
+		out[w] = k
+		w += b2i(r>>6 >= len(nulls) || nulls[r>>6]&(1<<(r&63)) == 0)
+	}
+	return out[:w]
+}
+
+// anyNull reports whether bitmap nulls has a bit set in [lo, hi).
+func anyNull(nulls []uint64, lo, hi int) bool {
+	for w := lo >> 6; w < len(nulls) && w<<6 < hi; w++ {
+		word := nulls[w]
+		if w == lo>>6 {
+			word &= ^uint64(0) << (lo & 63)
+		}
+		if (w+1)<<6 > hi {
+			word &= 1<<(hi&63) - 1
+		}
+		if word != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------- cmp col/col

@@ -331,6 +331,13 @@ func (a *hashAggOp) fold(b *Batch, ctx *Ctx, hard bool) error {
 	if err := a.args.load(b); err != nil {
 		return err
 	}
+	if len(a.n.Groups) == 0 && a.n.Stage != plan.AggFinal {
+		st, err := a.scalarState(b, ctx, hard)
+		if err == nil && st != a.sink { // the sink's accumulators are thrown away
+			a.foldOne(st, b.Len())
+		}
+		return err
+	}
 	states, err := a.resolveGroups(b, ctx, hard)
 	if err != nil {
 		return err
@@ -351,6 +358,32 @@ func (a *hashAggOp) fold(b *Batch, ctx *Ctx, hard bool) error {
 		}
 	}
 	return nil
+}
+
+// scalarState resolves the one group of a scalar aggregate for batch b.
+// Once it is resident every row belongs to it; while it is not, every row
+// of b is spilled and the sink is returned.
+func (a *hashAggOp) scalarState(b *Batch, ctx *Ctx, hard bool) (*aggState, error) {
+	st, err := a.resolveRow(types.HashSeed, b, 0, ctx, hard)
+	for k := 1; err == nil && st == a.sink && k < b.Len(); k++ {
+		st, err = a.resolveRow(types.HashSeed, b, k, ctx, hard)
+	}
+	return st, err
+}
+
+// foldOne folds the n rows of a batch that all belong to st, the resident
+// state of a Single or Partial scalar aggregate: a COUNT(*) adds n, and
+// every other aggregate folds its input lane into st at once (foldInto).
+func (a *hashAggOp) foldOne(st *aggState, n int) {
+	c := 0
+	for i, ag := range a.n.Aggs {
+		if ag.Arg == nil {
+			st.acc[i].count += int64(n)
+			continue
+		}
+		st.acc[i].foldInto(ag.Kind, a.args.cols[c].view, a.args.cols[c].sel, n)
+		c++
+	}
 }
 
 // admit creates the state of a group seen for the first time, charging its

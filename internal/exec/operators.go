@@ -606,11 +606,15 @@ func (f *filterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 			keep, verr := f.vp.sel(cb, nil, f.keep[:0])
 			f.keep = keep
 			if verr == nil {
-				for j, k := range keep {
-					if cb.Rows != nil {
+				if cb.Rows != nil {
+					for _, k := range keep {
 						f.out.Rows = append(f.out.Rows, cb.Rows[k])
 					}
-					keep[j] = int32(selRow(cb.Sel, int(k)))
+				}
+				if cb.Sel != nil {
+					for j, k := range keep {
+						keep[j] = cb.Sel[k]
+					}
 				}
 				if len(keep) > 0 {
 					f.out.Cols, f.out.Sel, f.out.n = cb.Cols, keep, len(keep)
