@@ -24,11 +24,13 @@ import (
 
 // laneSrc emits each chunk as windows of execBatchSize rows. keep, when
 // set, drops rows through a selection vector, computed on the first pass
-// over each window and reused by later ones; rows emits row-only batches.
+// over each window and reused by later ones; rows emits row-only batches;
+// win adds the window's row headers beside the lanes, as a plain scan
+// does.
 type laneSrc struct {
 	chunks    []*vec.ColumnSet
 	keep      func(types.Row) bool
-	rows      bool
+	rows, win bool
 	c, pos, w int
 	out       Batch
 	sels      [][]int32 // each window's selection vector, in window order
@@ -80,7 +82,11 @@ func (s *laneSrc) NextBatch(*Ctx) (*Batch, error) {
 		for j := range cols {
 			cols[j].Base = lo
 		}
-		s.out = Batch{Cols: cols, Sel: sel, n: n}
+		s.out.setLanes(cols, nil, n)
+		s.out.Sel = sel
+		if s.win {
+			s.out.win = cs.RowView()[lo:hi]
+		}
 		return &s.out, nil
 	}
 	return nil, errEOF

@@ -378,7 +378,9 @@ func TestFilterOverSelection(t *testing.T) {
 // lineitem-like relation and reports ns/row per predicate shape. Every
 // column but l_discount is NULL-free, so a single comparison with a
 // constant on one of them runs its dense loop; l_discount is NULL every
-// fifth row, so its comparison runs the NULL pass as well.
+// fifth row, so its comparison runs the NULL pass as well. The -rows cases
+// read scan-shaped batches, which carry the window's row headers beside
+// the lanes, as every plain scan does.
 func BenchmarkFilterKernels(b *testing.B) {
 	const rows = 100_000
 	qty, ship := tcol(1, 0, "l_quantity"), tcol(1, 1, "l_shipdate")
@@ -387,16 +389,19 @@ func BenchmarkFilterKernels(b *testing.B) {
 	cases := []struct {
 		name string
 		pred expr.Expr
+		win  bool
 	}{
-		{"lt-half", expr.NewCmp(expr.LT, qty, intc(26))},
-		{"date-eq", expr.NewCmp(expr.EQ, ship, date(43))},
-		{"float-ge-half", expr.NewCmp(expr.GE, price, expr.NewConst(types.NewFloat(rows/8)))},
-		{"nullable-lt-half", expr.NewCmp(expr.LT, disc, intc(5))},
-		{"eq-and-eq", &expr.And{Args: []expr.Expr{expr.NewCmp(expr.EQ, ship, date(43)), expr.NewCmp(expr.EQ, qty, intc(8))}}},
+		{"lt-half", expr.NewCmp(expr.LT, qty, intc(26)), false},
+		{"date-eq", expr.NewCmp(expr.EQ, ship, date(43)), false},
+		{"float-ge-half", expr.NewCmp(expr.GE, price, expr.NewConst(types.NewFloat(rows/8))), false},
+		{"nullable-lt-half", expr.NewCmp(expr.LT, disc, intc(5)), false},
+		{"eq-and-eq", &expr.And{Args: []expr.Expr{expr.NewCmp(expr.EQ, ship, date(43)), expr.NewCmp(expr.EQ, qty, intc(8))}}, false},
 		{"or-not", &expr.Or{Args: []expr.Expr{
 			expr.NewCmp(expr.LT, qty, intc(5)),
 			&expr.Not{Arg: &expr.And{Args: []expr.Expr{expr.NewCmp(expr.GE, ship, date(30)), expr.NewCmp(expr.LT, ship, date(300))}}},
-		}}},
+		}}, false},
+		{"lt-half-rows", expr.NewCmp(expr.LT, qty, intc(26)), true},
+		{"date-eq-rows", expr.NewCmp(expr.EQ, ship, date(43)), true},
 	}
 	tab, err := catalog.New().CreateTable("lineitem", []catalog.Column{
 		{Name: "l_quantity", Kind: types.KindInt}, {Name: "l_shipdate", Kind: types.KindDate},
@@ -413,10 +418,12 @@ func BenchmarkFilterKernels(b *testing.B) {
 		}
 		data[i] = types.Row{types.NewInt(int64(1 + i*7%50)), types.NewDate(int64(i * 13 % 365)), types.NewFloat(float64(i) / 4), discount}
 	}
-	src := &laneSrc{chunks: []*vec.ColumnSet{laneChunk([]types.Kind{types.KindInt, types.KindDate, types.KindFloat, types.KindInt}, data)}}
+	chunk := laneChunk([]types.Kind{types.KindInt, types.KindDate, types.KindFloat, types.KindInt}, data)
+	chunk.RowView() // the -rows cases read the cached view; build it untimed
 	defer SetBatchSize(SetBatchSize(DefaultBatchSize))
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			src := &laneSrc{chunks: []*vec.ColumnSet{chunk}, win: c.win}
 			op := &filterOp{n: plan.NewFilter(c.pred, plan.NewScan(tab, 1)), child: src}
 			ctx := newCtx(&Runtime{}, 0, nil, NewStats(), context.Background(), nil, nil)
 			kept := 0
