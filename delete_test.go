@@ -182,3 +182,57 @@ func TestInsertStatement(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertStatementAllOrNothing pins the insert path's atomicity: a
+// multi-row INSERT whose last row maps to no partition inserts nothing and
+// leaves the plan-cache epoch alone, the same statement with every row
+// routable inserts all of them and bumps the epoch once, and a failed
+// Engine.Insert bumps nothing either.
+func TestInsertStatementAllOrNothing(t *testing.T) {
+	eng := paperEngine(t, 2)
+	epoch := func() uint64 { return eng.PlanCacheStats().Epoch }
+	count := func() int64 {
+		t.Helper()
+		rows, err := eng.Query("SELECT count(*) FROM orders WHERE order_id >= 9001")
+		if err != nil {
+			t.Fatalf("count: %v", err)
+		}
+		return rows.Data[0][0].Int()
+	}
+
+	before := epoch()
+	_, err := eng.Exec(`INSERT INTO orders VALUES
+		(9001, 1.5, '2013-03-03', 14),
+		(9002, 2.5, '2031-03-04', 14)`)
+	if err == nil || !strings.Contains(err.Error(), "maps to no partition") {
+		t.Fatalf("INSERT with an unroutable row: err %v, want the routing error", err)
+	}
+	if n := count(); n != 0 {
+		t.Errorf("failed INSERT left %d rows behind, want 0", n)
+	}
+	if after := epoch(); after != before {
+		t.Errorf("failed INSERT moved the epoch %d -> %d", before, after)
+	}
+
+	before = epoch()
+	n, err := eng.Exec(`INSERT INTO orders VALUES
+		(9001, 1.5, '2013-03-03', 14),
+		(9002, 2.5, '2013-03-04', 14)`)
+	if err != nil || n != 2 {
+		t.Fatalf("INSERT of routable rows: %d rows, %v; want 2", n, err)
+	}
+	if after := epoch(); after != before+1 {
+		t.Errorf("2-row INSERT moved the epoch %d -> %d, want exactly one bump", before, after)
+	}
+	if n := count(); n != 2 {
+		t.Errorf("count after INSERT = %d, want 2", n)
+	}
+
+	before = epoch()
+	if err := eng.Insert("orders", Int(9003), Float(1), Date(2031, 3, 4), Int(14)); err == nil {
+		t.Fatalf("Engine.Insert of an unroutable row succeeded")
+	}
+	if after := epoch(); after != before {
+		t.Errorf("failed Engine.Insert moved the epoch %d -> %d", before, after)
+	}
+}

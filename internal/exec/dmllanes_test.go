@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,9 +15,11 @@ import (
 )
 
 // The target scan of an UPDATE or DELETE reads lanes: the RowID is one more
-// int lane, the filter qualifies the batch into a selection vector, and
-// rows are built only for the matched targets. These tests pin that path
-// and the RowID field bounds it relies on.
+// int lane and the filter qualifies the batch into a selection vector. The
+// DML operator reads each target's RowID off that lane (or off the row of
+// an index read) and an UPDATE reads the target row into a reused header,
+// so no rows are built. These tests pin that path and the RowID field
+// bounds it relies on.
 
 // TestRowIDRangeGuard checks the bound every RowID-bearing read is held
 // to, on synthetic lengths: past a field's range the encoding would wrap
@@ -128,8 +131,8 @@ func TestRowIDLaneMatchesRowPath(t *testing.T) {
 
 // TestDMLTargetScanBuildsOnlyMatchedRows pins the fast path on leaves of
 // ≥ 10 000 rows per segment: a single-row UPDATE and a single-row DELETE
-// materialize rows for at most one batch per segment holding the match,
-// and no segment's target scan builds (or reads) the leaf's row view.
+// materialize no batch, and no segment's target scan builds (or reads) the
+// leaf's row view.
 func TestDMLTargetScanBuildsOnlyMatchedRows(t *testing.T) {
 	defer SetBatchSize(SetBatchSize(DefaultBatchSize))
 	const segs, perSeg = 4, 10_000
@@ -181,20 +184,8 @@ func TestDMLTargetScanBuildsOnlyMatchedRows(t *testing.T) {
 	}
 	run := func(name string, dml plan.Node) {
 		t.Helper()
-		res, err := Run(rt, plan.NewMotion(plan.GatherMotion, nil, dml), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var n int64
-		for _, r := range res.Rows {
-			n += r[0].Int()
-		}
-		if n != 1 {
+		if n := runDML(t, rt, name, dml); n != 1 {
 			t.Fatalf("%s: %d rows affected, want 1", name, n)
-		}
-		// One segment holds the match.
-		if got := res.Stats.RowsMaterializedBatches(); got > 1 {
-			t.Errorf("%s: %d batches materialized, want ≤ 1 (the matched segment's)", name, got)
 		}
 		if _, views := leafSets(); len(views) != 0 {
 			t.Errorf("%s: the target scan built the row view on segments %v", name, views)
@@ -222,5 +213,112 @@ func TestDMLTargetScanBuildsOnlyMatchedRows(t *testing.T) {
 				t.Fatalf("pk 4242: v = %v, want %d", r[1], 4242%97+1000)
 			}
 		}
+	}
+}
+
+// runDML runs a DML plan on every segment and returns the affected-row
+// count, failing the test unless no batch was materialized on the way.
+func runDML(t *testing.T, rt *Runtime, name string, dml plan.Node) int64 {
+	t.Helper()
+	res, err := Run(rt, plan.NewMotion(plan.GatherMotion, nil, dml), nil)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if got := res.Stats.RowsMaterializedBatches(); got != 0 {
+		t.Errorf("%s: %d batches materialized, want 0", name, got)
+	}
+	var n int64
+	for _, r := range res.Rows {
+		n += r[0].Int()
+	}
+	return n
+}
+
+// tRows reads fixture table T back as pk -> v.
+func tRows(t *testing.T, rt *Runtime, tt *catalog.Table) map[int64]int64 {
+	t.Helper()
+	res, err := Run(rt, plan.NewMotion(plan.GatherMotion, nil, seqScanAll(tt, 1)), nil)
+	if err != nil {
+		t.Fatalf("read T: %v", err)
+	}
+	out := map[int64]int64{}
+	for _, r := range res.Rows {
+		out[r[0].Int()] = r[1].Int()
+	}
+	return out
+}
+
+// TestDMLTargetIndexRead drives UPDATE and DELETE over a DynamicIndexScan
+// target: its batches carry rows only, each extended with its RowID
+// (withRowIDs), and no lanes. The DML operator reads the RowID and the
+// target row off those rows and builds none.
+func TestDMLTargetIndexRead(t *testing.T) {
+	rt, cat := fixture(t, 2)
+	tt := cat.MustTable("T")
+	def := catalog.IndexDef{Name: "t_pk", ColOrd: 0}
+	if err := rt.Store.CreateIndex(tt, def); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	tt.Indexes = append(tt.Indexes, def)
+	target := func(k int64) plan.Node {
+		pred := expr.NewCmp(expr.EQ, tcol(1, 0, "pk"), intc(k))
+		sel := plan.NewPartitionSelector(tt, 1, []expr.Expr{pred}, nil)
+		scan := plan.NewDynamicIndexScan(tt, 1, 1, def, pred)
+		scan.WithRowID = true
+		return plan.NewSequence(sel, scan)
+	}
+	set := []plan.SetClause{{Ord: 1, Value: &expr.Arith{Op: expr.Add, L: tcol(1, 1, "v"), R: intc(1000)}}}
+	if n := runDML(t, rt, "update", plan.NewUpdate(tt, 1, set, target(42))); n != 1 {
+		t.Fatalf("update: %d rows affected, want 1", n)
+	}
+	if n := runDML(t, rt, "delete", plan.NewDelete(tt, 1, target(17))); n != 1 {
+		t.Fatalf("delete: %d rows affected, want 1", n)
+	}
+	got := tRows(t, rt, tt)
+	if _, ok := got[17]; ok || len(got) != 99 {
+		t.Fatalf("after delete: %d rows, pk 17 present %v; want 99 without it", len(got), ok)
+	}
+	if got[42] != 84+1000 {
+		t.Fatalf("pk 42: v = %d, want %d", got[42], 84+1000)
+	}
+}
+
+// TestDMLDuplicateTargetChangedOnce feeds UPDATE and DELETE a target RowID
+// twice: T joins a build side holding every D row twice, so each matched T
+// row comes out of the join twice, in one batch at the default batch size
+// and in two consecutive batches at batch size 1. Each target row is
+// changed once and counted once.
+func TestDMLDuplicateTargetChangedOnce(t *testing.T) {
+	for _, bs := range []int{1, DefaultBatchSize} {
+		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
+			defer SetBatchSize(SetBatchSize(bs))
+			rt, cat := fixture(t, 2)
+			tt, dt := cat.MustTable("T"), cat.MustTable("D")
+			// ... FROM T, (D UNION ALL D) WHERE T.pk = D.id + 20: pk 20..24.
+			target := func() plan.Node {
+				src := &expr.Arith{Op: expr.Add, L: tcol(2, 0, "D.id"), R: intc(20)}
+				build := plan.NewAppend(plan.NewScan(dt, 2), plan.NewScan(dt, 2))
+				sel := plan.NewPartitionSelector(tt, 1, []expr.Expr{expr.NewCmp(expr.EQ, tcol(1, 0, "T.pk"), src)}, build)
+				probe := plan.NewDynamicScan(tt, 1, 1)
+				probe.WithRowID = true
+				return plan.NewHashJoin(plan.InnerJoin, []expr.Expr{src}, []expr.Expr{tcol(1, 0, "T.pk")}, nil, sel, probe, nil)
+			}
+			set := []plan.SetClause{{Ord: 1, Value: &expr.Arith{Op: expr.Add, L: tcol(1, 1, "v"), R: intc(1)}}}
+			if n := runDML(t, rt, "update", plan.NewUpdate(tt, 1, set, target())); n != 5 {
+				t.Fatalf("update: %d rows affected, want 5", n)
+			}
+			got := tRows(t, rt, tt)
+			for pk := int64(20); pk <= 24; pk++ {
+				if got[pk] != 2*pk+1 {
+					t.Errorf("pk %d: v = %d, want %d (updated once)", pk, got[pk], 2*pk+1)
+				}
+			}
+			if n := runDML(t, rt, "delete", plan.NewDelete(tt, 1, target())); n != 5 {
+				t.Fatalf("delete: %d rows affected, want 5", n)
+			}
+			if got := tRows(t, rt, tt); len(got) != 95 {
+				t.Fatalf("after delete: %d rows, want 95", len(got))
+			}
+		})
 	}
 }

@@ -103,13 +103,13 @@ func buildOpRaw(n plan.Node, exch map[*plan.Motion]*exchange, live joinMasks) (O
 		if err != nil {
 			return nil, err
 		}
-		return &updateOp{n: x, child: child}, nil
+		return &updateOp{n: x, dmlOp: dmlOp{child: child}}, nil
 	case *plan.Delete:
 		child, err := buildOp(x.Child, exch, live)
 		if err != nil {
 			return nil, err
 		}
-		return &deleteOp{n: x, child: child}, nil
+		return &deleteOp{n: x, dmlOp: dmlOp{child: child}}, nil
 	case *plan.PartitionWiseJoin:
 		return &pwJoinOp{n: x}, nil
 	case *plan.Sort:

@@ -3,25 +3,94 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
+	"partopt/internal/catalog"
 	"partopt/internal/expr"
 	"partopt/internal/plan"
 	"partopt/internal/storage"
 	"partopt/internal/types"
 )
 
-// updateOp applies SET clauses to target rows identified by the RowID
-// pseudo-column in its input. All updates are collected first and applied
-// at end-of-input: cross-partition moves use swap-deletes that invalidate
-// higher heap indexes, so pending updates are applied per heap in
-// descending index order to keep every collected RowID valid.
-type updateOp struct {
-	n     *plan.Update
+// dmlOp is what updateOp and deleteOp share: the input that names their
+// target rows by the RowID pseudo-column, the drain that reads it, and the
+// affected-row count they emit. Both collect every target first and apply
+// at end of input in storage.CompareApplyOrder, because a swap-delete
+// invalidates the higher indexes of its heap.
+type dmlOp struct {
 	child Operator
 
 	count   int64
 	emitted bool
+}
+
+// drain checks that the operator runs on a segment and that its input
+// layout carries relation rel's RowID, then opens the child, pulls its
+// batches, polls abort once per batch and calls visit once per distinct
+// target RowID (each target row is changed at most once) with the batch
+// and slot that hold it. The child is closed on every exit. The RowID is
+// read off the batch's RowID lane (a heap scan) or its row (an index read,
+// which carries no lanes), so the drain itself builds no rows.
+func (d *dmlOp) drain(ctx *Ctx, what string, t *catalog.Table, rel int, layout expr.Layout, visit func(id storage.RowID, b *Batch, k int) error) error {
+	if ctx.Seg == CoordinatorSeg {
+		return fmt.Errorf("exec: %s of %s cannot run on the coordinator", what, t.Name)
+	}
+	ridPos, ok := layout[expr.ColID{Rel: rel, Ord: plan.RowIDOrd}]
+	if !ok {
+		return fmt.Errorf("exec: %s input lacks the RowID column of relation %d", what, rel)
+	}
+	d.count, d.emitted = 0, false
+	if err := d.child.Open(ctx); err != nil {
+		return err
+	}
+	seen := map[storage.RowID]bool{}
+	for {
+		b, err := d.child.NextBatch(ctx)
+		if errors.Is(err, errEOF) {
+			return d.child.Close(ctx)
+		}
+		if err == nil {
+			err = ctx.pollAbortBatch()
+		}
+		for k := 0; err == nil && k < b.Len(); k++ {
+			var rid types.Datum
+			if b.Cols != nil {
+				rid = b.Cols[ridPos].Datum(selRow(b.Sel, k))
+			} else {
+				rid = b.Rows[k][ridPos]
+			}
+			if id := DecodeRowID(rid); !seen[id] {
+				seen[id] = true
+				err = visit(id, b, k)
+			}
+		}
+		if err != nil {
+			d.child.Close(ctx) // release the child's state before failing
+			return err
+		}
+	}
+}
+
+// NextBatch emits the affected-row count as a one-row batch on the first
+// call, and errEOF after.
+func (d *dmlOp) NextBatch(*Ctx) (*Batch, error) {
+	if d.emitted {
+		return nil, errEOF
+	}
+	d.emitted = true
+	b := &Batch{}
+	b.setRows([]types.Row{{types.NewInt(d.count)}})
+	return b, nil
+}
+
+func (d *dmlOp) Close(*Ctx) error { return nil }
+
+// updateOp applies SET clauses to its target rows. A target row is read
+// with batchRow into one reused header; only the new row it computes is
+// kept.
+type updateOp struct {
+	n *plan.Update
+	dmlOp
 }
 
 type pendingUpdate struct {
@@ -30,81 +99,38 @@ type pendingUpdate struct {
 }
 
 func (u *updateOp) Open(ctx *Ctx) error {
-	if ctx.Seg == CoordinatorSeg {
-		return fmt.Errorf("exec: Update of %s cannot run on the coordinator", u.n.Table.Name)
-	}
-	u.count, u.emitted = 0, false
 	layout := u.n.Child.Layout()
-	ridCol := expr.ColID{Rel: u.n.Rel, Ord: plan.RowIDOrd}
-	ridPos, ok := layout[ridCol]
-	if !ok {
-		return fmt.Errorf("exec: Update input lacks the RowID column of relation %d", u.n.Rel)
-	}
 	colPos := make([]int, len(u.n.Table.Cols))
-	for i := range u.n.Table.Cols {
+	for i, c := range u.n.Table.Cols {
 		pos, ok := layout[expr.ColID{Rel: u.n.Rel, Ord: i}]
 		if !ok {
-			return fmt.Errorf("exec: Update input lacks target column %q", u.n.Table.Cols[i].Name)
+			return fmt.Errorf("exec: Update input lacks target column %q", c.Name)
 		}
 		colPos[i] = pos
 	}
-
-	if err := u.child.Open(ctx); err != nil {
-		return err
-	}
 	var pending []pendingUpdate
-	seen := map[storage.RowID]bool{}
+	var tmp types.Row
 	env := expr.Env{Layout: layout, Params: ctx.Params.Vals}
-	for {
-		b, err := u.child.NextBatch(ctx)
-		if errors.Is(err, errEOF) {
-			break
+	err := u.drain(ctx, "Update", u.n.Table, u.n.Rel, layout, func(id storage.RowID, b *Batch, k int) error {
+		env.Row = batchRow(b, k, &tmp)
+		newRow := make(types.Row, len(colPos))
+		for i, pos := range colPos {
+			newRow[i] = env.Row[pos]
 		}
-		if err != nil {
-			u.child.Close(ctx) // release the child's state before failing
-			return err
-		}
-		if err := ctx.pollAbortBatch(); err != nil {
-			u.child.Close(ctx)
-			return err
-		}
-		for _, row := range b.rows(ctx) {
-			id := DecodeRowID(row[ridPos])
-			if seen[id] {
-				continue // each target row updated at most once
+		for _, set := range u.n.Sets {
+			v, err := expr.Eval(set.Value, &env)
+			if err != nil {
+				return err
 			}
-			seen[id] = true
-			newRow := make(types.Row, len(u.n.Table.Cols))
-			for i, pos := range colPos {
-				newRow[i] = row[pos]
-			}
-			env.Row = row
-			for _, set := range u.n.Sets {
-				v, err := expr.Eval(set.Value, &env)
-				if err != nil {
-					u.child.Close(ctx)
-					return err
-				}
-				newRow[set.Ord] = v
-			}
-			pending = append(pending, pendingUpdate{id: id, row: newRow})
+			newRow[set.Ord] = v
 		}
-	}
-	if err := u.child.Close(ctx); err != nil {
+		pending = append(pending, pendingUpdate{id: id, row: newRow})
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-
-	// Apply in descending heap-index order within each (seg, leaf).
-	sort.Slice(pending, func(i, j int) bool {
-		a, b := pending[i].id, pending[j].id
-		if a.Seg != b.Seg {
-			return a.Seg < b.Seg
-		}
-		if a.Leaf != b.Leaf {
-			return a.Leaf < b.Leaf
-		}
-		return a.Idx > b.Idx
-	})
+	slices.SortFunc(pending, func(a, b pendingUpdate) int { return storage.CompareApplyOrder(a.id, b.id) })
 	for _, p := range pending {
 		if _, err := ctx.Rt.Store.UpdateRow(u.n.Table, p.id, p.row); err != nil {
 			// A dead primary mid-DML still reports evidence (the FTS may fail
@@ -117,83 +143,22 @@ func (u *updateOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (u *updateOp) NextBatch(*Ctx) (*Batch, error) { return countBatch(&u.emitted, u.count) }
-
-// countBatch emits a DML operator's result — one row holding the affected
-// row count — as a one-row batch on the first call, and errEOF after.
-func countBatch(emitted *bool, count int64) (*Batch, error) {
-	if *emitted {
-		return nil, errEOF
-	}
-	*emitted = true
-	b := &Batch{}
-	b.setRows([]types.Row{{types.NewInt(count)}})
-	return b, nil
-}
-
-func (u *updateOp) Close(*Ctx) error { return nil }
-
-// deleteOp removes the rows its child identifies via the RowID column.
-// Like updateOp it collects first and applies per heap in descending index
-// order, because swap-deletes invalidate higher indexes.
+// deleteOp removes its target rows.
 type deleteOp struct {
-	n     *plan.Delete
-	child Operator
-
-	count   int64
-	emitted bool
+	n *plan.Delete
+	dmlOp
 }
 
 func (d *deleteOp) Open(ctx *Ctx) error {
-	if ctx.Seg == CoordinatorSeg {
-		return fmt.Errorf("exec: Delete of %s cannot run on the coordinator", d.n.Table.Name)
-	}
-	d.count, d.emitted = 0, false
-	layout := d.n.Child.Layout()
-	ridPos, ok := layout[expr.ColID{Rel: d.n.Rel, Ord: plan.RowIDOrd}]
-	if !ok {
-		return fmt.Errorf("exec: Delete input lacks the RowID column of relation %d", d.n.Rel)
-	}
-	if err := d.child.Open(ctx); err != nil {
-		return err
-	}
 	var ids []storage.RowID
-	seen := map[storage.RowID]bool{}
-	for {
-		b, err := d.child.NextBatch(ctx)
-		if errors.Is(err, errEOF) {
-			break
-		}
-		if err != nil {
-			d.child.Close(ctx) // release the child's state before failing
-			return err
-		}
-		if err := ctx.pollAbortBatch(); err != nil {
-			d.child.Close(ctx)
-			return err
-		}
-		for _, row := range b.rows(ctx) {
-			id := DecodeRowID(row[ridPos])
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	if err := d.child.Close(ctx); err != nil {
+	err := d.drain(ctx, "Delete", d.n.Table, d.n.Rel, d.n.Child.Layout(), func(id storage.RowID, _ *Batch, _ int) error {
+		ids = append(ids, id)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if a.Seg != b.Seg {
-			return a.Seg < b.Seg
-		}
-		if a.Leaf != b.Leaf {
-			return a.Leaf < b.Leaf
-		}
-		return a.Idx > b.Idx
-	})
+	slices.SortFunc(ids, storage.CompareApplyOrder)
 	for _, id := range ids {
 		if err := ctx.Rt.Store.DeleteRow(d.n.Table, id); err != nil {
 			return ctx.noteSegFailure(err)
@@ -202,7 +167,3 @@ func (d *deleteOp) Open(ctx *Ctx) error {
 	}
 	return nil
 }
-
-func (d *deleteOp) NextBatch(*Ctx) (*Batch, error) { return countBatch(&d.emitted, d.count) }
-
-func (d *deleteOp) Close(*Ctx) error { return nil }

@@ -88,6 +88,54 @@ func StaticConjuncts(pred Expr, key ColID) Expr {
 	return Conj(kept...)
 }
 
+// SplitJoinPred separates the equi-join conjuncts of pred, the equalities
+// with one side over leftRels' columns only and the other over rightRels'
+// only, from the rest. The i-th equi conjunct becomes leftKeys[i] =
+// rightKeys[i], oriented left to right; the other conjuncts are returned
+// conjoined as residual.
+func SplitJoinPred(pred Expr, leftRels, rightRels map[int]bool) (leftKeys, rightKeys []Expr, residual Expr) {
+	var rest []Expr
+	for _, c := range Conjuncts(pred) {
+		cmp, ok := c.(*Cmp)
+		if !ok || cmp.Op != EQ {
+			rest = append(rest, c)
+			continue
+		}
+		switch l, r := joinSide(cmp.L, leftRels, rightRels), joinSide(cmp.R, leftRels, rightRels); {
+		case l == 0 && r == 1:
+			leftKeys = append(leftKeys, cmp.L)
+			rightKeys = append(rightKeys, cmp.R)
+		case l == 1 && r == 0:
+			leftKeys = append(leftKeys, cmp.R)
+			rightKeys = append(rightKeys, cmp.L)
+		default:
+			rest = append(rest, c)
+		}
+	}
+	return leftKeys, rightKeys, Conj(rest...)
+}
+
+// joinSide classifies e by the join side whose columns it reads: 0 only
+// leftRels', 1 only rightRels', -1 both or neither.
+func joinSide(e Expr, leftRels, rightRels map[int]bool) int {
+	usedLeft, usedRight := false, false
+	for id := range ColsUsed(e) {
+		switch {
+		case leftRels[id.Rel]:
+			usedLeft = true
+		case rightRels[id.Rel]:
+			usedRight = true
+		}
+	}
+	switch {
+	case usedLeft && !usedRight:
+		return 0
+	case usedRight && !usedLeft:
+		return 1
+	}
+	return -1
+}
+
 // FindPredsOnKeys is the multi-level variant (paper §2.4): it returns one
 // (possibly nil) predicate per partitioning level. The second result is
 // false when no level is constrained at all.

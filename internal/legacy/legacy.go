@@ -209,7 +209,7 @@ func (p *Planner) planJoin(ctx *planCtx, j *logical.Join, pushedPred expr.Expr) 
 		j = &logical.Join{Type: j.Type.Flip(), Pred: j.Pred, Left: j.Right, Right: j.Left}
 	}
 	leftRels, rightRels := j.Left.Rels(), j.Right.Rels()
-	buildKeys, probeKeys, residual := splitJoinPred(j.Pred, leftRels, rightRels)
+	buildKeys, probeKeys, residual := expr.SplitJoinPred(j.Pred, leftRels, rightRels)
 
 	build, buildRepl, err := p.planNode(ctx, j.Left, nil)
 	if err != nil {
@@ -325,7 +325,7 @@ func (p *Planner) planDML(ctx *planCtx, child logical.Node, table *catalog.Table
 		return nil, fmt.Errorf("legacy: DML expects the target table on the join's probe side")
 	}
 	leftRels, rightRels := join.Left.Rels(), join.Right.Rels()
-	buildKeys, probeKeys, residual := splitJoinPred(join.Pred, leftRels, rightRels)
+	buildKeys, probeKeys, residual := expr.SplitJoinPred(join.Pred, leftRels, rightRels)
 
 	var leaves []part.OID
 	if get.Table.IsPartitioned() {
@@ -375,48 +375,4 @@ func (p *Planner) planSimpleDML(child logical.Node, rel int, wrap func(plan.Node
 		branches = append(branches, probe)
 	}
 	return plan.NewMotion(plan.GatherMotion, nil, wrap(plan.NewAppend(branches...))), nil
-}
-
-// splitJoinPred mirrors the orca helper: equi conjuncts become hash keys.
-func splitJoinPred(pred expr.Expr, leftRels, rightRels map[int]bool) (leftKeys, rightKeys []expr.Expr, residual expr.Expr) {
-	var rest []expr.Expr
-	for _, c := range expr.Conjuncts(pred) {
-		cmp, ok := c.(*expr.Cmp)
-		if !ok || cmp.Op != expr.EQ {
-			rest = append(rest, c)
-			continue
-		}
-		lSide, lOK := sideOf(cmp.L, leftRels, rightRels)
-		rSide, rOK := sideOf(cmp.R, leftRels, rightRels)
-		switch {
-		case lOK && rOK && lSide == 0 && rSide == 1:
-			leftKeys = append(leftKeys, cmp.L)
-			rightKeys = append(rightKeys, cmp.R)
-		case lOK && rOK && lSide == 1 && rSide == 0:
-			leftKeys = append(leftKeys, cmp.R)
-			rightKeys = append(rightKeys, cmp.L)
-		default:
-			rest = append(rest, c)
-		}
-	}
-	return leftKeys, rightKeys, expr.Conj(rest...)
-}
-
-func sideOf(e expr.Expr, leftRels, rightRels map[int]bool) (int, bool) {
-	usedLeft, usedRight := false, false
-	for id := range expr.ColsUsed(e) {
-		switch {
-		case leftRels[id.Rel]:
-			usedLeft = true
-		case rightRels[id.Rel]:
-			usedRight = true
-		}
-	}
-	switch {
-	case usedLeft && !usedRight:
-		return 0, true
-	case usedRight && !usedLeft:
-		return 1, true
-	}
-	return 0, false
 }

@@ -438,53 +438,6 @@ func predsSourcedFrom(keyPreds []expr.Expr, spec *SpecReq, buildRels map[int]boo
 	return true
 }
 
-// splitJoinPred separates equi-join conjuncts (one side's columns vs the
-// other's) from the residual predicate.
-func splitJoinPred(pred expr.Expr, leftRels, rightRels map[int]bool) (leftKeys, rightKeys []expr.Expr, residual expr.Expr) {
-	var rest []expr.Expr
-	for _, c := range expr.Conjuncts(pred) {
-		cmp, ok := c.(*expr.Cmp)
-		if !ok || cmp.Op != expr.EQ {
-			rest = append(rest, c)
-			continue
-		}
-		lSide, lOK := sideOf(cmp.L, leftRels, rightRels)
-		rSide, rOK := sideOf(cmp.R, leftRels, rightRels)
-		switch {
-		case lOK && rOK && lSide == 0 && rSide == 1:
-			leftKeys = append(leftKeys, cmp.L)
-			rightKeys = append(rightKeys, cmp.R)
-		case lOK && rOK && lSide == 1 && rSide == 0:
-			leftKeys = append(leftKeys, cmp.R)
-			rightKeys = append(rightKeys, cmp.L)
-		default:
-			rest = append(rest, c)
-		}
-	}
-	return leftKeys, rightKeys, expr.Conj(rest...)
-}
-
-// sideOf classifies an expression: 0 = uses only left columns, 1 = only
-// right columns. ok is false for mixed or column-free expressions.
-func sideOf(e expr.Expr, leftRels, rightRels map[int]bool) (int, bool) {
-	usedLeft, usedRight := false, false
-	for id := range expr.ColsUsed(e) {
-		switch {
-		case leftRels[id.Rel]:
-			usedLeft = true
-		case rightRels[id.Rel]:
-			usedRight = true
-		}
-	}
-	switch {
-	case usedLeft && !usedRight:
-		return 0, true
-	case usedRight && !usedLeft:
-		return 1, true
-	}
-	return 0, false
-}
-
 // keyCols extracts plain column identities from key expressions; ok is
 // false when a key is a computed expression.
 func keyCols(keys []expr.Expr) ([]expr.ColID, bool) {

@@ -35,7 +35,7 @@ type joinInfo struct {
 // newJoinLexpr builds a join group expression with children[0] as the build
 // side, precomputing the predicate split for that orientation.
 func newJoinLexpr(op *logical.Join, build, probe *group) *lexpr {
-	bk, pk, res := splitJoinPred(op.Pred, build.rels, probe.rels)
+	bk, pk, res := expr.SplitJoinPred(op.Pred, build.rels, probe.rels)
 	ji := &joinInfo{buildKeys: bk, probeKeys: pk, residual: res}
 	ji.bCols, ji.bOK = keyCols(bk)
 	ji.pCols, ji.pOK = keyCols(pk)

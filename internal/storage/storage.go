@@ -34,6 +34,7 @@
 package storage
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -399,63 +400,21 @@ func routeLeaf(t *catalog.Table, row types.Row) (part.OID, error) {
 	return leaf, nil
 }
 
-// Insert routes one row to its leaf partition and segment(s). It returns
-// an error for rows that map to no partition (fT = ⊥) or have the wrong
-// arity.
+// Insert routes one row to its leaf partition and segment(s): it is a
+// one-row InsertBatch. It returns an error for a row that maps to no
+// partition (fT = ⊥) or has the wrong arity.
 func (s *Store) Insert(t *catalog.Table, row types.Row) error {
-	td, err := s.data(t.OID)
-	if err != nil {
-		return err
-	}
-	leaf, err := routeLeaf(t, row)
-	if err != nil {
-		return err
-	}
-	if t.Dist.Kind == catalog.DistReplicated {
-		views := make([][NumReplicas]bool, s.segments)
-		for seg := range views {
-			v, err := s.writeView(seg)
-			if err != nil {
-				return err
-			}
-			views[seg] = v
-		}
-		td.mu.Lock()
-		defer td.mu.Unlock()
-		td.invalidateIndexesLocked()
-		for seg := range td.heaps {
-			for rep, on := range views[seg] {
-				if on {
-					td.leafSet(td.heapsOf(rep), seg, leaf).AppendRow(row)
-				}
-			}
-		}
-		return nil
-	}
-	seg := s.targetSegment(t, row)
-	view, err := s.writeView(seg)
-	if err != nil {
-		return err
-	}
-	td.mu.Lock()
-	defer td.mu.Unlock()
-	td.invalidateIndexesLocked()
-	for rep, on := range view {
-		if on {
-			td.leafSet(td.heapsOf(rep), seg, leaf).AppendRow(row)
-		}
-	}
-	return nil
+	return s.InsertBatch(t, []types.Row{row})
 }
 
 // InsertBatch inserts many rows in one critical section: every row is
 // validated and routed up front, then the batch is grouped per
 // (segment, leaf) destination and appended column-wise with one bulk
 // append per leaf set and replica. Routing or arity errors reject the
-// whole batch before anything is applied. Dual-apply semantics match
-// Insert: write views are resolved per touched segment, so a dead mirror
-// is marked stale and both live replicas receive identical appends in
-// identical order.
+// whole batch before anything is applied, and so does a dead acting
+// primary on any touched segment. Write views are resolved per touched
+// segment, so a dead mirror is marked stale and both live replicas receive
+// identical appends in identical order.
 func (s *Store) InsertBatch(t *catalog.Table, rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -729,9 +688,9 @@ func (s *Store) UpdateRow(t *catalog.Table, id RowID, newRow types.Row) (bool, e
 	return moved, nil
 }
 
-// DeleteRow removes the row at the given RowID with a swap-delete (the
-// heap's last row moves into the hole, so callers deleting in bulk must
-// process each heap in descending index order).
+// DeleteRow removes the row at the given RowID with a swap-delete: the
+// heap's last row moves into the hole. A caller applying many deletes or
+// updates by RowID orders them with CompareApplyOrder.
 func (s *Store) DeleteRow(t *catalog.Table, id RowID) error {
 	td, err := s.data(t.OID)
 	if err != nil {
@@ -755,6 +714,16 @@ func (s *Store) DeleteRow(t *catalog.Table, id RowID) error {
 		cs.SwapDelete(id.Idx)
 	}
 	return nil
+}
+
+// CompareApplyOrder orders RowIDs for a bulk DML that collected them before
+// writing: heap by heap, and within a heap by descending index. A
+// swap-delete (DeleteRow, or UpdateRow moving a row to another leaf) only
+// moves the heap's last row, so the RowIDs of that heap still to be
+// applied, all of lower index, keep addressing their rows. It returns a
+// negative number when a applies before b, as slices.SortFunc expects.
+func CompareApplyOrder(a, b RowID) int {
+	return cmp.Or(cmp.Compare(a.Seg, b.Seg), cmp.Compare(a.Leaf, b.Leaf), cmp.Compare(b.Idx, a.Idx))
 }
 
 // Truncate removes all rows of a table.

@@ -201,20 +201,9 @@ func (e *Engine) rebuildGovernor() {
 	e.rt.Gov = mem.NewGovernor(e.govCfg)
 }
 
-// Insert adds one row to a table. Like every write, it bumps the plan-
-// cache epoch: cached plans stay executable but were costed against the
-// old data.
+// Insert adds one row to a table: it is a one-row InsertRows.
 func (e *Engine) Insert(table string, vals ...Value) error {
-	e.mu.RLock()
-	t, ok := e.cat.Table(table)
-	if !ok {
-		e.mu.RUnlock()
-		return fmt.Errorf("partopt: unknown table %q", table)
-	}
-	err := e.store.Insert(t, toRow(vals))
-	e.plans.Bump()
-	e.mu.RUnlock()
-	return err
+	return e.InsertRows(table, [][]Value{vals})
 }
 
 // InsertRows bulk-loads rows in one storage critical section (one lock
@@ -228,12 +217,24 @@ func (e *Engine) InsertRows(table string, rows [][]Value) error {
 	if !ok {
 		return fmt.Errorf("partopt: unknown table %q", table)
 	}
-	defer e.plans.Bump()
 	batch := make([]types.Row, len(rows))
 	for i, r := range rows {
 		batch[i] = toRow(r)
 	}
-	return e.store.InsertBatch(t, batch)
+	return e.insertRows(t, batch)
+}
+
+// insertRows is the engine's one insert path, under e.mu held for reading:
+// one all-or-nothing InsertBatch, then, only if it succeeded, one
+// plan-cache epoch bump. Like every write, a successful insert leaves
+// cached plans executable but costed against the old data; a failed one
+// changed nothing.
+func (e *Engine) insertRows(t *catalog.Table, rows []types.Row) error {
+	if err := e.store.InsertBatch(t, rows); err != nil {
+		return err
+	}
+	e.plans.Bump()
+	return nil
 }
 
 // CreateIndex adds a secondary index over one column. Partitioned tables

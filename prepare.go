@@ -182,16 +182,13 @@ func (e *Engine) execPrepared(ctx context.Context, p *prepared, args []Value) (i
 	case kindInsert:
 		e.mu.RLock()
 		tab, rows, err := sql.BindInsert(e.cat, p.stmt.(*sql.InsertStmt), toRow(args))
+		if err == nil {
+			err = e.insertRows(tab, rows)
+		}
 		e.mu.RUnlock()
 		if err != nil {
 			return 0, err
 		}
-		for _, r := range rows {
-			if err := e.store.Insert(tab, r); err != nil {
-				return 0, err
-			}
-		}
-		e.plans.Bump()
 		return int64(len(rows)), nil
 	}
 	e.mu.RLock()
